@@ -13,7 +13,6 @@ from .builder import (
     build_s2g_pa,
     find_closest_clause,
     select_first_clause,
-    update_fitness,
 )
 from .solver import (
     ClauseOrder,

@@ -15,15 +15,23 @@ Both build modes grow a network over the clauses of one formula:
   node's connectivity and ``theta`` to the newcomer's.
 
 Attachment probability of an existing node is proportional to
-connectivity x local fitness, normalized over the existing nodes.  Local
-frequencies, fitness, the fittest index, normalized fitness, and energies are
-recomputed from scratch at the end of every step; the probabilities used
-while linking a newcomer therefore reflect the state before it joined.
+connectivity x local fitness, normalized over the existing nodes; the
+probabilities used while linking a newcomer reflect the state before it
+joined.
+
+A newcomer changes only the clauses that share a literal with it, so each
+step updates local frequencies, fitness and the fittest index over that
+neighbourhood alone, read from an overlap table built once per formula
+(``overlap_table``, O(m x mean neighbourhood) memory).  Normalized fitness
+and energies are filled once, after the last step: an ``iteration_hook``
+sees them still at zero.  The temperature only scales those energies; it
+changes no edge, no insertion order and no energy ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,27 +79,70 @@ class BuilderConfig:
             raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
 
 
-def _distance_matrix(formula: Formula, codes: np.ndarray) -> np.ndarray:
-    """Pairwise clause distances.  The vectorized path assumes no repeated
-    variables inside a clause; formulas flagged by the parser fall back to the
-    exact multiset computation."""
+class OverlapTable(NamedTuple):
+    """For each clause, the other clauses that share a literal with it.
+
+    Row ``c`` spans ``start[c]:start[c + 1]`` of the entry arrays and lists
+    its neighbours in index order.  ``overlap`` counts the pairs of literal
+    slots holding the same literal (a clause that repeats a literal counts
+    every occurrence), which is what one clause adds to the other's local
+    fitness.  ``distance`` is the clause distance; every pair absent from
+    the table is at distance k.
+    """
+
+    start: np.ndarray
+    clause: np.ndarray
+    overlap: np.ndarray
+    distance: np.ndarray
+
+    def row(self, c: int) -> slice:
+        return slice(self.start[c], self.start[c + 1])
+
+
+def overlap_table(formula: Formula, codes: np.ndarray | None = None) -> OverlapTable:
+    """Sparse literal-overlap lists of a formula, O(m * mean row length)."""
+    if codes is None:
+        codes = clause_code_array(formula)
     m, k = codes.shape
+    flat = codes.ravel()
+    owner = np.repeat(np.arange(m, dtype=np.int64), k)
+    by_code = np.argsort(flat, kind="stable")
+    sorted_codes = flat[by_code]
+    # one group per literal: the slots that hold it, in sorted position
+    group_start = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    group_size = np.diff(np.r_[group_start, len(flat)])
+    # every ordered pair (slot, partner) of slots holding the same literal:
+    # a slot in a group of size g starting at s pairs with s, ..., s + g - 1
+    size_of = np.repeat(group_size, group_size)
+    start_of = np.repeat(group_start, group_size)
+    slot = np.repeat(np.arange(len(flat)), size_of)
+    rank = np.arange(len(slot)) - np.repeat(np.cumsum(size_of) - size_of, size_of)
+    partner = np.repeat(start_of, size_of) + rank
+    a = owner[by_code[slot]]
+    b = owner[by_code[partner]]
+    other = a != b
+    keys, overlap = np.unique(a[other] * m + b[other], return_counts=True)
+    rows, cols = np.divmod(keys, m)
+    start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=start[1:])
     if formula.duplicate_vars:
-        dist = np.zeros((m, m), dtype=np.int16)
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = clause_distance(formula.clauses[i], formula.clauses[j])
-                dist[i, j] = dist[j, i] = d
-        return dist
-    inter = np.zeros((m, m), dtype=np.int16)
-    for p in range(k):
-        for q in range(k):
-            inter += codes[:, p, None] == codes[None, :, q]
-    return (k - inter).astype(np.int16)
+        clauses = formula.clauses
+        distance = np.array(
+            [clause_distance(clauses[i], clauses[j]) for i, j in zip(rows.tolist(), cols.tolist())],
+            dtype=np.int32,
+        )
+    else:
+        distance = (k - overlap).astype(np.int32)
+    return OverlapTable(start, cols.astype(np.int32), overlap.astype(np.int32), distance)
 
 
 class BuildState:
-    """Mutable construction state; arrays are indexed by clause index."""
+    """Mutable construction state; arrays are indexed by clause index.
+
+    ``add_clause`` keeps the local frequencies, fitness and fittest index
+    current; ``fill_energies`` sets normalized fitness and energies once the
+    network is complete.
+    """
 
     def __init__(self, formula: Formula, cfg: BuilderConfig):
         if formula.m < 1:
@@ -102,9 +153,10 @@ class BuildState:
         self.cfg = cfg
         self.rng = derive_rng(cfg.seed)
         self.codes = clause_code_array(formula)
-        self.dist = _distance_matrix(formula, self.codes)
+        self.table = overlap_table(formula, self.codes)
         m = formula.m
-        self.order: list[int] = []
+        self._order = np.zeros(m, dtype=np.int64)
+        self.size = 0
         self.added = np.zeros(m, dtype=bool)
         self.freq = np.zeros(2 * formula.n, dtype=np.int64)
         self.fitness = np.zeros(m, dtype=np.int64)
@@ -116,14 +168,55 @@ class BuildState:
         self.fittest = -1
         self.edges: dict[tuple[int, int], list] = {}
 
+    @property
+    def order(self) -> np.ndarray:
+        """Insertion order so far, as a view."""
+        return self._order[: self.size]
+
     def order_array(self) -> np.ndarray:
-        return np.asarray(self.order, dtype=np.int64)
+        return self.order
 
     def add_clause(self, clause: int):
+        """Move a clause into the network and update local frequencies,
+        fitness and the fittest index.
+
+        The newcomer raises the fitness of each added clause sharing a
+        literal with it by their overlap.  Fitness never decreases, so the
+        incumbent can only be overtaken by a clause touched here; it keeps
+        its place on ties, otherwise the lowest index among the maximizers
+        wins.
+        """
         if self.added[clause]:
             raise ValueError(f"clause {clause} already added")
-        self.order.append(clause)
+        self._order[self.size] = clause
+        self.size += 1
         self.added[clause] = True
+        codes = self.codes[clause]
+        np.add.at(self.freq, codes, 1)
+        row = self.table.row(clause)
+        near = self.table.clause[row]
+        joined = self.added[near]
+        touched = near[joined]
+        fits = self.fitness[touched] + self.table.overlap[row][joined]
+        self.fitness[touched] = fits
+        fit = int(self.freq[codes].sum())
+        self.fitness[clause] = fit
+        if self.fittest < 0:
+            self.fittest = int(clause)
+            return
+        best = fits.max(initial=fit)
+        if best > self.fitness[self.fittest]:
+            leaders = touched[fits == best].tolist()
+            if fit == best:
+                leaders.append(int(clause))
+            self.fittest = min(leaders)
+
+    def fill_energies(self):
+        """Normalized fitness and energies of the added clauses."""
+        order = self.order_array()
+        fits = self.fitness[order]
+        self.normalized[order] = fits / int(fits.max())
+        self.energy[order] = -self.cfg.temperature * np.log(self.normalized[order]) + 0.0
 
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
@@ -163,49 +256,36 @@ def find_closest_clause(
     added,
     t: int,
     rng: np.random.Generator,
-    distances: np.ndarray | None = None,
+    table: OverlapTable | None = None,
 ) -> int:
-    """Unadded clause with minimal distance to clause ``t``; ties uniform.
+    """Unadded clause with minimal distance to the added clause ``t``; ties
+    uniform over the tied clauses in index order.
 
-    ``distances`` may carry a precomputed row of distances from every clause
-    to ``t``; otherwise distances are computed on the fly.
+    ``added`` is a boolean mask over the clauses or the indices of the added
+    ones; ``table`` is the formula's overlap table, built here when omitted.
+    Only clauses sharing a literal with ``t`` are closer than k; when none is
+    left, every unadded clause ties at distance k.
     """
-    mask = np.ones(formula.m, dtype=bool)
-    mask[list(added)] = False
-    candidates = np.flatnonzero(mask)
-    if len(candidates) == 0:
-        raise ValueError("all clauses already added")
-    if distances is None:
-        target = formula.clauses[t]
-        dvals = np.array(
-            [clause_distance(formula.clauses[c], target) for c in candidates]
-        )
+    added = np.asarray(added)
+    if added.dtype != bool:
+        mask = np.zeros(formula.m, dtype=bool)
+        mask[added.astype(np.int64)] = True
+        added = mask
+    if not added[t]:
+        raise ValueError(f"clause {t} has not been added")
+    if table is None:
+        table = overlap_table(formula)
+    row = table.row(t)
+    near = table.clause[row]
+    free = ~added[near]
+    if free.any():
+        dist = table.distance[row][free]
+        ties = near[free][dist == dist.min()]
     else:
-        dvals = np.asarray(distances)[candidates]
-    ties = candidates[dvals == dvals.min()]
+        ties = np.flatnonzero(~added)
+        if len(ties) == 0:
+            raise ValueError("all clauses already added")
     return int(ties[rng.integers(len(ties))])
-
-
-def update_fitness(state: BuildState) -> BuildState:
-    """Recompute local frequencies, fitness, fittest index, normalized
-    fitness, and energies over the added clauses.
-
-    The fittest index keeps the incumbent on ties; otherwise the lowest
-    clause index among the maximizers wins.
-    """
-    order = state.order_array()
-    if len(order) == 0:
-        raise ValueError("no clauses added yet")
-    added_codes = state.codes[order]
-    state.freq = np.bincount(added_codes.ravel(), minlength=2 * state.formula.n)
-    fits = state.freq[added_codes].sum(axis=1)
-    state.fitness[order] = fits
-    best = int(fits.max())
-    if state.fittest < 0 or state.fitness[state.fittest] != best:
-        state.fittest = int(order[fits == best].min())
-    state.normalized[order] = fits / best
-    state.energy[order] = -state.cfg.temperature * np.log(state.normalized[order]) + 0.0
-    return state
 
 
 def attachment_probabilities(state: BuildState) -> np.ndarray:
@@ -243,7 +323,7 @@ def _freeze(state: BuildState) -> ClauseGraph:
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
     )
-    for clause in state.order:
+    for clause in state.order_array().tolist():
         graph.nodes.append(
             GraphNode(
                 clause=clause,
@@ -270,24 +350,18 @@ def _build(formula: Formula, cfg: BuilderConfig, iteration_hook) -> ClauseGraph:
 
     first = select_first_clause(formula, cfg, rng)
     state.add_clause(first)
-    update_fitness(state)
 
     # forced first edge: the lone existing node attaches with probability 1
-    second = find_closest_clause(
-        formula, state.order, state.fittest, rng, distances=state.dist[state.fittest]
-    )
+    second = find_closest_clause(formula, state.added, state.fittest, rng, state.table)
     pi = np.array([1.0])
     state.add_clause(second)
     state.link(second, first, 1.0)
-    update_fitness(state)
     if iteration_hook is not None:
         iteration_hook(state, pi)
 
-    while len(state.order) < formula.m:
+    while state.size < formula.m:
         target = state.fittest
-        newcomer = find_closest_clause(
-            formula, state.order, target, rng, distances=state.dist[target]
-        )
+        newcomer = find_closest_clause(formula, state.added, target, rng, state.table)
         existing = state.order_array()
         pi = attachment_probabilities(state)
         state.add_clause(newcomer)
@@ -300,9 +374,9 @@ def _build(formula: Formula, cfg: BuilderConfig, iteration_hook) -> ClauseGraph:
             for _ in range(cfg.rho):
                 j = preferential_draw(cumulative, rng)
                 state.link(newcomer, int(existing[j]), float(pi[j]))
-        update_fitness(state)
         if iteration_hook is not None:
             iteration_hook(state, pi)
+    state.fill_energies()
     return _freeze(state)
 
 

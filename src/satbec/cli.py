@@ -62,7 +62,10 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read input file {path!r}: {exc}") from None
 
 
-def _write_atomic(path: str, text: str):
+def _stage(path: str, text: str) -> str:
+    """Write ``text`` to a temporary file beside ``path``; return its name."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write to {path!r}: is a directory")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
@@ -71,10 +74,10 @@ def _write_atomic(path: str, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
     except OSError as exc:
         os.unlink(tmp)
         raise UsageError(f"cannot write to {path!r}: {exc}") from None
+    return tmp
 
 
 def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outputs: list) -> str:
@@ -94,11 +97,30 @@ def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outp
 
 
 def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: dict):
-    """Atomically write artifacts ({path: text}) plus a manifest per artifact."""
+    """Write artifacts ({path: text}) plus a manifest per artifact.
+
+    Every file is first written to a temporary file; they are renamed into
+    place only once all of them have been written, so a failed write leaves
+    none of them behind.
+    """
     manifest = _manifest_text(subcommand, args, inputs, list(artifacts))
+    files = {}
     for path, text in artifacts.items():
-        _write_atomic(path, text)
-        _write_atomic(path + ".manifest.json", manifest)
+        files[path] = text
+        files[path + ".manifest.json"] = manifest
+    staged: dict[str, str] = {}
+    try:
+        for path, text in files.items():
+            staged[path] = _stage(path, text)
+        for path in files:
+            try:
+                os.replace(staged[path], path)
+            except OSError as exc:
+                raise UsageError(f"cannot write to {path!r}: {exc}") from None
+            del staged[path]
+    finally:
+        for tmp in staged.values():
+            os.unlink(tmp)
 
 
 def _json_text(payload) -> str:

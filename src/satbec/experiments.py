@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -162,6 +163,12 @@ def aggregate_samples(samples: list[GraphSample]) -> SweepRecord:
     )
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: ``jobs`` capped at
+    the task count and the core count, and at least 1."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _sweep_task(args) -> tuple[tuple[int, int], list[GraphSample]]:
     cfg, n_index, alpha_index = args
     return (n_index, alpha_index), run_grid_point(cfg, n_index, alpha_index)
@@ -179,8 +186,9 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
         for alpha_index in range(len(cfg.alphas))
     ]
     by_point: dict[tuple[int, int], list[GraphSample]] = {}
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, samples in pool.map(_sweep_task, tasks):
                 by_point[key] = samples
     else:
@@ -398,8 +406,9 @@ def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
         for alpha_index in range(len(alphas))
     ]
     groups: dict[tuple[int, int], dict[str, list[solver.SolverResult]]] = {}
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, group in pool.map(_bench_group, tasks):
                 groups[key] = group
     else:

@@ -1,0 +1,178 @@
+"""Reference builder kept as a test oracle.
+
+This is the straightforward construction: a dense m x m clause-distance
+matrix, and local frequencies, fitness, the fittest index, normalized
+fitness and energies recomputed from scratch over every added clause at the
+end of every step.  It costs O(m) per step and O(m^2) memory, which is why
+``satbec.builder`` grows its state incrementally instead; the two must give
+byte-identical graphs and the same per-step state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from satbec.builder import (
+    BuilderConfig,
+    _freeze,
+    attachment_probabilities,
+    preferential_draw,
+    select_first_clause,
+)
+from satbec.cnf import Formula, clause_code_array
+from satbec.graph import MODE_S2G, ClauseGraph
+from satbec.metrics import clause_distance
+from satbec.seeding import derive_rng
+
+
+def distance_matrix(formula: Formula, codes: np.ndarray) -> np.ndarray:
+    """Pairwise clause distances.  The vectorized path assumes no repeated
+    variables inside a clause; formulas flagged by the parser fall back to the
+    exact multiset computation."""
+    m, k = codes.shape
+    if formula.duplicate_vars:
+        dist = np.zeros((m, m), dtype=np.int16)
+        for i in range(m):
+            for j in range(i + 1, m):
+                d = clause_distance(formula.clauses[i], formula.clauses[j])
+                dist[i, j] = dist[j, i] = d
+        return dist
+    inter = np.zeros((m, m), dtype=np.int16)
+    for p in range(k):
+        for q in range(k):
+            inter += codes[:, p, None] == codes[None, :, q]
+    return (k - inter).astype(np.int16)
+
+
+class OracleState:
+    """Construction state with the insertion order as a list and a dense
+    distance matrix; arrays are indexed by clause index."""
+
+    def __init__(self, formula: Formula, cfg: BuilderConfig):
+        self.formula = formula
+        self.cfg = cfg
+        self.rng = derive_rng(cfg.seed)
+        self.codes = clause_code_array(formula)
+        self.dist = distance_matrix(formula, self.codes)
+        m = formula.m
+        self.order: list[int] = []
+        self.added = np.zeros(m, dtype=bool)
+        self.freq = np.zeros(2 * formula.n, dtype=np.int64)
+        self.fitness = np.zeros(m, dtype=np.int64)
+        self.normalized = np.zeros(m, dtype=float)
+        self.energy = np.zeros(m, dtype=float)
+        self.conn = np.zeros(m, dtype=float)
+        self.in_events = np.zeros(m, dtype=np.int64)
+        self.out_events = np.zeros(m, dtype=np.int64)
+        self.fittest = -1
+        self.edges: dict[tuple[int, int], list] = {}
+
+    def order_array(self) -> np.ndarray:
+        return np.asarray(self.order, dtype=np.int64)
+
+    def add_clause(self, clause: int):
+        if self.added[clause]:
+            raise ValueError(f"clause {clause} already added")
+        self.order.append(clause)
+        self.added[clause] = True
+
+    def link(self, newcomer: int, target: int, weight: float):
+        key = (newcomer, target) if newcomer < target else (target, newcomer)
+        entry = self.edges.get(key)
+        if entry is None:
+            self.edges[key] = [float(weight), 1]
+        else:
+            entry[1] += 1
+        self.out_events[newcomer] += 1
+        self.in_events[target] += 1
+        if self.cfg.mode == MODE_S2G:
+            self.conn[newcomer] += 1.0
+            self.conn[target] += 1.0
+        else:
+            self.conn[newcomer] += self.cfg.theta
+            self.conn[target] += 1.0
+
+
+def find_closest_clause(formula: Formula, added, t: int, rng, distances=None) -> int:
+    """Unadded clause with minimal distance to clause ``t``; ties uniform.
+
+    ``distances`` may carry a precomputed row of distances from every clause
+    to ``t``; otherwise distances are computed on the fly.
+    """
+    mask = np.ones(formula.m, dtype=bool)
+    mask[list(added)] = False
+    candidates = np.flatnonzero(mask)
+    if len(candidates) == 0:
+        raise ValueError("all clauses already added")
+    if distances is None:
+        target = formula.clauses[t]
+        dvals = np.array([clause_distance(formula.clauses[c], target) for c in candidates])
+    else:
+        dvals = np.asarray(distances)[candidates]
+    ties = candidates[dvals == dvals.min()]
+    return int(ties[rng.integers(len(ties))])
+
+
+def update_fitness(state: OracleState) -> OracleState:
+    """Recompute local frequencies, fitness, fittest index, normalized
+    fitness, and energies over the added clauses.
+
+    The fittest index keeps the incumbent on ties; otherwise the lowest
+    clause index among the maximizers wins.
+    """
+    order = state.order_array()
+    if len(order) == 0:
+        raise ValueError("no clauses added yet")
+    added_codes = state.codes[order]
+    state.freq = np.bincount(added_codes.ravel(), minlength=2 * state.formula.n)
+    fits = state.freq[added_codes].sum(axis=1)
+    state.fitness[order] = fits
+    best = int(fits.max())
+    if state.fittest < 0 or state.fitness[state.fittest] != best:
+        state.fittest = int(order[fits == best].min())
+    state.normalized[order] = fits / best
+    state.energy[order] = -state.cfg.temperature * np.log(state.normalized[order]) + 0.0
+    return state
+
+
+def oracle_build(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> ClauseGraph:
+    if formula.m < 2:
+        raise ValueError("need at least 2 clauses to build a network")
+    state = OracleState(formula, cfg)
+    rng = state.rng
+
+    first = select_first_clause(formula, cfg, rng)
+    state.add_clause(first)
+    update_fitness(state)
+
+    second = find_closest_clause(
+        formula, state.order, state.fittest, rng, distances=state.dist[state.fittest]
+    )
+    pi = np.array([1.0])
+    state.add_clause(second)
+    state.link(second, first, 1.0)
+    update_fitness(state)
+    if iteration_hook is not None:
+        iteration_hook(state, pi)
+
+    while len(state.order) < formula.m:
+        target = state.fittest
+        newcomer = find_closest_clause(
+            formula, state.order, target, rng, distances=state.dist[target]
+        )
+        existing = state.order_array()
+        pi = attachment_probabilities(state)
+        state.add_clause(newcomer)
+        if cfg.mode == MODE_S2G:
+            draws = rng.random(len(existing))
+            for j in np.flatnonzero(draws < pi):
+                state.link(newcomer, int(existing[j]), float(pi[j]))
+        else:
+            cumulative = np.cumsum(pi)
+            for _ in range(cfg.rho):
+                j = preferential_draw(cumulative, rng)
+                state.link(newcomer, int(existing[j]), float(pi[j]))
+        update_fitness(state)
+        if iteration_hook is not None:
+            iteration_hook(state, pi)
+    return _freeze(state)

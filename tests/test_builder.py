@@ -14,11 +14,11 @@ from satbec.builder import (
     find_closest_clause,
     preferential_draw,
     select_first_clause,
-    update_fitness,
 )
 from satbec.cnf import generate_random
 from satbec.graph import MODE_S2G, MODE_S2GPA, graph_to_json
 from satbec.seeding import derive_rng
+from satbec.solver import clause_order
 
 
 @pytest.mark.parametrize(
@@ -116,21 +116,50 @@ def test_find_closest_clause_exhausted():
         find_closest_clause(f, [0, 1], 0, derive_rng(5))
 
 
-def test_update_fitness_incumbent_rule():
+def test_find_closest_clause_falls_back_to_every_unadded_clause():
+    # clause 0 shares no literal with 2 or 3: both tie at distance k
+    f = formula_from_signed([(1, 2, 3), (1, 2, 4), (7, 8, 9), (-1, 5, 6)], 9)
+    rng = derive_rng(8)
+    picks = {find_closest_clause(f, [0, 1], 0, rng) for _ in range(200)}
+    assert picks == {2, 3}
+
+
+def test_find_closest_clause_takes_a_mask_or_indices():
+    f = generate_random(9, 3, 8, 30)
+    mask = np.zeros(f.m, dtype=bool)
+    mask[[4, 7, 11]] = True
+    a = [find_closest_clause(f, mask, 7, derive_rng(10)) for _ in range(5)]
+    b = [find_closest_clause(f, [4, 7, 11], 7, derive_rng(10)) for _ in range(5)]
+    assert a == b
+    with pytest.raises(ValueError):
+        find_closest_clause(f, [4, 11], 7, derive_rng(10))  # target not added
+
+
+def test_add_clause_incumbent_rule():
     f = formula_from_signed([(1, 2, 3), (4, 5, 6), (4, 5, 6)], 6)
     state = BuildState(f, BuilderConfig())
     state.add_clause(0)
-    update_fitness(state)
     assert state.fittest == 0
     state.add_clause(1)
-    update_fitness(state)
     assert state.fittest == 0  # tie at 3: incumbent stays
     state.add_clause(2)
-    update_fitness(state)
     assert state.fittest == 1  # clauses 1, 2 jump to 6: lowest index wins
     assert state.fitness[list(state.order)].tolist() == [3, 6, 6]
+    state.fill_energies()
     assert state.normalized[0] == pytest.approx(0.5)
     assert state.energy[1] == 0.0
+
+
+def test_add_clause_keeps_order_and_frequencies():
+    f = formula_from_signed([(1, 2, 3), (1, -2, 4), (1, 1, 5)], 5)
+    state = BuildState(f, BuilderConfig())
+    for clause in (2, 0, 1):
+        state.add_clause(clause)
+    assert state.order_array().tolist() == [2, 0, 1]
+    assert state.freq[0] == 4  # literal 1 occurs four times, twice in clause 2
+    assert state.fitness.tolist() == [4 + 1 + 1, 4 + 1 + 1, 4 + 4 + 1]
+    with pytest.raises(ValueError):
+        state.add_clause(0)
 
 
 def test_attachment_probabilities_proportional_to_conn_times_fitness():
@@ -139,7 +168,6 @@ def test_attachment_probabilities_proportional_to_conn_times_fitness():
     state = BuildState(f, BuilderConfig())
     state.add_clause(0)
     state.add_clause(1)
-    update_fitness(state)
     state.conn[0], state.conn[1] = 2.0, 6.0
     pi = attachment_probabilities(state)
     assert pi == pytest.approx([0.25, 0.75])
@@ -150,7 +178,6 @@ def test_attachment_probabilities_need_an_edge():
     f = formula_from_signed([(1, 2, 3), (4, 5, 6)], 6)
     state = BuildState(f, BuilderConfig())
     state.add_clause(0)
-    update_fitness(state)
     with pytest.raises(RuntimeError):
         attachment_probabilities(state)
 
@@ -271,3 +298,17 @@ def test_graph_records_build_parameters(sample20):
     assert g.n == 20 and g.k == 3 and g.m == 20
     s2g = build_graph(sample20, BuilderConfig(mode=MODE_S2G, seed=5))
     assert s2g.theta is None and s2g.rho is None
+
+
+@pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])
+def test_temperature_only_rescales_energies(mode):
+    # attachment uses raw fitness and energy levels are monotone in fitness,
+    # so the temperature changes nothing but the reported energies
+    f = generate_random(17, 3, 20, 85)
+    cold = build_graph(f, BuilderConfig(mode=mode, temperature=1.0, seed=23))
+    hot = build_graph(f, BuilderConfig(mode=mode, temperature=3.7, seed=23))
+    assert hot.insertion_order == cold.insertion_order
+    assert hot.edges == cold.edges
+    assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
+    for a, b in zip(hot.nodes, cold.nodes):
+        assert a.fitness.energy == pytest.approx(3.7 * b.fitness.energy)

@@ -91,6 +91,19 @@ def test_spectrum_json_and_dot(tmp_path, graph):
     assert text.rstrip().endswith("}")
 
 
+def test_failed_write_leaves_no_artifact(tmp_path, graph):
+    # the DOT path cannot be written, so the spectrum must not appear either
+    out = tmp_path / "ok.json"
+    assert run_cli("spectrum", "--in", str(graph), "--out", str(out),
+                   "--dot", str(tmp_path / "missing" / "x.dot")) == 1
+    (tmp_path / "sub.dot").mkdir()
+    assert run_cli("spectrum", "--in", str(graph), "--out", str(out),
+                   "--dot", str(tmp_path / "sub.dot")) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["f.cnf", "f.cnf.manifest.json", "g.json", "g.json.manifest.json", "sub.dot"]
+    )
+
+
 def test_solve_chainsat_result_file(tmp_path, cnf):
     out = tmp_path / "r.json"
     assert run_cli("solve", "--algo", "chainsat", "--budget", "5000", "--seed", "2",

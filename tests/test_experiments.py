@@ -2,9 +2,11 @@
 
 import csv
 import io
+import os
 
 import pytest
 
+from satbec import experiments
 from satbec.experiments import (
     BENCH_CSV_COLUMNS,
     SAT_THRESHOLD,
@@ -25,6 +27,7 @@ from satbec.experiments import (
     second_derivative_peak,
     sweep,
     sweep_records_to_csv,
+    worker_count,
 )
 
 
@@ -215,3 +218,43 @@ def test_bench_csv_shape():
     kinds = [row[0] for row in rows[1:]]
     assert kinds.count("result") == 3
     assert kinds.count("verdict") == 4
+
+
+def test_worker_count_caps_jobs_at_tasks_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count(10**6, 3) == 3
+    assert worker_count(10**6, 100) == 8
+    assert worker_count(4, 100) == 4
+    assert worker_count(1, 100) == 1
+    assert worker_count(0, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(16, 16) == 1
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs the tasks in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_and_benchmark_ask_for_the_capped_pool(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = SweepConfig(n_values=(12,), alphas=(1.0, 2.0, 3.0), instances=1, graphs_per_instance=1)
+    assert sweep(cfg, jobs=10**6) == sweep(cfg, jobs=1)
+    assert benchmark(tiny_bench_config(), jobs=10**6) == benchmark(tiny_bench_config(), jobs=1)
+    assert sizes == [3, 2]
