@@ -15,6 +15,7 @@ from .builder import (
     select_first_clause,
 )
 from .solver import (
+    SOLVERS,
     ClauseOrder,
     SolverResult,
     chainsat,
@@ -22,6 +23,7 @@ from .solver import (
     compare,
     lc_chainsat,
     nlc_chainsat,
+    solve,
 )
 from .cnf import (
     Assignment,

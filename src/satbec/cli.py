@@ -250,7 +250,7 @@ def _cmd_solve(args):
     cnf_text, formula = _load_formula(getattr(args, "in"))
     inputs = {"in": {"path": getattr(args, "in"), "sha256": _sha256_text(cnf_text)}}
     order = None
-    if args.algo in ("lc", "nlc"):
+    if args.algo in solver_mod.ORDERED_SOLVERS:
         if args.graph is None:
             raise UsageError(f"--graph is required for --algo {args.algo}")
         graph_text, graph = _load_graph(args.graph)
@@ -260,12 +260,7 @@ def _cmd_solve(args):
         except ValueError as exc:
             raise DataError(str(exc)) from None
     try:
-        if args.algo == "chainsat":
-            result = solver_mod.chainsat(formula, args.p1, args.p2, args.budget, args.seed)
-        elif args.algo == "lc":
-            result = solver_mod.lc_chainsat(formula, order, args.p1, args.p2, args.budget, args.seed)
-        else:
-            result = solver_mod.nlc_chainsat(formula, order, args.p1, args.p2, args.budget, args.seed)
+        result = solver_mod.solve(formula, args.algo, order, args.p1, args.p2, args.budget, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {"results": [_result_payload(args.algo, result, args)]}
@@ -459,7 +454,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("solve", help="run a circumspect local-search solver", formatter_class=fmt)
-    p.add_argument("--algo", choices=("chainsat", "lc", "nlc"), default="chainsat",
+    p.add_argument("--algo", choices=solver_mod.SOLVERS, default="chainsat",
                    help="solver variant")
     p.add_argument("--p1", type=float, default=None,
                    help="downhill flip probability (default: per-k table)")
@@ -501,7 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=3, help="literals per clause")
     p.add_argument("--grid", default="auto",
                    help="alpha list, or 'auto' for 8 points around the k threshold")
-    p.add_argument("--solvers", default="chainsat,lc,nlc", help="solvers to run")
+    p.add_argument("--solvers", default=",".join(solver_mod.SOLVERS), help="solvers to run")
     p.add_argument("--n-values", dest="n_values", default="25,50", help="list of n")
     p.add_argument("--instances", type=int, default=30, help="instances per (n, alpha) group")
     p.add_argument("--budget", type=int, default=solver_mod.DESK_BUDGET,

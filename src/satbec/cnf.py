@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +84,13 @@ class Clause:
 
 @dataclass(frozen=True)
 class Formula:
+    """A CNF formula.
+
+    Its ``formula_sha256`` digest is computed on first use and cached on
+    the instance, like ``Clause``'s signed view: not a field, and dropped
+    when the formula is pickled.
+    """
+
     n: int
     k: int
     clauses: tuple[Clause, ...]
@@ -94,6 +101,13 @@ class Formula:
     @property
     def m(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def _sha256(self) -> str:
+        return hashlib.sha256(serialize_dimacs(self).encode("utf-8")).hexdigest()
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def alpha(self) -> float:
@@ -200,7 +214,8 @@ def serialize_dimacs(formula: Formula) -> str:
 
 
 def formula_sha256(formula: Formula) -> str:
-    return hashlib.sha256(serialize_dimacs(formula).encode("utf-8")).hexdigest()
+    """sha256 of the canonical DIMACS text."""
+    return formula._sha256
 
 
 def generate_random(seed: int, k: int, n: int, m: int) -> Formula:

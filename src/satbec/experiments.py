@@ -298,7 +298,7 @@ class BenchConfig:
     budget: int = solver.DESK_BUDGET
     p1: float | None = None
     p2: float | None = None
-    solvers: tuple[str, ...] = ("chainsat", "lc", "nlc")
+    solvers: tuple[str, ...] = solver.SOLVERS
     graph_mode: str = MODE_S2G
     theta: float = 0.33
     rho: int = 1
@@ -307,9 +307,8 @@ class BenchConfig:
     seed_root: int = 0
 
     def __post_init__(self):
-        known = {"chainsat", "lc", "nlc"}
-        if not self.solvers or any(s not in known for s in self.solvers):
-            raise ValueError(f"solvers must be drawn from {sorted(known)}")
+        if not self.solvers or any(s not in solver.SOLVERS for s in self.solvers):
+            raise ValueError(f"solvers must be drawn from {sorted(solver.SOLVERS)}")
         if len(set(self.solvers)) != len(self.solvers):
             raise ValueError("duplicate solver names")
         if self.instances < 1:
@@ -361,7 +360,7 @@ def _bench_group(args):
     alphas = cfg.resolved_alphas()
     alpha = alphas[alpha_index]
     m = clause_count(n, alpha)
-    needs_graph = any(s in ("lc", "nlc") for s in cfg.solvers)
+    needs_graph = any(s in solver.ORDERED_SOLVERS for s in cfg.solvers)
     group: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
     for instance in range(cfg.instances):
         fseed = derive_seed(cfg.seed_root, TAG_GENERATE, n_index, alpha_index, instance)
@@ -386,13 +385,9 @@ def _bench_group(args):
             sseed = derive_seed(
                 cfg.seed_root, TAG_SOLVE, n_index, alpha_index, instance, solver_index
             )
-            if name == "chainsat":
-                result = solver.chainsat(formula, cfg.p1, cfg.p2, cfg.budget, sseed)
-            elif name == "lc":
-                result = solver.lc_chainsat(formula, order, cfg.p1, cfg.p2, cfg.budget, sseed)
-            else:
-                result = solver.nlc_chainsat(formula, order, cfg.p1, cfg.p2, cfg.budget, sseed)
-            group[name].append(result)
+            group[name].append(
+                solver.solve(formula, name, order, cfg.p1, cfg.p2, cfg.budget, sseed)
+            )
     return (n_index, alpha_index), group
 
 

@@ -12,7 +12,9 @@ is its total number of endpoint events and the graph conserves
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from operator import add, itemgetter, ne
 
 from .metrics import ENERGY_LEVEL_TOL, FitnessRecord, group_energy_levels
 
@@ -209,12 +211,57 @@ def graph_to_json(graph: ClauseGraph) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+_NODE_KEYS = (
+    "clause",
+    "raw_fitness",
+    "normalized_fitness",
+    "energy",
+    "connectivity",
+    "in_events",
+    "out_events",
+    "particles",
+)
+_EDGE_KEYS = ("u", "v", "weight", "multiplicity")
+
+
+def _check_numbers(key: str, values, integer: bool = False, minimum=None):
+    """Raise ValueError unless every value is a finite number (an int when
+    ``integer``) of at least ``minimum``.  Whole columns are checked at once
+    so that loading stays cheap."""
+    allowed = {int} if integer else {int, float}
+    if not set(map(type, values)) <= allowed:
+        bad = next(v for v in values if type(v) not in allowed)
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"graph JSON field {key!r} is not {kind}: {bad!r}")
+    if not integer:
+        try:
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"graph JSON field {key!r} holds a number that is not finite")
+    if minimum is not None and values and min(values) < minimum:
+        raise ValueError(f"graph JSON field {key!r} holds a value below {minimum}")
+
+
 def graph_from_json(text: str) -> ClauseGraph:
+    """Parse graph JSON and check it against itself: numeric fields are
+    finite numbers, node clause indices are distinct and lie in [0, m),
+    each node's particles equal its in plus out events, and every edge
+    joins two distinct known nodes, once.  Raises ValueError otherwise."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid graph JSON: {exc}") from None
     try:
+        _check_numbers("temperature", (payload["temperature"],))
+        _check_numbers("seed", (payload["seed"],), integer=True)
+        _check_numbers("n", (payload["n"],), integer=True, minimum=0)
+        _check_numbers("k", (payload["k"],), integer=True, minimum=0)
+        if payload["theta"] is not None:  # s2g graphs carry no theta or rho
+            _check_numbers("theta", (payload["theta"],))
+        if payload["rho"] is not None:
+            _check_numbers("rho", (payload["rho"],), integer=True)
         graph = ClauseGraph(
             mode=payload["mode"],
             temperature=payload["temperature"],
@@ -226,34 +273,51 @@ def graph_from_json(text: str) -> ClauseGraph:
             k=payload["k"],
             formula_sha256=payload["formula_sha256"],
         )
-        for entry in payload["nodes"]:
-            graph.nodes.append(
-                GraphNode(
-                    clause=entry["clause"],
-                    fitness=FitnessRecord(
-                        raw=entry["raw_fitness"],
-                        normalized=entry["normalized_fitness"],
-                        energy=entry["energy"],
-                    ),
-                    connectivity=entry["connectivity"],
-                    in_events=entry["in_events"],
-                    out_events=entry["out_events"],
-                )
-            )
-        for entry in payload["edges"]:
-            edge = GraphEdge(
-                u=entry["u"],
-                v=entry["v"],
-                weight=entry["weight"],
-                multiplicity=entry["multiplicity"],
-            )
-            graph.edges[(edge.u, edge.v)] = edge
+        nodes = list(map(itemgetter(*_NODE_KEYS), payload["nodes"]))
+        edges = list(map(itemgetter(*_EDGE_KEYS), payload["edges"]))
         declared_m = payload["m"]
         declared_order = payload["insertion_order"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON missing or malformed field: {exc}") from None
+    clause, raw, normalized, energies, conn, in_events, out_events, particles = (
+        zip(*nodes) if nodes else ((),) * len(_NODE_KEYS)
+    )
+    _check_numbers("clause", clause, integer=True)
+    _check_numbers("raw_fitness", raw, integer=True)
+    _check_numbers("normalized_fitness", normalized)
+    _check_numbers("energy", energies)
+    _check_numbers("connectivity", conn)
+    _check_numbers("in_events", in_events, integer=True, minimum=0)
+    _check_numbers("out_events", out_events, integer=True, minimum=0)
+    _check_numbers("particles", particles, integer=True)
+    if any(map(ne, particles, map(add, in_events, out_events))):
+        raise ValueError("graph JSON node particles differ from in_events + out_events")
+    u, v, weight, multiplicity = zip(*edges) if edges else ((),) * len(_EDGE_KEYS)
+    _check_numbers("u", u, integer=True)
+    _check_numbers("v", v, integer=True)
+    _check_numbers("weight", weight)
+    _check_numbers("multiplicity", multiplicity, integer=True, minimum=1)
+    for c, r, nf, e, cn, i, o, _ in nodes:
+        graph.nodes.append(
+            GraphNode(
+                clause=c,
+                fitness=FitnessRecord(raw=r, normalized=nf, energy=e),
+                connectivity=cn,
+                in_events=i,
+                out_events=o,
+            )
+        )
     if graph.mode not in MODES:
         raise ValueError(f"unknown graph mode {graph.mode!r}")
     if declared_m != graph.m or declared_order != graph.insertion_order:
         raise ValueError("graph JSON is inconsistent with its node list")
+    known = set(clause)
+    if len(known) != graph.m or (known and (min(known) < 0 or max(known) >= graph.m)):
+        raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")
+    for a, b, w, mult in edges:
+        if a == b or a not in known or b not in known:
+            raise ValueError(f"graph JSON edge ({a}, {b}) does not join two known nodes")
+        if (a, b) in graph.edges or (b, a) in graph.edges:
+            raise ValueError(f"graph JSON lists edge ({a}, {b}) twice")
+        graph.edges[(a, b)] = GraphEdge(u=a, v=b, weight=w, multiplicity=mult)
     return graph

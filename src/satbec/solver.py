@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .cnf import Assignment, Formula, evaluate, formula_sha256
 from .graph import ClauseGraph
 from .metrics import group_energy_levels
+
+SOLVERS = ("chainsat", "lc", "nlc")
+# the solvers that pick clauses by a ClauseOrder
+ORDERED_SOLVERS = SOLVERS[1:]
 
 DEFAULT_BUDGET = 1_000_000
 DESK_BUDGET = 10_000
@@ -95,140 +99,6 @@ class SolverResult:
     unsat_trajectory: tuple[int, ...] | None = None
 
 
-class _Engine:
-    """Assignment state with incremental satisfied-literal bookkeeping."""
-
-    def __init__(self, formula: Formula, rng: random.Random):
-        n, m = formula.n, formula.m
-        self.formula = formula
-        # index 0 unused so variables index directly
-        self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
-        self.occ: list[list[int]] = [[] for _ in range(2 * n)]
-        self.clause_vars: list[tuple[int, ...]] = []
-        for c, clause in enumerate(formula.clauses):
-            self.clause_vars.append(clause.variables())
-            for lit in clause.literals:
-                self.occ[2 * (lit.variable - 1) + (1 if lit.negated else 0)].append(c)
-        assign = self.assign
-        self.num_true = [
-            sum(1 for lit in clause.literals if assign[lit.variable] != lit.negated)
-            for clause in formula.clauses
-        ]
-        self.unsat: list[int] = []
-        self.pos = [-1] * m
-        for c, nt in enumerate(self.num_true):
-            if nt == 0:
-                self.pos[c] = len(self.unsat)
-                self.unsat.append(c)
-        self.on_become_unsat = None
-
-    def _true_code(self, v: int) -> int:
-        base = 2 * (v - 1)
-        return base if self.assign[v] else base + 1
-
-    def delta_e(self, v: int) -> int:
-        """Change in the unsatisfied-clause count if v were flipped."""
-        tc = self._true_code(v)
-        nt = self.num_true
-        breaks = 0
-        for c in self.occ[tc]:
-            if nt[c] == 1:
-                breaks += 1
-        makes = 0
-        for c in self.occ[tc ^ 1]:
-            if nt[c] == 0:
-                makes += 1
-        return breaks - makes
-
-    def critical_clauses(self, v: int) -> list[int]:
-        """Clauses currently satisfied by v alone."""
-        nt = self.num_true
-        return [c for c in self.occ[self._true_code(v)] if nt[c] == 1]
-
-    def flip(self, v: int):
-        tc = self._true_code(v)
-        nt = self.num_true
-        pos = self.pos
-        unsat = self.unsat
-        callback = self.on_become_unsat
-        for c in self.occ[tc]:
-            x = nt[c] - 1
-            nt[c] = x
-            if x == 0:
-                pos[c] = len(unsat)
-                unsat.append(c)
-                if callback is not None:
-                    callback(c)
-        for c in self.occ[tc ^ 1]:
-            if nt[c] == 0:
-                i = pos[c]
-                last = unsat[-1]
-                unsat[i] = last
-                pos[last] = i
-                unsat.pop()
-                pos[c] = -1
-            nt[c] += 1
-        self.assign[v] = not self.assign[v]
-
-
-class _UniformSelector:
-    def __init__(self, engine: _Engine):
-        pass
-
-    def pick_unsat(self, engine: _Engine, rng: random.Random) -> int:
-        unsat = engine.unsat
-        return unsat[rng.randrange(len(unsat))]
-
-    def pick_critical(self, engine, critical: list[int], rng: random.Random) -> int:
-        return critical[rng.randrange(len(critical))]
-
-
-class _OrderedSelector:
-    """Heaviest-unvisited clause picks backed by a lazy-deletion heap."""
-
-    def __init__(self, engine: _Engine, order: ClauseOrder, shared_bits: bool):
-        m = engine.formula.m
-        if len(order.rank) != m:
-            raise ValueError("clause order length does not match formula")
-        self.rank_pos = order.positions()
-        self.unsat_bits = bytearray(m)
-        self.sat_bits = self.unsat_bits if shared_bits else bytearray(m)
-        self.heap: list[tuple[int, int]] = []
-        engine.on_become_unsat = self._on_unsat
-        for c in engine.unsat:
-            self._on_unsat(c)
-
-    def _on_unsat(self, c: int):
-        if not self.unsat_bits[c]:
-            heappush(self.heap, (self.rank_pos[c], c))
-
-    def pick_unsat(self, engine: _Engine, rng: random.Random) -> int:
-        heap = self.heap
-        bits = self.unsat_bits
-        pos = engine.pos
-        while heap:
-            _, c = heappop(heap)
-            if not bits[c] and pos[c] >= 0:
-                bits[c] = 1
-                return c
-        unsat = engine.unsat
-        return unsat[rng.randrange(len(unsat))]
-
-    def pick_critical(self, engine, critical: list[int], rng: random.Random) -> int:
-        bits = self.sat_bits
-        rank_pos = self.rank_pos
-        best = -1
-        best_rank = len(rank_pos) + 1
-        for c in critical:
-            if not bits[c] and rank_pos[c] < best_rank:
-                best_rank = rank_pos[c]
-                best = c
-        if best >= 0:
-            bits[best] = 1
-            return best
-        return critical[rng.randrange(len(critical))]
-
-
 def _resolve_probabilities(formula, p1, p2):
     if p1 is None or p2 is None:
         d1, d2 = default_flip_probabilities(formula.k)
@@ -239,11 +109,20 @@ def _resolve_probabilities(formula, p1, p2):
     return p1, p2
 
 
-def _run(formula, p1, p2, budget, seed, selector_factory, record_trajectory):
+def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
+    """The walk, as one loop.
+
+    ``order`` None is the base algorithm: every clause starts out visited,
+    so both picks always fall back to uniform.  Uniform draws repeat what
+    ``rng.randrange(size)`` does in CPython (``getrandbits`` of
+    ``size.bit_length()`` bits until the value is below ``size``), so the
+    random stream is the one a ``randrange`` call per draw would consume.
+    """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     digest = formula_sha256(formula)
-    if formula.m == 0:
+    m = formula.m
+    if m == 0:
         return SolverResult(
             solved=True,
             satisfied_clauses=0,
@@ -254,13 +133,46 @@ def _run(formula, p1, p2, budget, seed, selector_factory, record_trajectory):
             unsat_trajectory=(0,) if record_trajectory else None,
         )
     p1, p2 = _resolve_probabilities(formula, p1, p2)
+    if order is not None and len(order.rank) != m:
+        raise ValueError("clause order length does not match formula")
     rng = random.Random(seed)
-    engine = _Engine(formula, rng)
-    selector = selector_factory(engine)
-    trajectory = [len(engine.unsat)] if record_trajectory else None
-    k = formula.k
-    clause_vars = engine.clause_vars
-    unsat = engine.unsat
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    n, k = formula.n, formula.k
+
+    # index 0 unused so variables index directly
+    assign = [False] + [random_() < 0.5 for _ in range(n)]
+    # occ[lit]: the clauses literal lit occurs in, once per occurrence; a
+    # negative lit indexes from the end of the list
+    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    clause_vars: list[tuple[int, ...]] = []
+    nt: list[int] = []  # true literal occurrences per clause
+    for c, clause in enumerate(formula.clauses):
+        lits = clause.signed()
+        clause_vars.append(tuple(abs(lit) for lit in lits))
+        for lit in lits:
+            occ[lit].append(c)
+        nt.append(sum((lit > 0) == assign[abs(lit)] for lit in lits))
+    unsat = [c for c in range(m) if nt[c] == 0]
+    pos = [-1] * m
+    for i, c in enumerate(unsat):
+        pos[c] = i
+
+    # ordered picks: visited bits, and a lazy-deletion heap of unsat clauses
+    # keyed rank * m + c, which orders as the pair (rank, c)
+    if order is None:
+        rank_pos = None
+        unsat_bits = sat_bits = bytearray(b"\x01") * m
+    else:
+        rank_pos = order.positions()
+        unsat_bits = bytearray(m)
+        sat_bits = unsat_bits if shared_bits else bytearray(m)
+    heap = [rank_pos[c] * m + c for c in unsat if not unsat_bits[c]]
+    heapify(heap)
+
+    trajectory = [len(unsat)] if record_trajectory else None
+    k_bits = k.bit_length()
+    chain_p = 1.0 - p2
     evaluations = 0
     flips = 0
     chaining = False
@@ -268,39 +180,120 @@ def _run(formula, p1, p2, budget, seed, selector_factory, record_trajectory):
     while unsat and evaluations < budget:
         evaluations += 1
         if not chaining:
-            c = selector.pick_unsat(engine, rng)
-            v = clause_vars[c][rng.randrange(k)]
-        de = engine.delta_e(v)
+            # the heaviest unvisited unsat clause, else a uniform one
+            while heap:
+                c = heappop(heap) % m
+                if not unsat_bits[c] and pos[c] >= 0:
+                    unsat_bits[c] = 1
+                    break
+            else:
+                size = len(unsat)
+                bits = size.bit_length()
+                r = getrandbits(bits)
+                while r >= size:
+                    r = getrandbits(bits)
+                c = unsat[r]
+            r = getrandbits(k_bits)
+            while r >= k:
+                r = getrandbits(k_bits)
+            v = clause_vars[c][r]
+        lit = v if assign[v] else -v
+        true_occ = occ[lit]
+        false_occ = occ[-lit]
+        breaks = 0
+        for c in true_occ:
+            if nt[c] == 1:
+                breaks += 1
+        makes = 0
+        for c in false_occ:
+            if nt[c] == 0:
+                makes += 1
+        de = breaks - makes
         chaining = False
-        if de == 0:
-            engine.flip(v)
+        if de == 0 or (de < 0 and random_() < p1):
+            for c in true_occ:
+                x = nt[c] - 1
+                nt[c] = x
+                if x == 0:
+                    pos[c] = len(unsat)
+                    unsat.append(c)
+                    if not unsat_bits[c]:
+                        heappush(heap, rank_pos[c] * m + c)
+            for c in false_occ:
+                x = nt[c]
+                if x == 0:
+                    i = pos[c]
+                    last = unsat[-1]
+                    unsat[i] = last
+                    pos[last] = i
+                    unsat.pop()
+                    pos[c] = -1
+                nt[c] = x + 1
+            assign[v] = not assign[v]
             flips += 1
             if trajectory is not None:
                 trajectory.append(len(unsat))
-        elif de < 0:
-            if rng.random() < p1:
-                engine.flip(v)
-                flips += 1
-                if trajectory is not None:
-                    trajectory.append(len(unsat))
-        elif rng.random() < 1.0 - p2:
-            critical = engine.critical_clauses(v)
-            if critical:
-                c2 = selector.pick_critical(engine, critical, rng)
-                others = [w for w in clause_vars[c2] if w != v]
-                if others:
-                    v = others[rng.randrange(len(others))]
-                    chaining = True
+        elif de > 0 and random_() < chain_p:
+            # the clauses v alone satisfies; de > 0 means there is one
+            critical = []
+            best = -1
+            best_rank = m + 1
+            for c in true_occ:
+                if nt[c] == 1:
+                    critical.append(c)
+                    if not sat_bits[c] and rank_pos[c] < best_rank:
+                        best_rank = rank_pos[c]
+                        best = c
+            if best >= 0:
+                sat_bits[best] = 1
+                c = best
+            else:
+                size = len(critical)
+                bits = size.bit_length()
+                r = getrandbits(bits)
+                while r >= size:
+                    r = getrandbits(bits)
+                c = critical[r]
+            others = [w for w in clause_vars[c] if w != v]
+            if others:
+                size = len(others)
+                bits = size.bit_length()
+                r = getrandbits(bits)
+                while r >= size:
+                    r = getrandbits(bits)
+                v = others[r]
+                chaining = True
             # no handoff available: stay unchained, the cycle still counts
     return SolverResult(
         solved=not unsat,
-        satisfied_clauses=formula.m - len(unsat),
+        satisfied_clauses=m - len(unsat),
         flips=flips,
         evaluations=evaluations,
-        assignment=tuple(engine.assign[1:]),
+        assignment=tuple(assign[1:]),
         formula_sha256=digest,
         unsat_trajectory=tuple(trajectory) if trajectory is not None else None,
     )
+
+
+def solve(
+    formula: Formula,
+    algo: str,
+    order: ClauseOrder | None = None,
+    p1: float | None = None,
+    p2: float | None = None,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = 0,
+    record_trajectory: bool = False,
+) -> SolverResult:
+    """Run the solver named ``algo``, one of ``SOLVERS``.  ``lc`` and
+    ``nlc`` need ``order``; ``chainsat`` ignores it."""
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
+    if algo not in ORDERED_SOLVERS:
+        order = None
+    elif order is None:
+        raise ValueError(f"solver {algo} needs a clause order")
+    return _run(formula, p1, p2, budget, seed, order, algo == "lc", record_trajectory)
 
 
 def chainsat(
@@ -312,7 +305,7 @@ def chainsat(
     record_trajectory: bool = False,
 ) -> SolverResult:
     """Base algorithm: uniform random clause picks."""
-    return _run(formula, p1, p2, budget, seed, _UniformSelector, record_trajectory)
+    return solve(formula, "chainsat", None, p1, p2, budget, seed, record_trajectory)
 
 
 def lc_chainsat(
@@ -325,15 +318,7 @@ def lc_chainsat(
     record_trajectory: bool = False,
 ) -> SolverResult:
     """Ordered picks with one visited-bit array shared by both pick sites."""
-    return _run(
-        formula,
-        p1,
-        p2,
-        budget,
-        seed,
-        lambda engine: _OrderedSelector(engine, order, shared_bits=True),
-        record_trajectory,
-    )
+    return solve(formula, "lc", order, p1, p2, budget, seed, record_trajectory)
 
 
 def nlc_chainsat(
@@ -346,15 +331,7 @@ def nlc_chainsat(
     record_trajectory: bool = False,
 ) -> SolverResult:
     """Ordered picks with separate visited-bit arrays per pick site."""
-    return _run(
-        formula,
-        p1,
-        p2,
-        budget,
-        seed,
-        lambda engine: _OrderedSelector(engine, order, shared_bits=False),
-        record_trajectory,
-    )
+    return solve(formula, "nlc", order, p1, p2, budget, seed, record_trajectory)
 
 
 def verify_result(formula: Formula, result: SolverResult) -> bool:

@@ -209,6 +209,53 @@ def test_exit_codes_for_data_errors(tmp_path):
     assert run_cli("classify", "--in", str(bad_graph)) == 2
 
 
+def tampered_graph_exits(tmp_path, cnf, graph, edit):
+    """Exit codes of classify, spectrum and solve --algo lc on an edited copy
+    of ``graph``; none of them may write a file."""
+    payload = json.loads(read(graph))
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    codes = [
+        run_cli("classify", "--in", str(bad), "--out", str(tmp_path / "phase.json")),
+        run_cli("spectrum", "--in", str(bad), "--out", str(tmp_path / "spectrum.json"),
+                "--dot", str(tmp_path / "g.dot")),
+        run_cli("solve", "--algo", "lc", "--graph", str(bad), "--budget", "100",
+                "--in", str(cnf), "--out", str(tmp_path / "r.json")),
+    ]
+    assert sorted(tmp_path.iterdir()) == before
+    return codes
+
+
+def test_graph_with_clause_index_out_of_range_is_data_error(tmp_path, cnf, graph):
+    def edit(payload):
+        # the last inserted node takes index m, in the order and its edges too
+        m = payload["m"]
+        old = payload["insertion_order"][-1]
+        payload["insertion_order"][-1] = m
+        payload["nodes"][-1]["clause"] = m
+        for edge in payload["edges"]:
+            edge["u"] = m if edge["u"] == old else edge["u"]
+            edge["v"] = m if edge["v"] == old else edge["v"]
+
+    assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
+def test_graph_with_non_numeric_energy_is_data_error(tmp_path, cnf, graph):
+    def edit(payload):
+        payload["nodes"][0]["energy"] = "low"
+
+    assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
+def test_graph_with_edge_to_unknown_node_is_data_error(tmp_path, cnf, graph):
+    def edit(payload):
+        payload["edges"][0]["v"] = payload["m"] + 5
+
+    assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
 def test_no_output_for_unknown_flag(tmp_path):
     out = tmp_path / "f.cnf"
     assert run_cli("gen", "--n", "5", "--m", "10", "--frumious", "--out", str(out)) == 1

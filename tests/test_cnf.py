@@ -64,6 +64,19 @@ def test_formula_pickle_round_trip_ignores_cache(sample20):
     assert tuple(c.signed() for c in back.clauses) == SAMPLE_20
 
 
+def test_formula_digest_cache_leaves_identity_alone(sample20):
+    fresh = formula_from_signed(SAMPLE_20, 20)
+    before = (pickle.dumps(sample20), repr(sample20), hash(sample20))
+    digest = formula_sha256(sample20)
+    assert digest == "64a82e6fead7910b820b0611d07f1108832fddc653d41617c6a346effb7c4b6c"
+    assert formula_sha256(sample20) is digest  # computed once, then cached
+    assert (pickle.dumps(sample20), repr(sample20), hash(sample20)) == before
+    assert sample20 == fresh and fresh == sample20
+    back = pickle.loads(pickle.dumps(sample20))
+    assert "_sha256" not in vars(back)
+    assert formula_sha256(back) == digest
+
+
 @pytest.mark.parametrize(
     "signed, n, digest",
     [

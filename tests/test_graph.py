@@ -125,6 +125,71 @@ def test_json_rejects_inconsistent_counts():
         graph_from_json(json.dumps(payload))
 
 
+def relabel(payload, old, new):
+    """Give node ``old`` the clause index ``new`` everywhere it appears."""
+    swap = lambda c: new if c == old else c
+    for node in payload["nodes"]:
+        node["clause"] = swap(node["clause"])
+    payload["insertion_order"] = [swap(c) for c in payload["insertion_order"]]
+    for edge in payload["edges"]:
+        edge["u"], edge["v"] = swap(edge["u"]), swap(edge["v"])
+
+
+def set_field(part, index, key, value):
+    def edit(payload):
+        payload[part][index][key] = value
+
+    return edit
+
+
+def set_top(key, value):
+    def edit(payload):
+        payload[key] = value
+
+    return edit
+
+
+def add_edge(u, v):
+    def edit(payload):
+        payload["edges"].append({"u": u, "v": v, "weight": 0.5, "multiplicity": 1})
+
+    return edit
+
+
+# star_graph: nodes 0-3, edges (0, 1), (0, 2), (0, 3)
+TAMPERS = {
+    "clause_index_m": (lambda p: relabel(p, 3, 4), "distinct values in"),
+    "clause_index_negative": (lambda p: relabel(p, 3, -1), "distinct values in"),
+    "clause_index_repeated": (lambda p: relabel(p, 3, 2), "distinct values in"),
+    "clause_index_float": (lambda p: relabel(p, 3, 3.0), "'clause' is not an integer"),
+    "energy_string": (set_field("nodes", 1, "energy", "low"), "'energy' is not a number"),
+    "energy_nan": (set_field("nodes", 1, "energy", float("nan")), "'energy' holds a number that is not finite"),
+    "connectivity_infinite": (set_field("nodes", 0, "connectivity", float("inf")), "not finite"),
+    "raw_fitness_bool": (set_field("nodes", 0, "raw_fitness", True), "'raw_fitness' is not an integer"),
+    "particles_mismatch": (set_field("nodes", 0, "particles", 4), "particles differ"),
+    "in_events_negative": (set_field("nodes", 1, "in_events", -1), "'in_events' holds a value below 0"),
+    "edge_to_unknown_node": (set_field("edges", 0, "v", 9), "does not join two known nodes"),
+    "edge_self_loop": (set_field("edges", 0, "v", 0), "does not join two known nodes"),
+    "edge_repeated": (add_edge(0, 1), "twice"),
+    "edge_repeated_reversed": (add_edge(2, 0), "twice"),
+    "weight_string": (set_field("edges", 0, "weight", "0.5"), "'weight' is not a number"),
+    "multiplicity_zero": (set_field("edges", 0, "multiplicity", 0), "'multiplicity' holds a value below 1"),
+    "temperature_string": (set_top("temperature", "1.0"), "'temperature' is not a number"),
+    "seed_float": (set_top("seed", 1.5), "'seed' is not an integer"),
+    "theta_infinite": (set_top("theta", float("-inf")), "'theta' holds a number that is not finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_json_rejects_payload_inconsistent_with_itself(name):
+    edit, message = TAMPERS[name]
+    payload = json.loads(graph_to_json(star_graph()))
+    graph_from_json(json.dumps(payload))  # untouched: accepted
+    edit(payload)
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(json.dumps(payload))
+
+
 def test_export_dot_structure():
     g = star_graph()
     dot = export_dot(g)
