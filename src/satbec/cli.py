@@ -130,9 +130,12 @@ def _json_text(payload) -> str:
 def _load_formula(path: str):
     text = _read_input(path)
     try:
-        return text, parse_dimacs(text)
+        formula = parse_dimacs(text)
     except DimacsError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if formula.m and formula.k < 1:
+        raise DataError(f"{path}: clauses must have at least one literal")
+    return text, formula
 
 
 def _load_graph(path: str):

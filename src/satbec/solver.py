@@ -132,6 +132,8 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
+    if formula.k < 1:
+        raise ValueError("clauses must have at least one literal")
     p1, p2 = _resolve_probabilities(formula, p1, p2)
     if order is not None and len(order.rank) != m:
         raise ValueError("clause order length does not match formula")

@@ -209,6 +209,18 @@ def test_exit_codes_for_data_errors(tmp_path):
     assert run_cli("classify", "--in", str(bad_graph)) == 2
 
 
+def test_empty_clause_is_data_error(tmp_path):
+    bad_cnf = tmp_path / "empty-clause.cnf"
+    bad_cnf.write_text("p cnf 3 1\n0\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    for algo in ("chainsat", "lc"):
+        assert run_cli("solve", "--algo", algo, "--p1", "0.5", "--p2", "0.5",
+                       "--graph", str(tmp_path / "unused.json"),
+                       "--in", str(bad_cnf), "--out", str(out)) == 2
+    assert run_cli("build", "--in", str(bad_cnf), "--out", str(tmp_path / "g.json")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty-clause.cnf"]
+
+
 def tampered_graph_exits(tmp_path, cnf, graph, edit):
     """Exit codes of classify, spectrum and solve --algo lc on an edited copy
     of ``graph``; none of them may write a file."""

@@ -13,6 +13,7 @@ from satbec.solver import (
     A_BETTER,
     B_BETTER,
     TIE,
+    SOLVERS,
     ClauseOrder,
     SolverResult,
     chainsat,
@@ -21,6 +22,7 @@ from satbec.solver import (
     default_flip_probabilities,
     lc_chainsat,
     nlc_chainsat,
+    solve,
     verify_result,
 )
 
@@ -164,6 +166,17 @@ def test_empty_formula_is_solved():
     f = parse_dimacs("p cnf 3 0\n")
     result = chainsat(f, p1=0.5, p2=0.5, budget=100, seed=0)
     assert result.solved and result.evaluations == 0
+
+
+@pytest.mark.parametrize("algo", SOLVERS)
+@pytest.mark.parametrize("budget", [0, 100])
+def test_empty_clause_is_rejected(algo, budget):
+    # an empty clause leaves no variable to pick; the walk must not start
+    f = parse_dimacs("p cnf 3 1\n0\n")
+    with pytest.raises(ValueError, match="at least one literal"):
+        solve(f, algo, ClauseOrder(rank=(0,)), p1=0.5, p2=0.5, budget=budget, seed=0)
+    with pytest.raises(ValueError, match="at least one literal"):
+        solve(f, algo, ClauseOrder(rank=(0,)), budget=budget, seed=0)
 
 
 def test_solver_requires_probabilities_for_unusual_k():
