@@ -9,8 +9,6 @@ from .builder import (
     BuildState,
     attachment_probabilities,
     build_graph,
-    build_s2g,
-    build_s2g_pa,
     find_closest_clause,
     select_first_clause,
 )
@@ -49,13 +47,6 @@ from .graph import (
     graph_to_json,
     particle_spectrum,
 )
-from .metrics import (
-    FitnessRecord,
-    FrequencyTable,
-    clause_distance,
-    clause_fitness,
-    energy,
-    literal_frequency,
-)
+from .metrics import FitnessRecord, clause_distance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

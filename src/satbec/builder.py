@@ -1,6 +1,7 @@
 """Clause-network construction.
 
-Both build modes grow a network over the clauses of one formula:
+``build_graph`` grows a network over the clauses of one formula, in either
+mode (``BuilderConfig.mode``):
 
 * seed: one clause enters first (uniformly at random, or the globally
   fittest one when configured for a deliberate head start);
@@ -30,6 +31,7 @@ changes no edge, no insertion order and no energy ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,12 +55,13 @@ FIRST_CLAUSE_RULES = (FIRST_RANDOM, FIRST_FITTEST)
 
 DEFAULT_THETA = 0.33
 DEFAULT_RHO = 1
+DEFAULT_TEMPERATURE = 1.0
 
 
 @dataclass(frozen=True)
 class BuilderConfig:
     mode: str = MODE_S2G
-    temperature: float = 1.0
+    temperature: float = DEFAULT_TEMPERATURE
     theta: float = DEFAULT_THETA
     rho: int = DEFAULT_RHO
     seed: int = 0
@@ -67,8 +70,8 @@ class BuilderConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie strictly between 0 and 1")
         if int(self.rho) != self.rho or self.rho < 1:
@@ -99,10 +102,9 @@ class OverlapTable(NamedTuple):
         return slice(self.start[c], self.start[c + 1])
 
 
-def overlap_table(formula: Formula, codes: np.ndarray | None = None) -> OverlapTable:
-    """Sparse literal-overlap lists of a formula, O(m * mean row length)."""
-    if codes is None:
-        codes = clause_code_array(formula)
+def overlap_table(formula: Formula, codes: np.ndarray) -> OverlapTable:
+    """Sparse literal-overlap lists of a formula whose literal codes are
+    ``codes``, O(m * mean row length)."""
     m, k = codes.shape
     flat = codes.ravel()
     owner = np.repeat(np.arange(m, dtype=np.int64), k)
@@ -168,13 +170,9 @@ class BuildState:
         self.fittest = -1
         self.edges: dict[tuple[int, int], list] = {}
 
-    @property
-    def order(self) -> np.ndarray:
+    def order_array(self) -> np.ndarray:
         """Insertion order so far, as a view."""
         return self._order[: self.size]
-
-    def order_array(self) -> np.ndarray:
-        return self.order
 
     def add_clause(self, clause: int):
         """Move a clause into the network and update local frequencies,
@@ -237,55 +235,38 @@ class BuildState:
             self.conn[target] += 1.0
 
 
-def select_first_clause(
-    formula: Formula, cfg: BuilderConfig, rng: np.random.Generator
-) -> int:
-    if formula.m == 0:
-        raise ValueError("formula has no clauses")
-    if cfg.first_clause_rule == FIRST_RANDOM:
-        return int(rng.integers(formula.m))
-    codes = clause_code_array(formula)
-    freq = np.bincount(codes.ravel(), minlength=2 * formula.n)
-    fits = freq[codes].sum(axis=1)
+def select_first_clause(state: BuildState) -> int:
+    """Seed clause: uniform, or uniform among the clauses of maximal
+    whole-formula fitness under the ``fittest`` rule."""
+    codes = state.codes
+    if state.cfg.first_clause_rule == FIRST_RANDOM:
+        return int(state.rng.integers(len(codes)))
+    fits = np.bincount(codes.ravel())[codes].sum(axis=1)
     ties = np.flatnonzero(fits == fits.max())
-    return int(ties[rng.integers(len(ties))])
+    return int(ties[state.rng.integers(len(ties))])
 
 
-def find_closest_clause(
-    formula: Formula,
-    added,
-    t: int,
-    rng: np.random.Generator,
-    table: OverlapTable | None = None,
-) -> int:
+def find_closest_clause(state: BuildState, t: int) -> int:
     """Unadded clause with minimal distance to the added clause ``t``; ties
     uniform over the tied clauses in index order.
 
-    ``added`` is a boolean mask over the clauses or the indices of the added
-    ones; ``table`` is the formula's overlap table, built here when omitted.
     Only clauses sharing a literal with ``t`` are closer than k; when none is
     left, every unadded clause ties at distance k.
     """
-    added = np.asarray(added)
-    if added.dtype != bool:
-        mask = np.zeros(formula.m, dtype=bool)
-        mask[added.astype(np.int64)] = True
-        added = mask
+    added = state.added
     if not added[t]:
         raise ValueError(f"clause {t} has not been added")
-    if table is None:
-        table = overlap_table(formula)
-    row = table.row(t)
-    near = table.clause[row]
+    row = state.table.row(t)
+    near = state.table.clause[row]
     free = ~added[near]
     if free.any():
-        dist = table.distance[row][free]
+        dist = state.table.distance[row][free]
         ties = near[free][dist == dist.min()]
     else:
         ties = np.flatnonzero(~added)
         if len(ties) == 0:
             raise ValueError("all clauses already added")
-    return int(ties[rng.integers(len(ties))])
+    return int(ties[state.rng.integers(len(ties))])
 
 
 def attachment_probabilities(state: BuildState) -> np.ndarray:
@@ -342,17 +323,22 @@ def _freeze(state: BuildState) -> ClauseGraph:
     return graph
 
 
-def _build(formula: Formula, cfg: BuilderConfig, iteration_hook) -> ClauseGraph:
+def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> ClauseGraph:
+    """Grow the clause network of ``formula`` under ``cfg``.
+
+    ``iteration_hook(state, pi)``, when given, runs after each step from the
+    second clause on, with the attachment probabilities that step used.
+    """
     if formula.m < 2:
         raise ValueError("need at least 2 clauses to build a network")
     state = BuildState(formula, cfg)
     rng = state.rng
 
-    first = select_first_clause(formula, cfg, rng)
+    first = select_first_clause(state)
     state.add_clause(first)
 
     # forced first edge: the lone existing node attaches with probability 1
-    second = find_closest_clause(formula, state.added, state.fittest, rng, state.table)
+    second = find_closest_clause(state, state.fittest)
     pi = np.array([1.0])
     state.add_clause(second)
     state.link(second, first, 1.0)
@@ -360,8 +346,7 @@ def _build(formula: Formula, cfg: BuilderConfig, iteration_hook) -> ClauseGraph:
         iteration_hook(state, pi)
 
     while state.size < formula.m:
-        target = state.fittest
-        newcomer = find_closest_clause(formula, state.added, target, rng, state.table)
+        newcomer = find_closest_clause(state, state.fittest)
         existing = state.order_array()
         pi = attachment_probabilities(state)
         state.add_clause(newcomer)
@@ -378,28 +363,3 @@ def _build(formula: Formula, cfg: BuilderConfig, iteration_hook) -> ClauseGraph:
             iteration_hook(state, pi)
     state.fill_energies()
     return _freeze(state)
-
-
-def build_s2g(formula: Formula, cfg: BuilderConfig | None = None, iteration_hook=None) -> ClauseGraph:
-    """Plain mode: per-node Bernoulli attachment, integer connectivity,
-    isolated nodes possible."""
-    cfg = cfg or BuilderConfig(mode=MODE_S2G)
-    if cfg.mode != MODE_S2G:
-        raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_S2G!r}")
-    return _build(formula, cfg, iteration_hook)
-
-
-def build_s2g_pa(formula: Formula, cfg: BuilderConfig | None = None, iteration_hook=None) -> ClauseGraph:
-    """Preferential mode: rho cumulative draws per step, theta-weighted
-    connectivity, single connected component."""
-    cfg = cfg or BuilderConfig(mode=MODE_S2GPA)
-    if cfg.mode != MODE_S2GPA:
-        raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_S2GPA!r}")
-    return _build(formula, cfg, iteration_hook)
-
-
-def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> ClauseGraph:
-    """Dispatch on ``cfg.mode``."""
-    if cfg.mode == MODE_S2G:
-        return build_s2g(formula, cfg, iteration_hook)
-    return build_s2g_pa(formula, cfg, iteration_hook)

@@ -23,7 +23,7 @@ import tempfile
 from . import __version__
 from . import solver as solver_mod
 from .analysis import classify, nonwinner_stats
-from .builder import BuilderConfig, build_graph
+from .builder import FIRST_CLAUSE_RULES, BuilderConfig, build_graph
 from .cnf import DimacsError, generate_random, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
@@ -154,23 +154,40 @@ def _cmd_gen(args):
     _emit("gen", args, {}, {args.out: serialize_dimacs(formula)})
 
 
-def _builder_config(args, seed: int) -> BuilderConfig:
-    try:
-        return BuilderConfig(
-            mode=args.mode,
-            temperature=args.temp,
-            theta=args.theta,
-            rho=args.rho,
-            seed=seed,
-            first_clause_rule=args.first,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+# flag destination, BuilderConfig field, key in a sweep config's [builder]
+# section, type, choices, help
+_BUILDER_FLAGS = (
+    ("mode", "mode", "mode", str, MODES, "construction mode"),
+    ("theta", "theta", "theta", float, None, "newcomer connectivity per draw (s2gpa)"),
+    ("rho", "rho", "rho", int, None, "draws per step (s2gpa)"),
+    ("temp", "temperature", "temperature", float, None, "energy temperature"),
+    ("first", "first_clause_rule", "first", str, FIRST_CLAUSE_RULES, "first-clause rule"),
+)
+
+
+def _add_builder_flags(parser, defaults, unset: bool = False):
+    """Declare --mode/--theta/--rho/--temp/--first with the values of
+    ``defaults`` (anything with BuilderConfig's setting attributes).
+
+    With ``unset`` every flag defaults to None, so that ``sweep`` can tell a
+    flag left out from one given, and the help names the value used when
+    neither a flag nor the config file sets one.
+    """
+    for dest, field, _, kind, choices, text in _BUILDER_FLAGS:
+        default = getattr(defaults, field)
+        if unset:
+            text, default = f"{text} (default {default})", None
+        parser.add_argument(f"--{dest}", type=kind, choices=choices, default=default, help=text)
 
 
 def _cmd_build(args):
     text, formula = _load_formula(getattr(args, "in"))
-    cfg = _builder_config(args, args.seed)
+    try:
+        cfg = BuilderConfig(
+            seed=args.seed, **{field: getattr(args, dest) for dest, field, *_ in _BUILDER_FLAGS}
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     try:
         graph = build_graph(formula, cfg)
     except ValueError as exc:
@@ -319,6 +336,18 @@ def _parse_number_list(text: str, kind):
     return values
 
 
+# flag destination, SweepConfig field, INI section, INI key, parser; a value
+# given by neither flag nor INI file takes the SweepConfig default
+_SWEEP_SETTINGS = (
+    ("n_values", "n_values", "sweep", "n_values", lambda s: _parse_number_list(s, int)),
+    ("alphas", "alphas", "sweep", "alphas", lambda s: _parse_number_list(s, float)),
+    ("instances", "instances", "sweep", "instances", int),
+    ("graphs", "graphs_per_instance", "sweep", "graphs", int),
+    ("k", "k", "sweep", "k", int),
+    ("seed", "seed_root", "sweep", "seed", int),
+) + tuple((dest, field, "builder", key, kind) for dest, field, key, kind, _, _ in _BUILDER_FLAGS)
+
+
 def _sweep_config(args) -> tuple[SweepConfig, dict]:
     sections = {}
     inputs = {}
@@ -331,46 +360,24 @@ def _sweep_config(args) -> tuple[SweepConfig, dict]:
             sections = {name: dict(parser[name]) for name in parser.sections()}
         except configparser.Error as exc:
             raise DataError(f"{args.config}: {exc}") from None
-    sweep_section = sections.get("sweep", {})
-    builder_section = sections.get("builder", {})
-
-    def pick(flag_value, section, key, convert, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in section:
+    given = {}
+    for dest, field, section, key, parse in _SWEEP_SETTINGS:
+        value = getattr(args, dest)
+        if value is not None:
+            # argparse typed every flag but the two lists; parsing a typed
+            # value again returns it unchanged
+            given[field] = parse(value)
+        elif key in sections.get(section, {}):
             try:
-                return convert(section[key])
+                given[field] = parse(sections[section][key])
             except ValueError as exc:
                 raise DataError(f"config key {key!r}: {exc}") from None
-        return fallback
-
-    n_values = pick(
-        args.n_values and _parse_number_list(args.n_values, int),
-        sweep_section, "n_values", lambda s: _parse_number_list(s, int), None,
-    )
-    alphas = pick(
-        args.alphas and _parse_number_list(args.alphas, float),
-        sweep_section, "alphas", lambda s: _parse_number_list(s, float), None,
-    )
-    if n_values is None or alphas is None:
+    if "n_values" not in given or "alphas" not in given:
         raise UsageError("sweep needs n_values and alphas (config file or --n-values/--alphas)")
     try:
-        cfg = SweepConfig(
-            n_values=tuple(n_values),
-            alphas=tuple(alphas),
-            instances=pick(args.instances, sweep_section, "instances", int, 30),
-            graphs_per_instance=pick(args.graphs, sweep_section, "graphs", int, 10),
-            k=pick(args.k, sweep_section, "k", int, 3),
-            seed_root=pick(args.seed, sweep_section, "seed", int, 0),
-            mode=pick(args.mode, builder_section, "mode", str, "s2gpa"),
-            theta=pick(args.theta, builder_section, "theta", float, 0.33),
-            rho=pick(args.rho, builder_section, "rho", int, 1),
-            temperature=pick(args.temp, builder_section, "temperature", float, 1.0),
-            first_clause_rule=pick(args.first, builder_section, "first", str, "random"),
-        )
+        return SweepConfig(**given), inputs
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return cfg, inputs
 
 
 def _cmd_sweep(args):
@@ -400,7 +407,6 @@ def _cmd_bench(args):
             first_clause_rule=args.first,
             seed_root=args.seed,
         )
-        cfg.resolved_alphas()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = benchmark(cfg, jobs=_effective_jobs(args.jobs))
@@ -434,13 +440,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("build", help="build a clause network from a DIMACS file", formatter_class=fmt)
-    p.add_argument("--mode", choices=MODES, default="s2g", help="construction mode")
-    p.add_argument("--theta", type=float, default=0.33, help="newcomer connectivity per draw (s2gpa)")
-    p.add_argument("--rho", type=int, default=1, help="draws per step (s2gpa)")
-    p.add_argument("--temp", type=float, default=1.0, help="energy temperature")
+    _add_builder_flags(p, BuilderConfig())
     p.add_argument("--seed", type=int, default=0, help="construction seed")
-    p.add_argument("--first", choices=("random", "fittest"), default="random",
-                   help="first-clause rule")
     p.add_argument("--in", required=True, help="input DIMACS path")
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.set_defaults(handler=_cmd_build)
@@ -486,12 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graphs", type=int, default=None, help="graphs per instance (default 10)")
     p.add_argument("--k", type=int, default=None, help="literals per clause (default 3)")
     p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    p.add_argument("--mode", choices=MODES, default=None, help="construction mode (default s2gpa)")
-    p.add_argument("--theta", type=float, default=None, help="theta (default 0.33)")
-    p.add_argument("--rho", type=int, default=None, help="rho (default 1)")
-    p.add_argument("--temp", type=float, default=None, help="temperature (default 1.0)")
-    p.add_argument("--first", choices=("random", "fittest"), default=None,
-                   help="first-clause rule (default random)")
+    _add_builder_flags(p, SweepConfig, unset=True)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -508,12 +504,7 @@ def build_parser() -> _Parser:
                    help="downhill flip probability (default: per-k table)")
     p.add_argument("--p2", type=float, default=None,
                    help="chain rejection probability (default: per-k table)")
-    p.add_argument("--mode", choices=MODES, default="s2g", help="ordering-graph mode")
-    p.add_argument("--theta", type=float, default=0.33, help="theta for the ordering graph")
-    p.add_argument("--rho", type=int, default=1, help="rho for the ordering graph")
-    p.add_argument("--temp", type=float, default=1.0, help="temperature for the ordering graph")
-    p.add_argument("--first", choices=("random", "fittest"), default="random",
-                   help="first-clause rule for the ordering graph")
+    _add_builder_flags(p, BenchConfig().builder_config(0))
     p.add_argument("--seed", type=int, default=0, help="root seed")
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
     p.add_argument("--out", required=True, help="output CSV path")

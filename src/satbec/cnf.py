@@ -128,11 +128,6 @@ class Assignment:
     def satisfies(self, literal: Literal) -> bool:
         return self.values[literal.variable - 1] != literal.negated
 
-    def flipped(self, variable: int) -> "Assignment":
-        vals = list(self.values)
-        vals[variable - 1] = not vals[variable - 1]
-        return Assignment(tuple(vals))
-
 
 def parse_dimacs(text) -> Formula:
     """Parse DIMACS CNF text (str or bytes) into a Formula.

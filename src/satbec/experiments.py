@@ -17,7 +17,14 @@ import numpy as np
 
 from . import solver
 from .analysis import Phase, classify, nonwinner_stats
-from .builder import BuilderConfig, build_graph
+from .builder import (
+    DEFAULT_RHO,
+    DEFAULT_TEMPERATURE,
+    DEFAULT_THETA,
+    FIRST_RANDOM,
+    BuilderConfig,
+    build_graph,
+)
 from .cnf import Formula, generate_random
 from .graph import MODE_S2G, MODE_S2GPA, ClauseGraph
 from .seeding import TAG_BUILD, TAG_GENERATE, TAG_ORDER, TAG_SOLVE, derive_seed
@@ -39,23 +46,23 @@ class SweepConfig:
     graphs_per_instance: int = 10
     k: int = 3
     mode: str = MODE_S2GPA
-    theta: float = 0.33
-    rho: int = 1
-    temperature: float = 1.0
-    first_clause_rule: str = "random"
+    theta: float = DEFAULT_THETA
+    rho: int = DEFAULT_RHO
+    temperature: float = DEFAULT_TEMPERATURE
+    first_clause_rule: str = FIRST_RANDOM
     seed_root: int = 0
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be positive")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
+        if not self.alphas:
+            raise ValueError("alphas must not be empty")
         if list(self.alphas) != sorted(self.alphas):
             raise ValueError("alphas must be ascending")
+        _check_grid(self.k, self.n_values, self.alphas, builds=True)
         if self.instances < 1 or self.graphs_per_instance < 1:
             raise ValueError("instances and graphs_per_instance must be >= 1")
         if self.seed_root < 0:
             raise ValueError("seed_root must be non-negative")
+        self.builder_config(0)
 
     def builder_config(self, seed: int) -> BuilderConfig:
         return BuilderConfig(
@@ -93,6 +100,19 @@ class SweepRecord:
     nonwinner_mean: float
     nonwinner_std: float
     samples: int
+
+
+def _check_grid(k: int, n_values: tuple[int, ...], alphas: tuple[float, ...], builds: bool):
+    """Every (n, alpha) point can draw k distinct variables per clause and,
+    when ``builds``, has the 2 clauses a network needs."""
+    if not n_values or any(n < 1 for n in n_values):
+        raise ValueError("n_values must be positive")
+    if any(a <= 0 for a in alphas):
+        raise ValueError("alphas must be positive")
+    if not 1 <= k <= min(n_values):
+        raise ValueError(f"k must lie in [1, {min(n_values)}], the smallest n")
+    if builds and any(clause_count(n, a) < 2 for n in n_values for a in alphas):
+        raise ValueError("every (n, alpha) point needs at least 2 clauses to build a network")
 
 
 def sample_formula(cfg: SweepConfig, n_index: int, alpha_index: int, instance: int) -> Formula:
@@ -169,6 +189,16 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
+def _run_tasks(fn, tasks: list, jobs: int) -> dict:
+    """``dict(map(fn, tasks))`` for tasks returning (key, value) pairs, in
+    ``worker_count(jobs, len(tasks))`` processes when that is more than 1."""
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        return dict(map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(fn, tasks))
+
+
 def _sweep_task(args) -> tuple[tuple[int, int], list[GraphSample]]:
     cfg, n_index, alpha_index = args
     return (n_index, alpha_index), run_grid_point(cfg, n_index, alpha_index)
@@ -185,16 +215,7 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
         for n_index in range(len(cfg.n_values))
         for alpha_index in range(len(cfg.alphas))
     ]
-    by_point: dict[tuple[int, int], list[GraphSample]] = {}
-    workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, samples in pool.map(_sweep_task, tasks):
-                by_point[key] = samples
-    else:
-        for task in tasks:
-            key, samples = _sweep_task(task)
-            by_point[key] = samples
+    by_point = _run_tasks(_sweep_task, tasks, jobs)
     return [aggregate_samples(by_point[key]) for key in sorted(by_point)]
 
 
@@ -300,10 +321,10 @@ class BenchConfig:
     p2: float | None = None
     solvers: tuple[str, ...] = solver.SOLVERS
     graph_mode: str = MODE_S2G
-    theta: float = 0.33
-    rho: int = 1
-    temperature: float = 1.0
-    first_clause_rule: str = "random"
+    theta: float = DEFAULT_THETA
+    rho: int = DEFAULT_RHO
+    temperature: float = DEFAULT_TEMPERATURE
+    first_clause_rule: str = FIRST_RANDOM
     seed_root: int = 0
 
     def __post_init__(self):
@@ -313,6 +334,27 @@ class BenchConfig:
             raise ValueError("duplicate solver names")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        needs_graph = any(s in solver.ORDERED_SOLVERS for s in self.solvers)
+        _check_grid(self.k, self.n_values, self.resolved_alphas(), builds=needs_graph)
+        if self.budget < 0:
+            raise ValueError("budget must be non-negative")
+        if any(p is not None and not 0.0 <= p <= 1.0 for p in (self.p1, self.p2)):
+            raise ValueError("p1 and p2 must lie in [0, 1]")
+        if self.p1 is None or self.p2 is None:
+            solver.default_flip_probabilities(self.k)
+        if self.seed_root < 0:
+            raise ValueError("seed_root must be non-negative")
+        self.builder_config(0)
+
+    def builder_config(self, seed: int) -> BuilderConfig:
+        return BuilderConfig(
+            mode=self.graph_mode,
+            temperature=self.temperature,
+            theta=self.theta,
+            rho=self.rho,
+            seed=seed,
+            first_clause_rule=self.first_clause_rule,
+        )
 
     def resolved_alphas(self) -> tuple[float, ...]:
         if self.alphas:
@@ -368,17 +410,7 @@ def _bench_group(args):
         order = None
         if needs_graph:
             gseed = derive_seed(cfg.seed_root, TAG_BUILD, n_index, alpha_index, instance, 0)
-            graph = build_graph(
-                formula,
-                BuilderConfig(
-                    mode=cfg.graph_mode,
-                    temperature=cfg.temperature,
-                    theta=cfg.theta,
-                    rho=cfg.rho,
-                    seed=gseed,
-                    first_clause_rule=cfg.first_clause_rule,
-                ),
-            )
+            graph = build_graph(formula, cfg.builder_config(gseed))
             oseed = derive_seed(cfg.seed_root, TAG_ORDER, n_index, alpha_index, instance)
             order = solver.clause_order(formula, graph, oseed)
         for solver_index, name in enumerate(cfg.solvers):
@@ -400,16 +432,7 @@ def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
         for n_index in range(len(cfg.n_values))
         for alpha_index in range(len(alphas))
     ]
-    groups: dict[tuple[int, int], dict[str, list[solver.SolverResult]]] = {}
-    workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, group in pool.map(_bench_group, tasks):
-                groups[key] = group
-    else:
-        for task in tasks:
-            key, group = _bench_group(task)
-            groups[key] = group
+    groups = _run_tasks(_bench_group, tasks, jobs)
 
     results: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
     for key in sorted(groups):

@@ -66,12 +66,6 @@ class ClauseGraph:
     def insertion_order(self) -> list[int]:
         return [node.clause for node in self.nodes]
 
-    def node_for(self, clause: int) -> GraphNode:
-        for node in self.nodes:
-            if node.clause == clause:
-                return node
-        raise KeyError(f"clause {clause} not in graph")
-
     @property
     def link_events(self) -> int:
         return sum(edge.multiplicity for edge in self.edges.values())

@@ -1,57 +1,22 @@
-"""Literal frequencies, clause fitness, clause distance, and the
-fitness-to-energy mapping.
+"""Clause distance, the per-node fitness record, and energy levels.
 
-Fitness is evaluated against a frequency table whose scope is chosen by the
-caller: the whole formula (global view) or the portion already moved into a
-network under construction (local view).  Distance between equal-length
-clauses counts how many literal slots cannot be matched across the two
-literal multisets; a positive and a negated occurrence of the same variable
-are distinct literals.  The distance is computed from each clause's cached
-set of distinct literals; only a pair in which both clauses repeat a literal
-needs the multiset count, and both ways give the same value.
+Distance between equal-length clauses counts how many literal slots cannot
+be matched across the two literal multisets; a positive and a negated
+occurrence of the same variable are distinct literals.  The distance is
+computed from each clause's cached set of distinct literals; only a pair in
+which both clauses repeat a literal needs the multiset count, and both ways
+give the same value.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
-from .cnf import Clause, Literal
+from .cnf import Clause
 
 # two energies within this tolerance sit on the same level
 ENERGY_LEVEL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Occurrence counts keyed by signed literal over some clause scope."""
-
-    counts: Mapping[int, int]
-    clause_count: int
-
-    def count(self, literal) -> int:
-        key = literal.signed if isinstance(literal, Literal) else int(literal)
-        return self.counts.get(key, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def literal_frequency(clauses: Iterable[Clause]) -> FrequencyTable:
-    counts: Counter[int] = Counter()
-    clause_count = 0
-    for clause in clauses:
-        clause_count += 1
-        counts.update(clause.signed())
-    return FrequencyTable(counts=dict(counts), clause_count=clause_count)
-
-
-def clause_fitness(table: FrequencyTable, clause: Clause) -> int:
-    """Sum of the table's counts over the clause's literal slots."""
-    return sum(table.count(lit) for lit in clause.literals)
 
 
 def clause_distance(a: Clause, b: Clause) -> int:
@@ -75,32 +40,11 @@ def clause_distance(a: Clause, b: Clause) -> int:
     return k - shared
 
 
-def energy(normalized_fitness: float, temperature: float = 1.0) -> float:
-    """Map a normalized fitness in (0, 1] to a non-negative energy.
-
-    The fittest clause (normalized fitness 1) sits at energy 0; lower fitness
-    means higher energy.
-    """
-    if not 0.0 < normalized_fitness <= 1.0:
-        raise ValueError(f"normalized fitness must be in (0, 1], got {normalized_fitness}")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    value = -temperature * math.log(normalized_fitness)
-    return value + 0.0  # collapse -0.0
-
-
 @dataclass(frozen=True)
 class FitnessRecord:
     raw: int
     normalized: float
     energy: float
-
-    @staticmethod
-    def from_raw(raw: int, max_raw: int, temperature: float = 1.0) -> "FitnessRecord":
-        if raw < 1 or max_raw < raw:
-            raise ValueError("need 1 <= raw <= max_raw")
-        normalized = raw / max_raw
-        return FitnessRecord(raw=raw, normalized=normalized, energy=energy(normalized, temperature))
 
 
 def group_energy_levels(

@@ -10,14 +10,16 @@ byte-identical graphs and the same per-step state.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from satbec.builder import (
+    FIRST_RANDOM,
     BuilderConfig,
     _freeze,
     attachment_probabilities,
     preferential_draw,
-    select_first_clause,
 )
 from satbec.cnf import Formula, clause_code_array
 from satbec.graph import MODE_S2G, ClauseGraph
@@ -91,6 +93,17 @@ class OracleState:
         else:
             self.conn[newcomer] += self.cfg.theta
             self.conn[target] += 1.0
+
+
+def select_first_clause(formula: Formula, cfg: BuilderConfig, rng) -> int:
+    """Uniform seed clause, or uniform among the clauses of maximal
+    whole-formula fitness (a Counter over signed literals)."""
+    if cfg.first_clause_rule == FIRST_RANDOM:
+        return int(rng.integers(formula.m))
+    counts = Counter(x for clause in formula.clauses for x in clause.signed())
+    fits = [sum(counts[x] for x in clause.signed()) for clause in formula.clauses]
+    ties = [c for c, fit in enumerate(fits) if fit == max(fits)]
+    return ties[int(rng.integers(len(ties)))]
 
 
 def find_closest_clause(formula: Formula, added, t: int, rng, distances=None) -> int:

@@ -7,6 +7,7 @@ Both are used as hand-checkable oracles across the module tests.
 
 import pytest
 
+from satbec.builder import BuilderConfig, BuildState
 from satbec.cnf import Clause, Formula
 
 SAMPLE_10 = (
@@ -49,6 +50,14 @@ SAMPLE_20 = (
 def formula_from_signed(signed_clauses, n):
     clauses = tuple(Clause.from_signed(c) for c in signed_clauses)
     return Formula(n=n, k=clauses[0].k, clauses=clauses)
+
+
+def state_with(formula, added=(), **cfg):
+    """A build state of ``formula`` with ``added`` moved in, in that order."""
+    state = BuildState(formula, BuilderConfig(**cfg))
+    for clause in added:
+        state.add_clause(clause)
+    return state
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ def graph_with(connectivities, edges, order=None):
         g.nodes.append(
             GraphNode(
                 clause=clause,
-                fitness=FitnessRecord.from_raw(1, 1),
+                fitness=FitnessRecord(raw=1, normalized=1.0, energy=0.0),
                 connectivity=by_clause[clause],
             )
         )

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import formula_from_signed
+from conftest import formula_from_signed, state_with
 from satbec.builder import (
     BuildState,
     BuilderConfig,
     attachment_probabilities,
     build_graph,
-    build_s2g,
-    build_s2g_pa,
     find_closest_clause,
     preferential_draw,
     select_first_clause,
@@ -39,14 +37,6 @@ def test_config_rejects_bad_values(kwargs):
         BuilderConfig(**kwargs)
 
 
-def test_mode_specific_entry_points_check_mode():
-    f = generate_random(0, 3, 10, 20)
-    with pytest.raises(ValueError):
-        build_s2g(f, BuilderConfig(mode=MODE_S2GPA))
-    with pytest.raises(ValueError):
-        build_s2g_pa(f, BuilderConfig(mode=MODE_S2G))
-
-
 def test_build_needs_two_clauses():
     with pytest.raises(ValueError):
         build_graph(generate_random(0, 3, 10, 1), BuilderConfig())
@@ -71,41 +61,39 @@ def test_two_clause_build_is_one_forced_edge():
 
 def test_select_first_clause_fittest_rule(sample10):
     # clause 0 has the unique maximal global fitness in this sample
-    rng = derive_rng(0)
-    cfg = BuilderConfig(first_clause_rule="fittest")
-    picks = {select_first_clause(sample10, cfg, rng) for _ in range(20)}
+    state = state_with(sample10, first_clause_rule="fittest", seed=0)
+    picks = {select_first_clause(state) for _ in range(20)}
     assert picks == {0}
 
 
 def test_select_first_clause_fittest_ties_uniform():
     # two disjoint-literal clauses with equal fitness
     f = formula_from_signed([(1, 2, 3), (4, 5, 6)], 6)
-    rng = derive_rng(1)
-    cfg = BuilderConfig(first_clause_rule="fittest")
-    picks = [select_first_clause(f, cfg, rng) for _ in range(400)]
+    state = state_with(f, first_clause_rule="fittest", seed=1)
+    picks = [select_first_clause(state) for _ in range(400)]
     assert 120 < sum(picks) < 280  # both sides drawn, roughly even
 
 
 def test_select_first_clause_random_covers_all():
     f = generate_random(2, 3, 10, 6)
-    rng = derive_rng(2)
-    cfg = BuilderConfig(first_clause_rule="random")
-    picks = {select_first_clause(f, cfg, rng) for _ in range(300)}
+    state = state_with(f, first_clause_rule="random", seed=2)
+    picks = {select_first_clause(state) for _ in range(300)}
     assert picks == set(range(6))
 
 
 def test_find_closest_clause_minimizes_distance():
     f = formula_from_signed([(1, 2, 3), (1, 2, 4), (7, 8, 9), (1, 5, 6)], 9)
-    rng = derive_rng(3)
-    assert find_closest_clause(f, [0], 0, rng) == 1
+    state = state_with(f, [0], seed=3)
+    assert find_closest_clause(state, 0) == 1
     # among 2 and 3, clause 3 shares one literal with clause 0
-    assert find_closest_clause(f, [0, 1], 0, rng) == 3
+    state.add_clause(1)
+    assert find_closest_clause(state, 0) == 3
 
 
 def test_find_closest_clause_ties_uniform():
     f = formula_from_signed([(1, 2, 3), (1, 2, 4), (1, 2, 5), (7, 8, 9)], 9)
-    rng = derive_rng(4)
-    picks = [find_closest_clause(f, [0], 0, rng) for _ in range(400)]
+    state = state_with(f, [0], seed=4)
+    picks = [find_closest_clause(state, 0) for _ in range(400)]
     assert set(picks) == {1, 2}
     assert 120 < sum(1 for p in picks if p == 1) < 280
 
@@ -113,26 +101,17 @@ def test_find_closest_clause_ties_uniform():
 def test_find_closest_clause_exhausted():
     f = formula_from_signed([(1, 2, 3), (1, 2, 4)], 4)
     with pytest.raises(ValueError):
-        find_closest_clause(f, [0, 1], 0, derive_rng(5))
+        find_closest_clause(state_with(f, [0, 1], seed=5), 0)
+    with pytest.raises(ValueError):
+        find_closest_clause(state_with(f, [1], seed=5), 0)  # target not added
 
 
 def test_find_closest_clause_falls_back_to_every_unadded_clause():
     # clause 0 shares no literal with 2 or 3: both tie at distance k
     f = formula_from_signed([(1, 2, 3), (1, 2, 4), (7, 8, 9), (-1, 5, 6)], 9)
-    rng = derive_rng(8)
-    picks = {find_closest_clause(f, [0, 1], 0, rng) for _ in range(200)}
+    state = state_with(f, [0, 1], seed=8)
+    picks = {find_closest_clause(state, 0) for _ in range(200)}
     assert picks == {2, 3}
-
-
-def test_find_closest_clause_takes_a_mask_or_indices():
-    f = generate_random(9, 3, 8, 30)
-    mask = np.zeros(f.m, dtype=bool)
-    mask[[4, 7, 11]] = True
-    a = [find_closest_clause(f, mask, 7, derive_rng(10)) for _ in range(5)]
-    b = [find_closest_clause(f, [4, 7, 11], 7, derive_rng(10)) for _ in range(5)]
-    assert a == b
-    with pytest.raises(ValueError):
-        find_closest_clause(f, [4, 11], 7, derive_rng(10))  # target not added
 
 
 def test_add_clause_incumbent_rule():
@@ -144,7 +123,7 @@ def test_add_clause_incumbent_rule():
     assert state.fittest == 0  # tie at 3: incumbent stays
     state.add_clause(2)
     assert state.fittest == 1  # clauses 1, 2 jump to 6: lowest index wins
-    assert state.fitness[list(state.order)].tolist() == [3, 6, 6]
+    assert state.fitness[state.order_array()].tolist() == [3, 6, 6]
     state.fill_energies()
     assert state.normalized[0] == pytest.approx(0.5)
     assert state.energy[1] == 0.0
@@ -207,7 +186,7 @@ def hook_recorder():
     def hook(state, pi):
         calls.append(
             {
-                "added": len(state.order),
+                "added": state.size,
                 "pi_sum": float(np.sum(pi)),
                 "conn": state.conn.copy(),
                 "in_events": state.in_events.copy(),

@@ -63,6 +63,40 @@ def test_manifest_contents(tmp_path, cnf, graph):
     assert "time" not in " ".join(manifest)  # nothing volatile inside
 
 
+def test_manifests_record_default_builder_flags(tmp_path, monkeypatch):
+    # recorded before the builder flags were declared in one place: build
+    # and bench record concrete defaults, sweep records None for each flag
+    # left out so that its config file can apply
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--seed", "7", "--n", "20", "--m", "60", "--out", "f.cnf") == 0
+    runs = {
+        "g.json": ("build", "--in", "f.cnf", "--out", "g.json"),
+        "s.csv": ("sweep", "--n-values", "10", "--alphas", "1.0", "--instances", "1",
+                  "--graphs", "1", "--jobs", "1", "--out", "s.csv"),
+        "b.csv": ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1",
+                  "--budget", "100", "--jobs", "1", "--out", "b.csv"),
+    }
+    arguments = {}
+    for out, argv in runs.items():
+        assert run_cli(*argv) == 0
+        arguments[out] = json.loads(read(tmp_path / f"{out}.manifest.json"))["arguments"]
+    assert arguments["g.json"] == {
+        "command": "build", "first": "random", "in": "f.cnf", "mode": "s2g", "out": "g.json",
+        "rho": 1, "seed": 0, "temp": 1.0, "theta": 0.33,
+    }
+    assert arguments["s.csv"] == {
+        "alphas": "1.0", "command": "sweep", "config": None, "first": None, "graphs": 1,
+        "instances": 1, "jobs": 1, "k": None, "mode": None, "n_values": "10", "out": "s.csv",
+        "rho": None, "seed": None, "temp": None, "theta": None,
+    }
+    assert arguments["b.csv"] == {
+        "budget": 100, "command": "bench", "first": "random", "grid": "2.0", "instances": 1,
+        "jobs": 1, "k": 3, "mode": "s2g", "n_values": "10", "out": "b.csv", "p1": None,
+        "p2": None, "rho": 1, "seed": 0, "solvers": "chainsat,lc,nlc", "temp": 1.0,
+        "theta": 0.33,
+    }
+
+
 def test_build_then_classify_stdout(tmp_path, graph, capsys):
     assert run_cli("classify", "--in", str(graph)) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -174,6 +208,48 @@ def test_sweep_rejects_malformed_config(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[sweep\nn_values = 10\n", encoding="utf-8")
     assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")) == 2
+
+
+SWEEP = ("sweep", "--n-values", "10", "--alphas", "1.0", "--instances", "1", "--graphs", "1",
+         "--jobs", "1")
+BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--budget", "50",
+         "--jobs", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (SWEEP + ("--theta", "2"), None),
+        (SWEEP + ("--rho", "0"), None),
+        (SWEEP + ("--temp", "nan"), None),
+        (SWEEP, "[builder]\nmode = bogus\n"),
+        (SWEEP + ("--k", "0"), None),
+        (SWEEP + ("--k", "5", "--n-values", "3"), None),
+        (SWEEP + ("--alphas", "0.1"), None),
+        (BENCH + ("--theta", "2"), None),
+        (BENCH + ("--solvers", "chainsat", "--theta", "2"), None),
+        (BENCH + ("--temp", "0"), None),
+        (BENCH + ("--budget", "-1"), None),
+        (BENCH + ("--p1", "3"), None),
+        (BENCH + ("--k", "2", "--grid", "1,2"), None),
+        (BENCH + ("--k", "5", "--n-values", "3", "--p1", "0.1", "--p2", "0.1"), None),
+        (BENCH + ("--seed", "-1"), None),
+    ],
+    ids=["sweep-theta", "sweep-rho", "sweep-temp-nan", "sweep-ini-mode", "sweep-k0",
+         "sweep-k-above-n", "sweep-one-clause", "bench-theta", "bench-chainsat-theta",
+         "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults", "bench-k-above-n",
+         "bench-seed"],
+)
+def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, ini):
+    out = tmp_path / "out.csv"
+    if ini is not None:
+        config = tmp_path / "sweep.ini"
+        config.write_text(ini, encoding="utf-8")
+        argv += ("--config", str(config))
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == ([config] if ini is not None else [])
 
 
 def test_bench_tiny_grid(tmp_path):

@@ -53,11 +53,47 @@ def test_clause_count_rounds():
         {"n_values": (10,), "alphas": (1.0,), "instances": 0},
         {"n_values": (10,), "alphas": (1.0,), "graphs_per_instance": 0},
         {"n_values": (10,), "alphas": (1.0,), "seed_root": -1},
+        {"n_values": (10,), "alphas": (1.0,), "theta": 2.0},
+        {"n_values": (10,), "alphas": (1.0,), "rho": 0},
+        {"n_values": (10,), "alphas": (1.0,), "mode": "bogus"},
+        {"n_values": (10,), "alphas": (1.0,), "k": 0},
+        {"n_values": (3, 10), "alphas": (1.0,), "k": 5},
+        {"n_values": (10,), "alphas": (0.1,)},  # one clause: no network
     ],
 )
 def test_sweep_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"theta": 2.0},
+        {"temperature": 0.0},
+        {"graph_mode": "bogus"},
+        {"budget": -1},
+        {"p1": 3.0},
+        {"p2": -0.5},
+        {"k": 2, "alphas": (1.0, 2.0)},  # no default flip probabilities
+        {"k": 2, "alphas": (1.0,), "p1": 0.1},
+        {"k": 5, "n_values": (3,), "alphas": (2.0,), "p1": 0.1, "p2": 0.1},
+        {"k": 0, "alphas": (2.0,), "p1": 0.1, "p2": 0.1},
+        {"n_values": (10,), "alphas": (0.1,)},  # one clause: no ordering graph
+        {"alphas": (-1.0,), "solvers": ("chainsat",)},
+        {"seed_root": -1},
+        {"theta": 2.0, "solvers": ("chainsat",)},
+    ],
+)
+def test_bench_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        BenchConfig(**kwargs)
+
+
+def test_bench_config_accepts_explicit_probabilities_and_graphless_grids():
+    BenchConfig(k=2, n_values=(10,), alphas=(1.0,), p1=0.1, p2=0.0)
+    # chainsat builds no network, so a point with fewer than 2 clauses is fine
+    BenchConfig(n_values=(10,), alphas=(0.1,), solvers=("chainsat",))
 
 
 def test_sample_formula_addressing():

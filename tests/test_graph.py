@@ -24,9 +24,10 @@ from satbec.metrics import FitnessRecord
 
 
 def make_node(clause, raw, max_raw, connectivity, in_events=0, out_events=0):
+    normalized = raw / max_raw
     return GraphNode(
         clause=clause,
-        fitness=FitnessRecord.from_raw(raw, max_raw),
+        fitness=FitnessRecord(raw=raw, normalized=normalized, energy=-math.log(normalized) + 0.0),
         connectivity=connectivity,
         in_events=in_events,
         out_events=out_events,

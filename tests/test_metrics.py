@@ -1,4 +1,5 @@
-"""Frequency tables, fitness, clause distance, energies, level grouping."""
+"""Literal frequencies, fitness and energies as the builder computes them,
+clause distance, level grouping."""
 
 import collections
 import math
@@ -7,43 +8,47 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_10
-from satbec.cnf import Clause, generate_random
-from satbec.metrics import (
-    ENERGY_LEVEL_TOL,
-    FitnessRecord,
-    clause_distance,
-    clause_fitness,
-    energy,
-    group_energy_levels,
-    literal_frequency,
-)
+from conftest import SAMPLE_10, formula_from_signed, state_with
+from satbec.builder import BuilderConfig, build_graph
+from satbec.cnf import Clause, Literal, generate_random, literal_code
+from satbec.graph import MODES
+from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
+
+
+def built_fitness(formula, **cfg):
+    """Fitness records by clause index of a network built from ``formula``.
+
+    Once every clause has joined, the local literal frequencies are those of
+    the whole formula, so raw fitness is whole-formula fitness."""
+    records = [None] * formula.m
+    for node in build_graph(formula, BuilderConfig(seed=3, **cfg)).nodes:
+        records[node.clause] = node.fitness
+    return records
 
 
 def test_literal_frequency_counts_signed_occurrences(sample10):
-    table = literal_frequency(sample10.clauses)
-    assert table.clause_count == 10
-    assert table.total == 30
-    assert table.count(52) == 2  # appears in clauses 0 and 5
-    assert table.count(-55) == 2
-    assert table.count(55) == 0  # polarity matters
-    assert table.count(27) == 2
+    freq = state_with(sample10, range(10)).freq
+    count = lambda signed: freq[literal_code(Literal.from_signed(signed))]
+    assert freq.sum() == 30
+    assert count(52) == 2  # appears in clauses 0 and 5
+    assert count(-55) == 2
+    assert count(55) == 0  # polarity matters
+    assert count(27) == 2
 
 
 def test_clause_fitness_matches_counter_oracle(sample10):
     # independent oracle: plain Counter over signed literals
     counts = collections.Counter(x for c in SAMPLE_10 for x in c)
     expected = [sum(counts[x] for x in c) for c in SAMPLE_10]
-    table = literal_frequency(sample10.clauses)
-    got = [clause_fitness(table, c) for c in sample10.clauses]
-    assert got == expected == [5, 3, 3, 4, 3, 4, 4, 3, 4, 3]
+    assert expected == [5, 3, 3, 4, 3, 4, 4, 3, 4, 3]
+    for mode in MODES:
+        assert [rec.raw for rec in built_fitness(sample10, mode=mode)] == expected
 
 
 def test_fitness_respects_table_scope(sample10):
-    # local view: only the first three clauses feed the table
-    table = literal_frequency(sample10.clauses[:3])
-    assert table.clause_count == 3
-    assert clause_fitness(table, sample10.clauses[0]) == 3
+    # local view: only the clauses added so far feed the frequencies
+    state = state_with(sample10, range(3))
+    assert state.fitness[0] == 3
 
 
 def test_clause_distance_hand_cases(sample10):
@@ -101,35 +106,31 @@ def test_clause_distance_axioms_on_random_triples():
 
 
 def test_energy_values():
-    assert energy(1.0) == 0.0
-    assert math.copysign(1.0, energy(1.0)) == 1.0  # never -0.0
-    assert energy(0.5) == pytest.approx(math.log(2))
-    assert energy(0.5, temperature=2.0) == pytest.approx(2 * math.log(2))
-    assert energy(0.8) == pytest.approx(-math.log(0.8))
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.1, 1.1])
-def test_energy_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        energy(bad)
+    # fitness 3, 6, 6: normalized 0.5, 1, 1
+    f = formula_from_signed([(1, 2, 3), (4, 5, 6), (4, 5, 6)], 6)
+    for temperature in (1.0, 2.0):
+        state = state_with(f, range(3), temperature=temperature)
+        state.fill_energies()
+        assert state.energy[0] == pytest.approx(temperature * math.log(2))
+        assert state.energy[1] == 0.0
+        assert math.copysign(1.0, state.energy[1]) == 1.0  # never -0.0
 
 
 def test_energy_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        energy(0.5, temperature=0.0)
+    # a NaN or infinite temperature would write energies that graph JSON
+    # loading rejects
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BuilderConfig(temperature=bad)
 
 
-def test_fitness_record_from_raw():
-    rec = FitnessRecord.from_raw(4, 5)
-    assert rec.raw == 4
-    assert rec.normalized == pytest.approx(0.8)
-    assert rec.energy == pytest.approx(math.log(5 / 4))
-    top = FitnessRecord.from_raw(5, 5)
-    assert top.normalized == 1.0 and top.energy == 0.0
-    with pytest.raises(ValueError):
-        FitnessRecord.from_raw(0, 5)
-    with pytest.raises(ValueError):
-        FitnessRecord.from_raw(6, 5)
+def test_fitness_record_from_raw(sample20):
+    # every node's record follows from its raw fitness and the maximum
+    records = built_fitness(sample20, temperature=2.0)
+    top = max(rec.raw for rec in records)
+    for rec in records:
+        assert rec.normalized == rec.raw / top
+        assert rec.energy == pytest.approx(2.0 * math.log(top / rec.raw), abs=1e-12)
 
 
 def test_group_energy_levels_groups_and_orders():
@@ -153,9 +154,9 @@ def test_group_energy_levels_empty_and_singleton():
 
 def test_sample20_level_structure(sample20):
     # densest instance: three clauses tie at the maximal fitness
-    table = literal_frequency(sample20.clauses)
-    fits = [clause_fitness(table, c) for c in sample20.clauses]
+    records = built_fitness(sample20)
+    fits = [rec.raw for rec in records]
     assert max(fits) == 9
     assert [i for i, v in enumerate(fits) if v == 9] == [13, 14, 15]
-    energies = [energy(v / 9) for v in fits]
+    energies = [rec.energy for rec in records]
     assert group_energy_levels(energies)[0] == [13, 14, 15]
