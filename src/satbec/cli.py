@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 from . import __version__
 from . import solver as solver_mod
@@ -50,16 +53,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append "(default: X)" to a flag's help unless X is None."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> tuple[str, dict]:
+    """The text of ``path`` and its manifest input record."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read input file {path!r}: {exc}") from None
+    return text, {"path": path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def _stage(path: str, text: str) -> str:
@@ -123,25 +133,36 @@ def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: di
             os.unlink(tmp)
 
 
+def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: dict | None = None):
+    """Write ``text`` to ``--out`` and any ``extra`` artifacts, or print it
+    when neither asks for a file."""
+    artifacts = {} if args.out is None else {args.out: text}
+    artifacts.update(extra or {})
+    if artifacts:
+        _emit(subcommand, args, inputs, artifacts)
+    else:
+        sys.stdout.write(text)
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _load_formula(path: str):
-    text = _read_input(path)
+    text, record = _read_input(path)
     try:
         formula = parse_dimacs(text)
     except DimacsError as exc:
         raise DataError(f"{path}: {exc}") from None
     if formula.m and formula.k < 1:
         raise DataError(f"{path}: clauses must have at least one literal")
-    return text, formula
+    return record, formula
 
 
 def _load_graph(path: str):
-    text = _read_input(path)
+    text, record = _read_input(path)
     try:
-        return text, graph_from_json(text)
+        return record, graph_from_json(text)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -154,46 +175,127 @@ def _cmd_gen(args):
     _emit("gen", args, {}, {args.out: serialize_dimacs(formula)})
 
 
-# flag destination, BuilderConfig field, key in a sweep config's [builder]
-# section, type, choices, help
-_BUILDER_FLAGS = (
-    ("mode", "mode", "mode", str, MODES, "construction mode"),
-    ("theta", "theta", "theta", float, None, "newcomer connectivity per draw (s2gpa)"),
-    ("rho", "rho", "rho", int, None, "draws per step (s2gpa)"),
-    ("temp", "temperature", "temperature", float, None, "energy temperature"),
-    ("first", "first_clause_rule", "first", str, FIRST_CLAUSE_RULES, "first-clause rule"),
+class _List(NamedTuple):
+    """Parser of a comma- or space-separated list flag. argparse keeps such a
+    flag's text, so manifests record it as given; a default tuple shows as
+    its items joined by commas, or as ``empty``."""
+
+    kind: type
+    empty: str | None = None
+
+    def __call__(self, text: str) -> tuple:
+        if text == self.empty:
+            return ()
+        try:
+            values = tuple(self.kind(tok) for tok in text.replace(",", " ").split())
+        except ValueError:
+            raise UsageError(f"cannot parse list {text!r}") from None
+        if not values:
+            raise UsageError(f"empty list {text!r}")
+        return values
+
+
+class _Setting(NamedTuple):
+    """A config field set by the flag ``--<dest>`` (``_`` spelled ``-``)."""
+
+    dest: str
+    field: str
+    parse: Callable  # argparse type, or a _List applied to the flag's text
+    text: str
+    choices: tuple | None = None
+    ini: str | None = None  # "section.key" in a sweep config file
+
+
+_BUILDER_SETTINGS = (
+    _Setting("mode", "mode", str, "construction mode", MODES, "builder.mode"),
+    _Setting("theta", "theta", float, "newcomer connectivity per draw (s2gpa)",
+             ini="builder.theta"),
+    _Setting("rho", "rho", int, "draws per step (s2gpa)", ini="builder.rho"),
+    _Setting("temp", "temperature", float, "energy temperature", ini="builder.temperature"),
+    _Setting("first", "first_clause_rule", str, "first-clause rule", FIRST_CLAUSE_RULES,
+             "builder.first"),
+)
+
+_BUILD_SETTINGS = _BUILDER_SETTINGS + (_Setting("seed", "seed", int, "construction seed"),)
+
+_SWEEP_SETTINGS = (
+    _Setting("n_values", "n_values", _List(int), "override: list of n", ini="sweep.n_values"),
+    _Setting("alphas", "alphas", _List(float), "override: list of alphas", ini="sweep.alphas"),
+    _Setting("instances", "instances", int, "instances per grid point", ini="sweep.instances"),
+    _Setting("graphs", "graphs_per_instance", int, "graphs per instance", ini="sweep.graphs"),
+    _Setting("k", "k", int, "literals per clause", ini="sweep.k"),
+    _Setting("seed", "seed_root", int, "root seed", ini="sweep.seed"),
+) + _BUILDER_SETTINGS
+
+_BENCH_SETTINGS = (
+    _Setting("k", "k", int, "literals per clause"),
+    _Setting("grid", "alphas", _List(float, empty="auto"),
+             "alpha list, or 'auto' for 8 points around the k threshold"),
+    _Setting("solvers", "solvers", _List(str), "solvers to run"),
+    _Setting("n_values", "n_values", _List(int), "list of n"),
+    _Setting("instances", "instances", int, "instances per (n, alpha) group"),
+    _Setting("budget", "budget", int, "main-loop cycle budget"),
+    _Setting("p1", "p1", float, "downhill flip probability (default: per-k table)"),
+    _Setting("p2", "p2", float, "chain rejection probability (default: per-k table)"),
+    # BenchConfig names the construction mode graph_mode
+    *(s._replace(field="graph_mode") if s.dest == "mode" else s for s in _BUILDER_SETTINGS),
+    _Setting("seed", "seed_root", int, "root seed"),
 )
 
 
-def _add_builder_flags(parser, defaults, unset: bool = False):
-    """Declare --mode/--theta/--rho/--temp/--first with the values of
-    ``defaults`` (anything with BuilderConfig's setting attributes).
+def _add_settings(parser, settings, config_cls, from_ini: bool = False):
+    """Declare a flag per setting, with the default of its ``config_cls`` field.
 
-    With ``unset`` every flag defaults to None, so that ``sweep`` can tell a
-    flag left out from one given, and the help names the value used when
-    neither a flag nor the config file sets one.
-    """
-    for dest, field, _, kind, choices, text in _BUILDER_FLAGS:
-        default = getattr(defaults, field)
-        if unset:
-            text, default = f"{text} (default {default})", None
-        parser.add_argument(f"--{dest}", type=kind, choices=choices, default=default, help=text)
+    With ``from_ini`` every flag defaults to None, so that ``sweep`` can tell a
+    flag left out from one given; the help then names the field default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    for s in settings:
+        default = defaults[s.field]
+        listed = isinstance(s.parse, _List)
+        if listed and default is not dataclasses.MISSING:
+            default = ",".join(map(str, default)) or s.parse.empty
+        text = s.text
+        if from_ini and default is not dataclasses.MISSING:
+            text = f"{text} (default: {default})"
+        parser.add_argument("--" + s.dest.replace("_", "-"), dest=s.dest,
+                            type=None if listed else s.parse, choices=s.choices,
+                            default=None if from_ini else default, help=text)
+
+
+def _config(config_cls, settings, args, ini: dict | None = None):
+    """``config_cls`` from the flags given, else from the ``ini`` values of a
+    sweep config file ({"section.key": text}); a field set by neither keeps
+    its default."""
+    given = {}
+    for s in settings:
+        value = getattr(args, s.dest)
+        if value is not None:
+            # argparse typed every flag but the lists; parsing a typed
+            # value again returns it unchanged
+            given[s.field] = s.parse(value)
+        elif ini and s.ini in ini:
+            try:
+                given[s.field] = s.parse(ini[s.ini])
+            except ValueError as exc:
+                raise DataError(f"config key {s.ini!r}: {exc}") from None
+    fields = dataclasses.fields(config_cls)
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in given]
+    if missing:
+        raise UsageError(f"{' and '.join(missing)} must be set by a flag or the config file")
+    try:
+        return config_cls(**given)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_build(args):
-    text, formula = _load_formula(getattr(args, "in"))
-    try:
-        cfg = BuilderConfig(
-            seed=args.seed, **{field: getattr(args, dest) for dest, field, *_ in _BUILDER_FLAGS}
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    record, formula = _load_formula(getattr(args, "in"))
+    cfg = _config(BuilderConfig, _BUILD_SETTINGS, args)
     try:
         graph = build_graph(formula, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    inputs = {"in": {"path": getattr(args, "in"), "sha256": _sha256_text(text)}}
-    _emit("build", args, inputs, {args.out: graph_to_json(graph)})
+    _emit("build", args, {"in": record}, {args.out: graph_to_json(graph)})
 
 
 def _classification_payload(graph):
@@ -211,17 +313,12 @@ def _classification_payload(graph):
 
 
 def _cmd_classify(args):
-    text, graph = _load_graph(getattr(args, "in"))
-    out_text = _json_text(_classification_payload(graph))
-    if args.out is None:
-        sys.stdout.write(out_text)
-        return
-    inputs = {"in": {"path": getattr(args, "in"), "sha256": _sha256_text(text)}}
-    _emit("classify", args, inputs, {args.out: out_text})
+    record, graph = _load_graph(getattr(args, "in"))
+    _emit_or_print("classify", args, {"in": record}, _json_text(_classification_payload(graph)))
 
 
 def _cmd_spectrum(args):
-    text, graph = _load_graph(getattr(args, "in"))
+    record, graph = _load_graph(getattr(args, "in"))
     spectrum = particle_spectrum(graph)
     payload = {
         "total_particles": spectrum.total_particles,
@@ -237,17 +334,8 @@ def _cmd_spectrum(args):
             for level in spectrum.levels
         ],
     }
-    out_text = _json_text(payload)
-    artifacts = {}
-    if args.out is not None:
-        artifacts[args.out] = out_text
-    if args.dot is not None:
-        artifacts[args.dot] = export_dot(graph)
-    if not artifacts:
-        sys.stdout.write(out_text)
-        return
-    inputs = {"in": {"path": getattr(args, "in"), "sha256": _sha256_text(text)}}
-    _emit("spectrum", args, inputs, artifacts)
+    dot = {} if args.dot is None else {args.dot: export_dot(graph)}
+    _emit_or_print("spectrum", args, {"in": record}, _json_text(payload), dot)
 
 
 def _result_payload(algo: str, result, args) -> dict:
@@ -267,14 +355,13 @@ def _result_payload(algo: str, result, args) -> dict:
 
 
 def _cmd_solve(args):
-    cnf_text, formula = _load_formula(getattr(args, "in"))
-    inputs = {"in": {"path": getattr(args, "in"), "sha256": _sha256_text(cnf_text)}}
+    record, formula = _load_formula(getattr(args, "in"))
+    inputs = {"in": record}
     order = None
     if args.algo in solver_mod.ORDERED_SOLVERS:
         if args.graph is None:
             raise UsageError(f"--graph is required for --algo {args.algo}")
-        graph_text, graph = _load_graph(args.graph)
-        inputs["graph"] = {"path": args.graph, "sha256": _sha256_text(graph_text)}
+        inputs["graph"], graph = _load_graph(args.graph)
         try:
             order = solver_mod.clause_order(formula, graph, derive_seed(args.seed, TAG_ORDER))
         except ValueError as exc:
@@ -288,7 +375,7 @@ def _cmd_solve(args):
 
 
 def _results_from_file(path: str):
-    text = _read_input(path)
+    text, record = _read_input(path)
     try:
         payload = json.loads(text)
         entries = payload["results"]
@@ -305,110 +392,39 @@ def _results_from_file(path: str):
         ]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid result file: {exc}") from None
-    return text, results
+    return record, results
 
 
 def _cmd_compare(args):
-    text_a, results_a = _results_from_file(args.a)
-    text_b, results_b = _results_from_file(args.b)
+    record_a, results_a = _results_from_file(args.a)
+    record_b, results_b = _results_from_file(args.b)
     try:
         verdict = solver_mod.compare(results_a, results_b)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    out_text = _json_text({"verdict": verdict})
-    if args.out is None:
-        sys.stdout.write(out_text)
-        return
-    inputs = {
-        "a": {"path": args.a, "sha256": _sha256_text(text_a)},
-        "b": {"path": args.b, "sha256": _sha256_text(text_b)},
-    }
-    _emit("compare", args, inputs, {args.out: out_text})
-
-
-def _parse_number_list(text: str, kind):
-    try:
-        values = tuple(kind(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise UsageError(f"cannot parse list {text!r}") from None
-    if not values:
-        raise UsageError(f"empty list {text!r}")
-    return values
-
-
-# flag destination, SweepConfig field, INI section, INI key, parser; a value
-# given by neither flag nor INI file takes the SweepConfig default
-_SWEEP_SETTINGS = (
-    ("n_values", "n_values", "sweep", "n_values", lambda s: _parse_number_list(s, int)),
-    ("alphas", "alphas", "sweep", "alphas", lambda s: _parse_number_list(s, float)),
-    ("instances", "instances", "sweep", "instances", int),
-    ("graphs", "graphs_per_instance", "sweep", "graphs", int),
-    ("k", "k", "sweep", "k", int),
-    ("seed", "seed_root", "sweep", "seed", int),
-) + tuple((dest, field, "builder", key, kind) for dest, field, key, kind, _, _ in _BUILDER_FLAGS)
-
-
-def _sweep_config(args) -> tuple[SweepConfig, dict]:
-    sections = {}
-    inputs = {}
-    if args.config is not None:
-        text = _read_input(args.config)
-        inputs["config"] = {"path": args.config, "sha256": _sha256_text(text)}
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-            sections = {name: dict(parser[name]) for name in parser.sections()}
-        except configparser.Error as exc:
-            raise DataError(f"{args.config}: {exc}") from None
-    given = {}
-    for dest, field, section, key, parse in _SWEEP_SETTINGS:
-        value = getattr(args, dest)
-        if value is not None:
-            # argparse typed every flag but the two lists; parsing a typed
-            # value again returns it unchanged
-            given[field] = parse(value)
-        elif key in sections.get(section, {}):
-            try:
-                given[field] = parse(sections[section][key])
-            except ValueError as exc:
-                raise DataError(f"config key {key!r}: {exc}") from None
-    if "n_values" not in given or "alphas" not in given:
-        raise UsageError("sweep needs n_values and alphas (config file or --n-values/--alphas)")
-    try:
-        return SweepConfig(**given), inputs
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _emit_or_print("compare", args, {"a": record_a, "b": record_b},
+                   _json_text({"verdict": verdict}))
 
 
 def _cmd_sweep(args):
-    cfg, inputs = _sweep_config(args)
+    ini = {}
+    inputs = {}
+    if args.config is not None:
+        text, inputs["config"] = _read_input(args.config)
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text)
+            ini = {f"{name}.{key}": value
+                   for name in parser.sections() for key, value in parser[name].items()}
+        except configparser.Error as exc:
+            raise DataError(f"{args.config}: {exc}") from None
+    cfg = _config(SweepConfig, _SWEEP_SETTINGS, args, ini)
     records = sweep(cfg, jobs=_effective_jobs(args.jobs))
     _emit("sweep", args, inputs, {args.out: sweep_records_to_csv(records)})
 
 
 def _cmd_bench(args):
-    alphas = ()
-    if args.grid != "auto":
-        alphas = _parse_number_list(args.grid, float)
-    try:
-        cfg = BenchConfig(
-            k=args.k,
-            n_values=_parse_number_list(args.n_values, int),
-            alphas=alphas,
-            instances=args.instances,
-            budget=args.budget,
-            p1=args.p1,
-            p2=args.p2,
-            solvers=tuple(tok for tok in args.solvers.replace(",", " ").split()),
-            graph_mode=args.mode,
-            theta=args.theta,
-            rho=args.rho,
-            temperature=args.temp,
-            first_clause_rule=args.first,
-            seed_root=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _config(BenchConfig, _BENCH_SETTINGS, args)
     report = benchmark(cfg, jobs=_effective_jobs(args.jobs))
     _emit("bench", args, {}, {args.out: bench_report_to_csv(report)})
 
@@ -421,7 +437,10 @@ def _effective_jobs(jobs: int) -> int:
     return jobs
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The satbec parser, built once per process: parsing keeps no state
+    between calls."""
     parser = _Parser(
         prog="satbec",
         description="Clause networks from k-SAT formulas, phase classification, "
@@ -429,7 +448,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("gen", help="generate a uniform random k-SAT instance", formatter_class=fmt)
     p.add_argument("--seed", type=int, default=0, help="generator seed")
@@ -440,8 +459,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("build", help="build a clause network from a DIMACS file", formatter_class=fmt)
-    _add_builder_flags(p, BuilderConfig())
-    p.add_argument("--seed", type=int, default=0, help="construction seed")
+    _add_settings(p, _BUILD_SETTINGS, BuilderConfig)
     p.add_argument("--in", required=True, help="input DIMACS path")
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.set_defaults(handler=_cmd_build)
@@ -481,31 +499,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="phase sweep over an (n, alpha) grid", formatter_class=fmt)
     p.add_argument("--config", default=None, help="INI config with [sweep] and [builder] sections")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--n-values", dest="n_values", default=None, help="override: list of n")
-    p.add_argument("--alphas", default=None, help="override: list of alphas")
-    p.add_argument("--instances", type=int, default=None, help="instances per grid point (default 30)")
-    p.add_argument("--graphs", type=int, default=None, help="graphs per instance (default 10)")
-    p.add_argument("--k", type=int, default=None, help="literals per clause (default 3)")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    _add_builder_flags(p, SweepConfig, unset=True)
+    _add_settings(p, _SWEEP_SETTINGS, SweepConfig, from_ini=True)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("bench", help="solver benchmark table", formatter_class=fmt)
-    p.add_argument("--k", type=int, default=3, help="literals per clause")
-    p.add_argument("--grid", default="auto",
-                   help="alpha list, or 'auto' for 8 points around the k threshold")
-    p.add_argument("--solvers", default=",".join(solver_mod.SOLVERS), help="solvers to run")
-    p.add_argument("--n-values", dest="n_values", default="25,50", help="list of n")
-    p.add_argument("--instances", type=int, default=30, help="instances per (n, alpha) group")
-    p.add_argument("--budget", type=int, default=solver_mod.DESK_BUDGET,
-                   help="main-loop cycle budget")
-    p.add_argument("--p1", type=float, default=None,
-                   help="downhill flip probability (default: per-k table)")
-    p.add_argument("--p2", type=float, default=None,
-                   help="chain rejection probability (default: per-k table)")
-    _add_builder_flags(p, BenchConfig().builder_config(0))
-    p.add_argument("--seed", type=int, default=0, help="root seed")
+    _add_settings(p, _BENCH_SETTINGS, BenchConfig)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_bench)
@@ -514,9 +513,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.handler(args)
         return 0
     except UsageError as exc:

@@ -74,40 +74,6 @@ class ClauseGraph:
     def total_particles(self) -> int:
         return sum(node.particles for node in self.nodes)
 
-    def simple_degree(self, clause: int) -> int:
-        return sum(1 for (u, v) in self.edges if clause in (u, v))
-
-    def neighbors(self, clause: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == clause:
-                out.append(v)
-            elif v == clause:
-                out.append(u)
-        return sorted(out)
-
-    def connected_components(self) -> list[set[int]]:
-        adjacency: dict[int, list[int]] = {node.clause: [] for node in self.nodes}
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen: set[int] = set()
-        components = []
-        for start in adjacency:
-            if start in seen:
-                continue
-            stack = [start]
-            component = set()
-            while stack:
-                cur = stack.pop()
-                if cur in component:
-                    continue
-                component.add(cur)
-                stack.extend(nb for nb in adjacency[cur] if nb not in component)
-            seen |= component
-            components.append(component)
-        return components
-
 
 @dataclass(frozen=True)
 class EnergyState:

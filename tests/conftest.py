@@ -52,6 +52,41 @@ def formula_from_signed(signed_clauses, n):
     return Formula(n=n, k=clauses[0].k, clauses=clauses)
 
 
+def components(graph):
+    """Connected components of ``graph`` read off its edges: sorted clause
+    lists, in the insertion order of their first node."""
+    adjacency = {node.clause: [] for node in graph.nodes}
+    for u, v in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = set()
+    out = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        component = []
+        while stack:
+            cur = stack.pop()
+            component.append(cur)
+            for nb in adjacency[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        out.append(sorted(component))
+    return out
+
+
+def degrees(graph):
+    """Simple degree of each clause of ``graph``, counted over its edges."""
+    out = {node.clause: 0 for node in graph.nodes}
+    for u, v in graph.edges:
+        out[u] += 1
+        out[v] += 1
+    return out
+
+
 def state_with(formula, added=(), **cfg):
     """A build state of ``formula`` with ``added`` moved in, in that order."""
     state = BuildState(formula, BuilderConfig(**cfg))

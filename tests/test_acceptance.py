@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import components
 from satbec.analysis import Phase
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cli import main as cli_main
@@ -181,7 +182,7 @@ def test_criterion_03_connectivity_bookkeeping():
         for node in graph.nodes[1:]:
             if not 1 <= len(out_neighbors[node.clause]) <= 1:
                 degree_violations += 1
-        if len(graph.connected_components()) != 1:
+        if len(components(graph)) != 1:
             component_violations += 1
     ok = worst <= 1e-9 and degree_violations == 0 and component_violations == 0
     detail = (

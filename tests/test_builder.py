@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import formula_from_signed, state_with
+from conftest import components, degrees, formula_from_signed, state_with
 from satbec.builder import (
     BuildState,
     BuilderConfig,
@@ -203,9 +203,10 @@ def test_s2g_probabilities_normalize_and_degrees_integral():
     g = build_graph(f, BuilderConfig(mode=MODE_S2G, seed=9), iteration_hook=hook)
     assert len(calls) == f.m - 1  # forced step plus one per later joiner
     assert all(abs(c["pi_sum"] - 1.0) < 1e-9 for c in calls)
+    degree = degrees(g)
     for node in g.nodes:
         assert node.connectivity == node.in_events + node.out_events
-        assert node.connectivity == float(g.simple_degree(node.clause))
+        assert node.connectivity == float(degree[node.clause])
     for edge in g.edges.values():
         assert 0.0 < edge.weight <= 1.0
         assert edge.multiplicity == 1
@@ -215,7 +216,7 @@ def test_s2g_pa_is_a_tree_at_rho_one():
     f = generate_random(10, 3, 25, 75)
     g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, theta=0.33, rho=1, seed=11))
     assert len(g.edges) == f.m - 1
-    assert len(g.connected_components()) == 1
+    assert len(components(g)) == 1
     first = g.nodes[0].clause
     for node in g.nodes:
         expected = 0 if node.clause == first else 1

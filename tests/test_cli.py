@@ -2,10 +2,18 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from satbec import __version__, cli
 from satbec.cli import main
+from satbec.experiments import BenchConfig, BenchReport, SweepConfig
+from satbec.solver import DEFAULT_BUDGET, DESK_BUDGET, SOLVERS
 
 
 def run_cli(*argv):
@@ -356,17 +364,70 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def test_help_lists_defaults(capsys):
+def flag_help(capsys, subcommand):
+    """The --help text of ``subcommand``, one whitespace-normalized entry per
+    option flag."""
     with pytest.raises(SystemExit) as info:
-        run_cli("build", "--help")
+        run_cli(subcommand, "--help")
     assert info.value.code == 0
-    text = capsys.readouterr().out
-    assert "--theta" in text and "0.33" in text
-    assert "--rho" in text and "default" in text
-    with pytest.raises(SystemExit):
-        run_cli("solve", "--help")
-    text = capsys.readouterr().out
-    assert "0.005" in text or "p1" in text
+    options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    entries = re.split(r" (?=--[a-z])", options)
+    return {entry.split()[0][2:]: entry for entry in entries if entry.startswith("--")}
+
+
+def test_help_shows_each_config_default_once(capsys):
+    def builder(cfg):
+        return {"theta": cfg.theta, "rho": cfg.rho, "temp": cfg.temperature,
+                "first": cfg.first_clause_rule}
+
+    sweep_cfg = SweepConfig(n_values=(10,), alphas=(1.0,))
+    bench_cfg = BenchConfig()
+    expected = {
+        "sweep": {"instances": sweep_cfg.instances, "graphs": sweep_cfg.graphs_per_instance,
+                  "k": sweep_cfg.k, "seed": sweep_cfg.seed_root, "mode": sweep_cfg.mode,
+                  **builder(sweep_cfg)},
+        "bench": {"k": bench_cfg.k, "grid": "auto", "solvers": ",".join(SOLVERS),
+                  "n-values": ",".join(map(str, bench_cfg.n_values)),
+                  "instances": bench_cfg.instances, "budget": DESK_BUDGET,
+                  "p1": "per-k table", "p2": "per-k table", "mode": bench_cfg.graph_mode,
+                  "seed": bench_cfg.seed_root, **builder(bench_cfg)},
+    }
+    for subcommand, defaults in expected.items():
+        entries = flag_help(capsys, subcommand)
+        for flag, value in defaults.items():
+            entry = entries[flag]
+            assert entry.endswith(f"(default: {value})"), entry
+            assert entry.count("default") == 1, entry
+        assert not any("(default: None)" in entry for entry in entries.values())
+    assert flag_help(capsys, "solve")["budget"].endswith(f"(default: {DEFAULT_BUDGET})")
+
+
+def test_sweep_and_bench_defaults_come_from_the_configs(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "sweep", lambda cfg, jobs: seen.append(cfg) or [])
+    monkeypatch.setattr(cli, "benchmark",
+                        lambda cfg, jobs: seen.append(cfg) or BenchReport((), (), ()))
+    assert run_cli("sweep", "--n-values", "10", "--alphas", "1.0",
+                   "--out", str(tmp_path / "s.csv")) == 0
+    assert run_cli("bench", "--out", str(tmp_path / "b.csv")) == 0
+    assert seen == [SweepConfig(n_values=(10,), alphas=(1.0,)), BenchConfig()]
+
+
+def test_module_entry_point_exit_codes():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "satbec", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    version = run_module("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == f"satbec {__version__}"
+    unknown = run_module("frobnicate")
+    assert unknown.returncode == 1
+    assert unknown.stderr.startswith("error:")
 
 
 def test_full_pipeline_rerun_identical(tmp_path):

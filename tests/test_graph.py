@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import components, degrees
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
 from satbec.graph import (
@@ -62,19 +63,16 @@ def test_graph_accessors():
     g = star_graph()
     assert g.m == 4
     assert g.insertion_order == [0, 1, 2, 3]
-    assert g.simple_degree(0) == 3
-    assert g.simple_degree(2) == 1
-    assert g.neighbors(0) == [1, 2, 3]
-    assert g.neighbors(3) == [0]
+    assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3)]
+    assert degrees(g) == {0: 3, 1: 1, 2: 1, 3: 1}
     assert g.total_particles == 6
-    assert [sorted(c) for c in g.connected_components()] == [[0, 1, 2, 3]]
+    assert components(g) == [[0, 1, 2, 3]]
 
 
 def test_connected_components_splits():
     g = star_graph()
     g.nodes.append(make_node(4, 1, 4, 0.0))
-    components = sorted(g.connected_components(), key=len)
-    assert [sorted(c) for c in components] == [[4], [0, 1, 2, 3]]
+    assert components(g) == [[0, 1, 2, 3], [4]]
 
 
 def test_particle_conservation_on_built_graphs():
