@@ -6,6 +6,12 @@ fitness and energies recomputed from scratch over every added clause at the
 end of every step.  It costs O(m) per step and O(m^2) memory, which is why
 ``satbec.builder`` grows its state incrementally instead; the two must give
 byte-identical graphs and the same per-step state.
+
+The oracle takes only the config type, the seeded generator, the graph
+types and the scalar ``literal_code`` and ``clause_distance`` from the
+package: literal codes, attachment probabilities, the preferential draw and
+the frozen graph are computed here, so a fault in the package's versions
+shows up as a difference.
 """
 
 from __future__ import annotations
@@ -14,17 +20,19 @@ from collections import Counter
 
 import numpy as np
 
-from satbec.builder import (
-    FIRST_RANDOM,
-    BuilderConfig,
-    _freeze,
-    attachment_probabilities,
-    preferential_draw,
-)
-from satbec.cnf import Formula, clause_code_array
-from satbec.graph import MODE_S2G, ClauseGraph
-from satbec.metrics import clause_distance
+from satbec.builder import FIRST_RANDOM, BuilderConfig
+from satbec.cnf import Formula, formula_sha256, literal_code
+from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
+from satbec.metrics import FitnessRecord, clause_distance
 from satbec.seeding import derive_rng
+
+
+def clause_codes(formula: Formula) -> np.ndarray:
+    """(m, k) int64 literal codes, one scalar ``literal_code`` call each."""
+    return np.array(
+        [[literal_code(lit) for lit in clause.literals] for clause in formula.clauses],
+        dtype=np.int64,
+    ).reshape(formula.m, formula.k)
 
 
 def distance_matrix(formula: Formula, codes: np.ndarray) -> np.ndarray:
@@ -54,7 +62,7 @@ class OracleState:
         self.formula = formula
         self.cfg = cfg
         self.rng = derive_rng(cfg.seed)
-        self.codes = clause_code_array(formula)
+        self.codes = clause_codes(formula)
         self.dist = distance_matrix(formula, self.codes)
         m = formula.m
         self.order: list[int] = []
@@ -148,6 +156,58 @@ def update_fitness(state: OracleState) -> OracleState:
     return state
 
 
+def attachment_probabilities(state: OracleState) -> np.ndarray:
+    """Per existing node, connectivity x fitness normalized to sum 1, in
+    insertion order."""
+    order = state.order_array()
+    weights = state.conn[order] * state.fitness[order]
+    total = weights.sum()
+    if not total > 0:
+        raise RuntimeError("attachment probabilities undefined before the first edge")
+    return weights / total
+
+
+def preferential_draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample x in (0, 1] and return the first index whose cumulative
+    probability reaches x."""
+    x = 1.0 - rng.random()
+    return min(int(np.searchsorted(cumulative, x, side="left")), len(cumulative) - 1)
+
+
+def freeze(state: OracleState) -> ClauseGraph:
+    """The finished state as a graph, one node at a time in insertion order."""
+    cfg = state.cfg
+    preferential = cfg.mode == MODE_S2GPA
+    graph = ClauseGraph(
+        mode=cfg.mode,
+        temperature=cfg.temperature,
+        theta=cfg.theta if preferential else None,
+        rho=cfg.rho if preferential else None,
+        seed=cfg.seed,
+        first_clause_rule=cfg.first_clause_rule,
+        n=state.formula.n,
+        k=state.formula.k,
+        formula_sha256=formula_sha256(state.formula),
+    )
+    for clause in state.order:
+        graph.nodes.append(
+            GraphNode(
+                clause=clause,
+                fitness=FitnessRecord(
+                    raw=int(state.fitness[clause]),
+                    normalized=float(state.normalized[clause]),
+                    energy=float(state.energy[clause]),
+                ),
+                connectivity=float(state.conn[clause]),
+                in_events=int(state.in_events[clause]),
+                out_events=int(state.out_events[clause]),
+            )
+        )
+    for (u, v), (weight, multiplicity) in state.edges.items():
+        graph.edges[(u, v)] = GraphEdge(u=u, v=v, weight=weight, multiplicity=multiplicity)
+    return graph
+
+
 def oracle_build(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> ClauseGraph:
     if formula.m < 2:
         raise ValueError("need at least 2 clauses to build a network")
@@ -188,4 +248,4 @@ def oracle_build(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> C
         update_fitness(state)
         if iteration_hook is not None:
             iteration_hook(state, pi)
-    return _freeze(state)
+    return freeze(state)
