@@ -255,8 +255,9 @@ def literal_code(literal: Literal) -> int:
 
 
 def clause_code_array(formula: Formula) -> np.ndarray:
-    """(m, k) int array of literal codes, used by the numeric kernels."""
-    return np.array(
-        [[literal_code(lit) for lit in clause.literals] for clause in formula.clauses],
-        dtype=np.int64,
+    """(m, k) int array of literal codes, used by the numeric kernels:
+    ``literal_code`` of each literal, computed from the cached signed view."""
+    signed = np.array(
+        [clause.signed() for clause in formula.clauses], dtype=np.int64
     ).reshape(formula.m, formula.k)
+    return 2 * (np.abs(signed) - 1) + (signed < 0)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import components, degrees, formula_from_signed, state_with
+from test_builder_oracle import formulas
 from satbec.builder import (
     BuildState,
     BuilderConfig,
@@ -142,14 +145,16 @@ def test_add_clause_keeps_order_and_frequencies():
 
 
 def test_attachment_probabilities_proportional_to_conn_times_fitness():
-    # equal fitness, connectivity 2 vs 6
-    f = formula_from_signed([(1, 2, 3), (4, 5, 6)], 6)
-    state = BuildState(f, BuilderConfig())
-    state.add_clause(0)
-    state.add_clause(1)
-    state.conn[0], state.conn[1] = 2.0, 6.0
+    # fitness 5, 3, 5; four links from clause 0 to clause 1 at theta 0.5 give
+    # connectivity 2, 4, 0, so the weights are 10, 12, 0
+    f = formula_from_signed([(1, 2, 3), (4, 5, 6), (1, 2, 7)], 7)
+    state = state_with(f, [0, 1, 2], mode=MODE_S2GPA, theta=0.5)
+    for _ in range(4):
+        state.link(0, 1, 1.0)
+    assert state.fitness.tolist() == [5, 3, 5]
+    assert state.conn.tolist() == [2.0, 4.0, 0.0]
     pi = attachment_probabilities(state)
-    assert pi == pytest.approx([0.25, 0.75])
+    assert pi == pytest.approx([10 / 22, 12 / 22, 0.0])
     assert pi.sum() == pytest.approx(1.0)
 
 
@@ -292,3 +297,43 @@ def test_temperature_only_rescales_energies(mode):
     assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
     for a, b in zip(hot.nodes, cold.nodes):
         assert a.fitness.energy == pytest.approx(3.7 * b.fitness.energy)
+
+
+@pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])
+def test_hook_probabilities_are_not_reused(mode):
+    # the hook may keep every pi it is handed; a later step must not write
+    # into one it already returned
+    f = generate_random(18, 3, 20, 80)
+    kept, copies = [], []
+
+    def hook(state, pi):
+        kept.append(pi)
+        copies.append(np.array(pi, copy=True))
+
+    build_graph(f, BuilderConfig(mode=mode, rho=2, seed=24), iteration_hook=hook)
+    assert len(kept) == f.m - 1
+    for pi, copy in zip(kept, copies):
+        assert np.array_equal(pi, copy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    formulas(),
+    st.sampled_from((MODE_S2G, MODE_S2GPA)),
+    st.sampled_from((0.33, 0.5)),
+    st.integers(1, 3),
+    st.integers(0, 2**31 - 1),
+)
+def test_built_graph_invariants(formula, mode, theta, rho, seed):
+    g = build_graph(formula, BuilderConfig(mode=mode, theta=theta, rho=rho, seed=seed))
+    assert sorted(g.insertion_order) == list(range(formula.m))
+    assert g.total_particles == 2 * g.link_events
+    for node in g.nodes:
+        if mode == MODE_S2G:
+            assert node.connectivity == node.in_events + node.out_events
+        else:
+            expected = theta * node.out_events + node.in_events
+            assert node.connectivity == pytest.approx(expected, abs=1e-12)
+    if mode == MODE_S2GPA:
+        assert [node.out_events for node in g.nodes[:2]] == [0, 1]
+        assert all(node.out_events == rho for node in g.nodes[2:])

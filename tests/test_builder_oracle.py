@@ -85,7 +85,7 @@ def test_overlap_table_matches_dense_matrix(formula):
     dense = np.full((m, m), k, dtype=np.int64)
     overlap = np.zeros((m, m), dtype=np.int64)
     for c in range(m):
-        row = table.row(c)
+        row = slice(table.start[c], table.start[c + 1])
         near = table.clause[row]
         assert np.all(np.diff(near) > 0)  # index order, no repeats
         assert c not in near

@@ -2,7 +2,10 @@
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
 from satbec.cnf import (
@@ -217,3 +220,27 @@ def test_literal_codes_are_dense():
     codes = clause_code_array(generate_random(0, 3, 8, 15))
     assert codes.shape == (15, 3)
     assert codes.min() >= 0 and codes.max() < 16
+
+
+@st.composite
+def repeating_formulas(draw):
+    """Formulas of k 0-5 and m 0-12 whose clauses may repeat a literal with
+    the same or the opposite sign."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 12)) if k else 0
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=k, max_size=k), min_size=m, max_size=m))
+    for clause in clauses[:1]:
+        if k >= 2 and draw(st.booleans()):
+            clause[1] = draw(st.sampled_from((clause[0], -clause[0])))
+    return Formula(n=n, k=k, clauses=tuple(Clause.from_signed(c) for c in clauses))
+
+
+@given(repeating_formulas())
+def test_clause_code_array_matches_literal_code(formula):
+    codes = clause_code_array(formula)
+    expected = [[literal_code(lit) for lit in clause.literals] for clause in formula.clauses]
+    assert codes.dtype == np.int64
+    assert codes.shape == (formula.m, formula.k)
+    assert codes.tolist() == expected
