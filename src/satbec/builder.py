@@ -29,12 +29,11 @@ unadded clause, the closest-clause search draws from a sorted list of the
 unadded clauses.  The rest of a step is a fixed handful of numpy calls: the
 sum and division that give ``pi`` and, in preferential mode, its cumulative
 sum (in plain mode, one uniform draw per existing node).  A step at n=100,
-m=800 costs about 12 us (median, 2-core Xeon, Python 3.11), down from about
-24 us when the step was some twenty numpy calls; those numpy calls remain
-O(m), so a build is still O(m^2).  Normalized fitness and energies are
-filled once, after the last step: an ``iteration_hook`` sees them still at
-zero.  The temperature only scales those energies; it changes no edge, no
-insertion order and no energy ordering.
+m=800 costs about 12 us (median, 2-core Xeon, Python 3.11); those numpy
+calls are O(m), so a build is still O(m^2).  Normalized fitness and
+energies are filled once, after the last step: an ``iteration_hook`` sees
+them still at zero.  The temperature only scales those energies; it changes
+no edge, no insertion order and no energy ordering.
 """
 
 from __future__ import annotations

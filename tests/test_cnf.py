@@ -231,9 +231,9 @@ def repeating_formulas(draw):
     m = draw(st.integers(0, 12)) if k else 0
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.lists(literal, min_size=k, max_size=k), min_size=m, max_size=m))
-    for clause in clauses[:1]:
-        if k >= 2 and draw(st.booleans()):
-            clause[1] = draw(st.sampled_from((clause[0], -clause[0])))
+    if clauses and k >= 2 and draw(st.booleans()):
+        first = clauses[0][0]
+        clauses[0][1] = draw(st.sampled_from((first, -first)))
     return Formula(n=n, k=k, clauses=tuple(Clause.from_signed(c) for c in clauses))
 
 
