@@ -374,22 +374,35 @@ def _cmd_solve(args):
     _emit("solve", args, inputs, {args.out: _json_text(payload)})
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # a bool is not an int here
+
+
+# the fields of a result entry, each with the test its JSON value must pass
+_RESULT_FIELDS = {
+    "solved": (lambda v: type(v) is bool, "a boolean"),
+    "satisfied_clauses": (_is_count, "a non-negative integer"),
+    "flips": (_is_count, "a non-negative integer"),
+    "evaluations": (_is_count, "a non-negative integer"),
+    "assignment": (lambda v: type(v) is list and all(type(x) is bool for x in v),
+                   "a list of booleans"),
+    "formula_sha256": (lambda v: type(v) is str, "a string"),
+}
+
+
 def _results_from_file(path: str):
+    """The solver results of a ``solve`` output file; a field of any other
+    type than ``solve`` writes is a data error, not a value to coerce."""
     text, record = _read_input(path)
+    results = []
     try:
-        payload = json.loads(text)
-        entries = payload["results"]
-        results = [
-            solver_mod.SolverResult(
-                solved=bool(e["solved"]),
-                satisfied_clauses=int(e["satisfied_clauses"]),
-                flips=int(e["flips"]),
-                evaluations=int(e["evaluations"]),
-                assignment=tuple(bool(v) for v in e["assignment"]),
-                formula_sha256=str(e["formula_sha256"]),
-            )
-            for e in entries
-        ]
+        for entry in json.loads(text)["results"]:
+            fields = {name: entry[name] for name in _RESULT_FIELDS}
+            for name, (valid, kind) in _RESULT_FIELDS.items():
+                if not valid(fields[name]):
+                    raise DataError(f"{path}: not a valid result file: {name!r} must be {kind}")
+            fields["assignment"] = tuple(fields["assignment"])
+            results.append(solver_mod.SolverResult(**fields))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid result file: {exc}") from None
     return record, results

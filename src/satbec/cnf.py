@@ -249,14 +249,9 @@ def evaluate(formula: Formula, assignment: Assignment) -> tuple[int, list[int]]:
     return formula.m - len(unsat), unsat
 
 
-def literal_code(literal: Literal) -> int:
-    """Dense code in [0, 2n): positive literal of x -> 2(x-1), negated -> 2(x-1)+1."""
-    return 2 * (literal.variable - 1) + (1 if literal.negated else 0)
-
-
 def clause_code_array(formula: Formula) -> np.ndarray:
-    """(m, k) int array of literal codes, used by the numeric kernels:
-    ``literal_code`` of each literal, computed from the cached signed view."""
+    """(m, k) int array of dense literal codes in [0, 2n), used by the numeric
+    kernels: x -> 2(x-1) and -x -> 2(x-1)+1, from the cached signed view."""
     signed = np.array(
         [clause.signed() for clause in formula.clauses], dtype=np.int64
     ).reshape(formula.m, formula.k)

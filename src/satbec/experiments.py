@@ -115,7 +115,11 @@ def _check_grid(k: int, n_values: tuple[int, ...], alphas: tuple[float, ...], bu
         raise ValueError("every (n, alpha) point needs at least 2 clauses to build a network")
 
 
-def sample_formula(cfg: SweepConfig, n_index: int, alpha_index: int, instance: int) -> Formula:
+def sample_formula(
+    cfg: SweepConfig | BenchConfig, n_index: int, alpha_index: int, instance: int
+) -> Formula:
+    """The formula of one instance at a grid point, shared by sweeps and
+    benches."""
     n = cfg.n_values[n_index]
     m = clause_count(n, cfg.alphas[alpha_index])
     seed = derive_seed(cfg.seed_root, TAG_GENERATE, n_index, alpha_index, instance)
@@ -123,7 +127,7 @@ def sample_formula(cfg: SweepConfig, n_index: int, alpha_index: int, instance: i
 
 
 def build_sample_graph(
-    cfg: SweepConfig,
+    cfg: SweepConfig | BenchConfig,
     n_index: int,
     alpha_index: int,
     instance: int,
@@ -314,7 +318,7 @@ def second_derivative_peak(fit: PolyFit, lo: float, hi: float, samples: int = 20
 class BenchConfig:
     k: int = 3
     n_values: tuple[int, ...] = (25, 50)
-    alphas: tuple[float, ...] = ()
+    alphas: tuple[float, ...] = ()  # empty: default_alpha_grid(k), set on construction
     instances: int = 30
     budget: int = solver.DESK_BUDGET
     p1: float | None = None
@@ -334,8 +338,10 @@ class BenchConfig:
             raise ValueError("duplicate solver names")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        if not self.alphas:
+            object.__setattr__(self, "alphas", default_alpha_grid(self.k))
         needs_graph = any(s in solver.ORDERED_SOLVERS for s in self.solvers)
-        _check_grid(self.k, self.n_values, self.resolved_alphas(), builds=needs_graph)
+        _check_grid(self.k, self.n_values, self.alphas, builds=needs_graph)
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if any(p is not None and not 0.0 <= p <= 1.0 for p in (self.p1, self.p2)):
@@ -357,9 +363,7 @@ class BenchConfig:
         )
 
     def resolved_alphas(self) -> tuple[float, ...]:
-        if self.alphas:
-            return self.alphas
-        return default_alpha_grid(self.k)
+        return self.alphas
 
 
 def default_alpha_grid(k: int, points: int = 8) -> tuple[float, ...]:
@@ -398,19 +402,13 @@ class BenchReport:
 
 def _bench_group(args):
     cfg, n_index, alpha_index = args
-    n = cfg.n_values[n_index]
-    alphas = cfg.resolved_alphas()
-    alpha = alphas[alpha_index]
-    m = clause_count(n, alpha)
     needs_graph = any(s in solver.ORDERED_SOLVERS for s in cfg.solvers)
     group: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
     for instance in range(cfg.instances):
-        fseed = derive_seed(cfg.seed_root, TAG_GENERATE, n_index, alpha_index, instance)
-        formula = generate_random(fseed, cfg.k, n, m)
+        formula = sample_formula(cfg, n_index, alpha_index, instance)
         order = None
         if needs_graph:
-            gseed = derive_seed(cfg.seed_root, TAG_BUILD, n_index, alpha_index, instance, 0)
-            graph = build_graph(formula, cfg.builder_config(gseed))
+            graph = build_sample_graph(cfg, n_index, alpha_index, instance, 0, formula=formula)
             oseed = derive_seed(cfg.seed_root, TAG_ORDER, n_index, alpha_index, instance)
             order = solver.clause_order(formula, graph, oseed)
         for solver_index, name in enumerate(cfg.solvers):
@@ -426,11 +424,10 @@ def _bench_group(args):
 def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
     """Run every configured solver over the instance grid and compare each
     one against the first-listed solver per (n, alpha) group."""
-    alphas = cfg.resolved_alphas()
     tasks = [
         (cfg, n_index, alpha_index)
         for n_index in range(len(cfg.n_values))
-        for alpha_index in range(len(alphas))
+        for alpha_index in range(len(cfg.alphas))
     ]
     groups = _run_tasks(_bench_group, tasks, jobs)
 
@@ -459,7 +456,7 @@ def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
             verdicts.append(
                 GroupVerdict(
                     n=cfg.n_values[n_index],
-                    alpha=alphas[alpha_index],
+                    alpha=cfg.alphas[alpha_index],
                     solver_a=name,
                     solver_b=baseline,
                     verdict=solver.compare(groups[key][name], groups[key][baseline]),

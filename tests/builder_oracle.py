@@ -8,10 +8,13 @@ end of every step.  It costs O(m) per step and O(m^2) memory, which is why
 byte-identical graphs and the same per-step state.
 
 The oracle takes only the config type, the seeded generator, the graph
-types and the scalar ``literal_code`` and ``clause_distance`` from the
-package: literal codes, attachment probabilities, the preferential draw and
-the frozen graph are computed here, so a fault in the package's versions
-shows up as a difference.
+types and the scalar ``clause_distance`` from the package: literal codes
+(``literal_code``, also the reference for ``clause_code_array``), the
+distance matrix, attachment probabilities, the preferential draw and the
+frozen graph are computed here, so a fault in the package's versions shows
+up as a difference.  In particular the overlap table's distances, one
+vectorized pass for every formula, are checked against ``clause_distance``
+pair by pair whenever a clause repeats a variable.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ from collections import Counter
 import numpy as np
 
 from satbec.builder import FIRST_RANDOM, BuilderConfig
-from satbec.cnf import Formula, formula_sha256, literal_code
+from satbec.cnf import Formula, Literal, formula_sha256
 from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
 from satbec.metrics import FitnessRecord, clause_distance
 from satbec.seeding import derive_rng
+
+
+def literal_code(literal: Literal) -> int:
+    """Dense code in [0, 2n): positive literal of x -> 2(x-1), negated -> 2(x-1)+1."""
+    return 2 * (literal.variable - 1) + (1 if literal.negated else 0)
 
 
 def clause_codes(formula: Formula) -> np.ndarray:

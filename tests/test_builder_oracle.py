@@ -81,7 +81,7 @@ def test_builder_matches_oracle_step_by_step(formula, cfg):
 def test_overlap_table_matches_dense_matrix(formula):
     codes = clause_code_array(formula)
     m, k = codes.shape
-    table = overlap_table(formula, codes)
+    table = overlap_table(codes)
     dense = np.full((m, m), k, dtype=np.int64)
     overlap = np.zeros((m, m), dtype=np.int64)
     for c in range(m):

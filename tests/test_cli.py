@@ -189,6 +189,28 @@ def test_compare_rejects_results_from_different_instances(tmp_path, cnf):
     assert run_cli("compare", str(a), str(b)) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("flips", "x"), ("flips", float("nan")), ("flips", float("inf")), ("solved", "no"),
+     ("flips", 2.7)],
+    ids=["flips-str", "flips-nan", "flips-inf", "solved-str", "flips-float"],
+)
+def test_compare_rejects_mistyped_result_fields(tmp_path, cnf, capsys, field, value):
+    good = tmp_path / "good.json"
+    assert run_cli("solve", "--budget", "500", "--in", str(cnf), "--out", str(good)) == 0
+    payload = json.loads(read(good))
+    payload["results"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")  # nan and inf go out as NaN, Infinity
+    capsys.readouterr()
+    out = tmp_path / "v.json"
+    assert run_cli("compare", str(good), str(bad), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert field in err
+    assert not out.exists()
+
+
 def test_sweep_with_config_and_overrides(tmp_path):
     config = tmp_path / "sweep.ini"
     config.write_text(

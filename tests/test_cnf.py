@@ -1,12 +1,14 @@
 """Formula model, DIMACS round trips, random generation, evaluation."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from builder_oracle import literal_code
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
 from satbec.cnf import (
     Assignment,
@@ -18,7 +20,6 @@ from satbec.cnf import (
     evaluate,
     formula_sha256,
     generate_random,
-    literal_code,
     parse_dimacs,
     serialize_dimacs,
 )
@@ -244,3 +245,18 @@ def test_clause_code_array_matches_literal_code(formula):
     assert codes.dtype == np.int64
     assert codes.shape == (formula.m, formula.k)
     assert codes.tolist() == expected
+
+
+@given(repeating_formulas())
+@example(Formula(n=4, k=0, clauses=()))
+@example(Formula(n=4, k=3, clauses=(Clause.from_signed((2, -2, 3)), Clause.from_signed((1, 1, 1)))))
+def test_dimacs_round_trip(formula):
+    """parse_dimacs inverts serialize_dimacs on every formula in the parser's
+    own terms: k is 0 when there is no clause, and ``duplicate_vars`` is set
+    exactly when some clause repeats a variable, with either sign."""
+    formula = dataclasses.replace(
+        formula,
+        k=formula.k if formula.m else 0,
+        duplicate_vars=any(len(set(c.variables())) < c.k for c in formula.clauses),
+    )
+    assert parse_dimacs(serialize_dimacs(formula)) == formula

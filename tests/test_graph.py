@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import components, degrees
-from satbec.builder import BuilderConfig, build_graph
+from satbec.builder import FIRST_CLAUSE_RULES, BuilderConfig, build_graph
 from satbec.cnf import generate_random
 from satbec.graph import (
     MODE_S2G,
@@ -91,6 +93,48 @@ def test_json_round_trip():
         back = graph_from_json(text)
         assert back == g
         assert graph_to_json(back) == text
+
+
+@st.composite
+def small_builds(draw):
+    """Graph JSON of a small build, in either mode."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, k + 6))
+    formula = generate_random(draw(st.integers(0, 2**16)), k, n, draw(st.integers(2, 25)))
+    cfg = BuilderConfig(
+        mode=draw(st.sampled_from(MODES)),
+        rho=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+        first_clause_rule=draw(st.sampled_from(FIRST_CLAUSE_RULES)),
+    )
+    return graph_to_json(build_graph(formula, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_builds())
+def test_json_round_trip_property(text):
+    assert graph_to_json(graph_from_json(text)) == text
+
+
+INTEGER_FIELDS = {"clause", "raw_fitness", "in_events", "out_events", "particles", "u", "v",
+                  "multiplicity"}
+NOT_NUMBERS = st.one_of(
+    st.text(), st.booleans(), st.none(), st.sampled_from((math.nan, math.inf, -math.inf))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_builds(), st.data())
+def test_json_rejects_any_mistyped_node_or_edge_field(text, data):
+    payload = json.loads(text)
+    entry = data.draw(st.sampled_from(payload[data.draw(st.sampled_from(("nodes", "edges")))]))
+    key = data.draw(st.sampled_from(sorted(entry)))
+    bad = NOT_NUMBERS
+    if key in INTEGER_FIELDS:
+        bad = st.one_of(bad, st.floats(), st.just(float(entry[key])))
+    entry[key] = data.draw(bad)
+    with pytest.raises(ValueError):
+        graph_from_json(json.dumps(payload))
 
 
 def test_json_is_stable_and_readable():

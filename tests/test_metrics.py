@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builder_oracle import literal_code
 from conftest import SAMPLE_10, formula_from_signed, state_with
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import Clause, Literal, generate_random, literal_code
+from satbec.cnf import Clause, Literal, generate_random
 from satbec.graph import MODES
 from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
 
