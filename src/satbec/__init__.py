@@ -28,7 +28,6 @@ from .cnf import (
     Clause,
     DimacsError,
     Formula,
-    Literal,
     evaluate,
     formula_sha256,
     generate_random,

@@ -48,6 +48,8 @@ import numpy as np
 
 from .cnf import Formula, clause_code_array, formula_sha256
 from .graph import (
+    FIRST_CLAUSE_RULES,
+    FIRST_RANDOM,
     MODE_S2G,
     MODE_S2GPA,
     MODES,
@@ -57,10 +59,6 @@ from .graph import (
 )
 from .metrics import FitnessRecord
 from .seeding import derive_rng
-
-FIRST_RANDOM = "random"
-FIRST_FITTEST = "fittest"
-FIRST_CLAUSE_RULES = (FIRST_RANDOM, FIRST_FITTEST)
 
 DEFAULT_THETA = 0.33
 DEFAULT_RHO = 1

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from . import solver as solver_mod
 from .analysis import classify, nonwinner_stats
-from .builder import FIRST_CLAUSE_RULES, BuilderConfig, build_graph
+from .builder import BuilderConfig, build_graph
 from .cnf import DimacsError, generate_random, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
@@ -36,7 +36,14 @@ from .experiments import (
     sweep,
     sweep_records_to_csv,
 )
-from .graph import MODES, export_dot, graph_from_json, graph_to_json, particle_spectrum
+from .graph import (
+    FIRST_CLAUSE_RULES,
+    MODES,
+    export_dot,
+    graph_from_json,
+    graph_to_json,
+    particle_spectrum,
+)
 from .seeding import TAG_ORDER, derive_seed
 
 
@@ -106,23 +113,27 @@ def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outp
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: dict):
-    """Write artifacts ({path: text}) plus a manifest per artifact.
+def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: list):
+    """Write artifacts ([(path, text)]) plus a manifest per artifact.
 
-    Every file is first written to a temporary file; they are renamed into
-    place only once all of them have been written, so a failed write leaves
-    none of them behind.
+    No two of these files may resolve to the same path.  Every file is first
+    written to a temporary file; they are renamed into place only once all of
+    them have been written, so a failed write leaves none of them behind.
     """
-    manifest = _manifest_text(subcommand, args, inputs, list(artifacts))
-    files = {}
-    for path, text in artifacts.items():
-        files[path] = text
-        files[path + ".manifest.json"] = manifest
+    manifest = _manifest_text(subcommand, args, inputs, [path for path, _ in artifacts])
+    files = []
+    for path, text in artifacts:
+        files += [(path, text), (path + ".manifest.json", manifest)]
+    first = {}
+    for i, (path, _) in enumerate(files):
+        j = first.setdefault(os.path.realpath(path), i)
+        if j != i:
+            raise UsageError(f"outputs {files[j][0]!r} and {path!r} are the same file")
     staged: dict[str, str] = {}
     try:
-        for path, text in files.items():
+        for path, text in files:
             staged[path] = _stage(path, text)
-        for path in files:
+        for path, _ in files:
             try:
                 os.replace(staged[path], path)
             except OSError as exc:
@@ -133,11 +144,11 @@ def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: di
             os.unlink(tmp)
 
 
-def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: dict | None = None):
+def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: list = ()):
     """Write ``text`` to ``--out`` and any ``extra`` artifacts, or print it
     when neither asks for a file."""
-    artifacts = {} if args.out is None else {args.out: text}
-    artifacts.update(extra or {})
+    artifacts = [] if args.out is None else [(args.out, text)]
+    artifacts += extra
     if artifacts:
         _emit(subcommand, args, inputs, artifacts)
     else:
@@ -172,7 +183,7 @@ def _cmd_gen(args):
         formula = generate_random(args.seed, args.k, args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit("gen", args, {}, {args.out: serialize_dimacs(formula)})
+    _emit("gen", args, {}, [(args.out, serialize_dimacs(formula))])
 
 
 class _List(NamedTuple):
@@ -276,7 +287,7 @@ def _config(config_cls, settings, args, ini: dict | None = None):
         elif ini and s.ini in ini:
             try:
                 given[s.field] = s.parse(ini[s.ini])
-            except ValueError as exc:
+            except (ValueError, UsageError) as exc:
                 raise DataError(f"config key {s.ini!r}: {exc}") from None
     fields = dataclasses.fields(config_cls)
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in given]
@@ -295,7 +306,7 @@ def _cmd_build(args):
         graph = build_graph(formula, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    _emit("build", args, {"in": record}, {args.out: graph_to_json(graph)})
+    _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
 
 
 def _classification_payload(graph):
@@ -334,7 +345,7 @@ def _cmd_spectrum(args):
             for level in spectrum.levels
         ],
     }
-    dot = {} if args.dot is None else {args.dot: export_dot(graph)}
+    dot = [] if args.dot is None else [(args.dot, export_dot(graph))]
     _emit_or_print("spectrum", args, {"in": record}, _json_text(payload), dot)
 
 
@@ -371,7 +382,7 @@ def _cmd_solve(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {"results": [_result_payload(args.algo, result, args)]}
-    _emit("solve", args, inputs, {args.out: _json_text(payload)})
+    _emit("solve", args, inputs, [(args.out, _json_text(payload))])
 
 
 def _is_count(value) -> bool:
@@ -428,18 +439,26 @@ def _cmd_sweep(args):
         try:
             parser.read_string(text)
             ini = {f"{name}.{key}": value
-                   for name in parser.sections() for key, value in parser[name].items()}
+                   for name in parser.sections() or [parser.default_section]
+                   for key, value in parser[name].items()}
         except configparser.Error as exc:
             raise DataError(f"{args.config}: {exc}") from None
+        # every key counts: a [DEFAULT] key as read by each section, or as
+        # DEFAULT.key in a file with no other section
+        known = {s.ini for s in _SWEEP_SETTINGS}
+        sections = {key.partition(".")[0] for key in known}
+        unknown = sorted(set(ini) - known) + sorted(set(parser.sections()) - sections)
+        if unknown:
+            raise DataError(f"{args.config}: unknown config section or key {unknown[0]!r}")
     cfg = _config(SweepConfig, _SWEEP_SETTINGS, args, ini)
     records = sweep(cfg, jobs=_effective_jobs(args.jobs))
-    _emit("sweep", args, inputs, {args.out: sweep_records_to_csv(records)})
+    _emit("sweep", args, inputs, [(args.out, sweep_records_to_csv(records))])
 
 
 def _cmd_bench(args):
     cfg = _config(BenchConfig, _BENCH_SETTINGS, args)
     report = benchmark(cfg, jobs=_effective_jobs(args.jobs))
-    _emit("bench", args, {}, {args.out: bench_report_to_csv(report)})
+    _emit("bench", args, {}, [(args.out, bench_report_to_csv(report))])
 
 
 def _effective_jobs(jobs: int) -> int:

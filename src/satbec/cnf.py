@@ -1,4 +1,7 @@
-"""CNF data model, DIMACS round-trip, random generation, evaluation."""
+"""CNF data model, DIMACS round-trip, random generation, evaluation.
+
+A clause is the tuple of its signed DIMACS ints, the form every kernel reads.
+"""
 
 from __future__ import annotations
 
@@ -17,90 +20,66 @@ class DimacsError(ValueError):
         self.kind = kind
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise ValueError("variable index must be >= 1")
-
-    @property
-    def signed(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-    @staticmethod
-    def from_signed(value: int) -> "Literal":
-        if value == 0:
-            raise ValueError("0 is not a literal")
-        return Literal(abs(value), value < 0)
-
-    def __str__(self) -> str:
-        return str(self.signed)
-
-
 @dataclass(frozen=True)
 class Clause:
-    """A clause as a tuple of literals.
+    """A clause as the tuple of its signed DIMACS ints: ``x`` is the variable
+    x and ``-x`` its negation.
 
-    The signed-int view and the set of distinct literals are computed on
-    first use and cached on the instance.  The cache is not a field: it
-    takes no part in equality, hashing or ``repr``, and it is dropped when
-    the clause is pickled.
+    The set of distinct literals is computed on first use and cached on the
+    instance.  The cache is not a field: it takes no part in equality,
+    hashing or ``repr``, and it is dropped when the clause is pickled.
     """
 
-    literals: tuple[Literal, ...]
+    literals: tuple[int, ...]
 
     @property
     def k(self) -> int:
         return len(self.literals)
 
     @cached_property
-    def _signed(self) -> tuple[int, ...]:
-        return tuple(lit.signed for lit in self.literals)
-
-    @cached_property
     def literal_set(self) -> frozenset[int]:
         """Distinct signed literals; smaller than ``k`` when a literal repeats."""
-        return frozenset(self._signed)
-
-    def signed(self) -> tuple[int, ...]:
-        return self._signed
+        return frozenset(self.literals)
 
     def __getstate__(self):
         return {"literals": self.literals}
 
     def variables(self) -> tuple[int, ...]:
-        return tuple(lit.variable for lit in self.literals)
+        return tuple(map(abs, self.literals))
 
     @staticmethod
     def from_signed(values) -> "Clause":
-        return Clause(tuple(Literal.from_signed(v) for v in values))
+        literals = tuple(values)
+        if 0 in literals:
+            raise ValueError("0 is not a literal")
+        return Clause(literals)
 
     def __str__(self) -> str:
-        return " ".join(str(lit) for lit in self.literals)
+        return " ".join(map(str, self.literals))
 
 
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula.
 
-    Its ``formula_sha256`` digest is computed on first use and cached on
-    the instance, like ``Clause``'s signed view: not a field, and dropped
-    when the formula is pickled.
+    Its ``formula_sha256`` digest and ``duplicate_vars`` are computed on
+    first use and cached on the instance, like ``Clause``'s literal set: not
+    fields, and dropped when the formula is pickled.
     """
 
     n: int
     k: int
     clauses: tuple[Clause, ...]
-    # set by the parser when some clause repeats a variable; generated
-    # formulas never do
-    duplicate_vars: bool = False
 
     @property
     def m(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def duplicate_vars(self) -> bool:
+        """Whether some clause repeats a variable, with either sign; parsed
+        formulas may, generated formulas never do."""
+        return any(len(set(clause.variables())) < clause.k for clause in self.clauses)
 
     @cached_property
     def _sha256(self) -> str:
@@ -125,8 +104,8 @@ class Assignment:
     def value(self, variable: int) -> bool:
         return self.values[variable - 1]
 
-    def satisfies(self, literal: Literal) -> bool:
-        return self.values[literal.variable - 1] != literal.negated
+    def satisfies(self, literal: int) -> bool:
+        return self.values[abs(literal) - 1] == (literal > 0)
 
 
 def parse_dimacs(text) -> Formula:
@@ -134,24 +113,14 @@ def parse_dimacs(text) -> Formula:
 
     Comment lines start with 'c'; a line starting with '%' ends the input.
     Clauses may span lines and are 0-terminated.  Clause lengths must be
-    uniform.  A clause that repeats a variable is accepted but flags the
-    formula with ``duplicate_vars``.
+    uniform.  A clause that repeats a variable is accepted; the formula's
+    ``duplicate_vars`` then reads True.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = None
     tokens: list[int] = []
     clauses: list[Clause] = []
-    duplicate = False
-
-    def close_clause(lits: list[int]):
-        nonlocal duplicate
-        clause = Clause.from_signed(lits)
-        seen = clause.variables()
-        if len(set(seen)) != len(seen):
-            duplicate = True
-        clauses.append(clause)
-
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -179,7 +148,7 @@ def parse_dimacs(text) -> Formula:
             except ValueError:
                 raise DimacsError("token", f"invalid literal token {tok!r}") from None
             if value == 0:
-                close_clause(tokens)
+                clauses.append(Clause(tuple(tokens)))
                 tokens = []
             else:
                 if abs(value) > n:
@@ -197,14 +166,14 @@ def parse_dimacs(text) -> Formula:
     k = clauses[0].k if clauses else 0
     if any(c.k != k for c in clauses):
         raise DimacsError("length", "non-uniform clause length")
-    return Formula(n=n, k=k, clauses=tuple(clauses), duplicate_vars=duplicate)
+    return Formula(n=n, k=k, clauses=tuple(clauses))
 
 
 def serialize_dimacs(formula: Formula) -> str:
     """Canonical DIMACS text: header line, one clause per line, no comments."""
     lines = [f"p cnf {formula.n} {formula.m}"]
     for clause in formula.clauses:
-        lines.append(" ".join(str(v) for v in clause.signed()) + " 0")
+        lines.append(f"{clause} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -225,14 +194,13 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
-    clauses = []
-    for _ in range(m):
-        variables = rng.choice(n, size=k, replace=False) + 1
-        negate = rng.random(k) < 0.5
-        clauses.append(
-            Clause(tuple(Literal(int(v), bool(s)) for v, s in zip(variables, negate)))
-        )
-    return Formula(n=n, k=k, clauses=tuple(clauses))
+    variables = np.empty((m, k), dtype=np.int64)
+    polarity = np.empty((m, k))
+    for c in range(m):
+        variables[c] = rng.choice(n, size=k, replace=False) + 1
+        polarity[c] = rng.random(k)
+    signed = np.where(polarity < 0.5, -variables, variables).tolist()
+    return Formula(n=n, k=k, clauses=tuple(Clause(tuple(lits)) for lits in signed))
 
 
 def evaluate(formula: Formula, assignment: Assignment) -> tuple[int, list[int]]:
@@ -244,15 +212,16 @@ def evaluate(formula: Formula, assignment: Assignment) -> tuple[int, list[int]]:
     unsat = [
         i
         for i, clause in enumerate(formula.clauses)
-        if not any(assignment.satisfies(lit) for lit in clause.literals)
+        if not any(map(assignment.satisfies, clause.literals))
     ]
     return formula.m - len(unsat), unsat
 
 
 def clause_code_array(formula: Formula) -> np.ndarray:
     """(m, k) int array of dense literal codes in [0, 2n), used by the numeric
-    kernels: x -> 2(x-1) and -x -> 2(x-1)+1, from the cached signed view."""
+    kernels: x -> 2(x-1) and -x -> 2(x-1)+1, read from the clauses' signed
+    ints."""
     signed = np.array(
-        [clause.signed() for clause in formula.clauses], dtype=np.int64
+        [clause.literals for clause in formula.clauses], dtype=np.int64
     ).reshape(formula.m, formula.k)
     return 2 * (np.abs(signed) - 1) + (signed < 0)

@@ -21,12 +21,11 @@ from .builder import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
     DEFAULT_THETA,
-    FIRST_RANDOM,
     BuilderConfig,
     build_graph,
 )
 from .cnf import Formula, generate_random
-from .graph import MODE_S2G, MODE_S2GPA, ClauseGraph
+from .graph import FIRST_RANDOM, MODE_S2G, MODE_S2GPA, ClauseGraph
 from .seeding import TAG_BUILD, TAG_GENERATE, TAG_ORDER, TAG_SOLVE, derive_seed
 
 # accepted satisfiability thresholds for uniform random k-SAT

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from operator import add, itemgetter, ne
 
@@ -21,6 +22,12 @@ from .metrics import ENERGY_LEVEL_TOL, FitnessRecord, group_energy_levels
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
 MODES = (MODE_S2G, MODE_S2GPA)
+
+FIRST_RANDOM = "random"
+FIRST_FITTEST = "fittest"
+FIRST_CLAUSE_RULES = (FIRST_RANDOM, FIRST_FITTEST)
+
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 @dataclass
@@ -206,22 +213,40 @@ def _check_numbers(key: str, values, integer: bool = False, minimum=None):
 
 def graph_from_json(text: str) -> ClauseGraph:
     """Parse graph JSON and check it against itself: numeric fields are
-    finite numbers, node clause indices are distinct and lie in [0, m),
-    each node's particles equal its in plus out events, and every edge
-    joins two distinct known nodes, once.  Raises ValueError otherwise."""
+    finite numbers, the header holds values a build can write, node clause
+    indices are distinct and lie in [0, m), each node's particles equal its
+    in plus out events, and every edge joins two distinct known nodes, once.
+    Raises ValueError otherwise."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid graph JSON: {exc}") from None
     try:
         _check_numbers("temperature", (payload["temperature"],))
-        _check_numbers("seed", (payload["seed"],), integer=True)
-        _check_numbers("n", (payload["n"],), integer=True, minimum=0)
-        _check_numbers("k", (payload["k"],), integer=True, minimum=0)
-        if payload["theta"] is not None:  # s2g graphs carry no theta or rho
-            _check_numbers("theta", (payload["theta"],))
-        if payload["rho"] is not None:
-            _check_numbers("rho", (payload["rho"],), integer=True)
+        _check_numbers("seed", (payload["seed"],), integer=True, minimum=0)
+        _check_numbers("n", (payload["n"],), integer=True, minimum=1)
+        _check_numbers("k", (payload["k"],), integer=True, minimum=1)
+        if payload["temperature"] <= 0:
+            raise ValueError("graph JSON field 'temperature' is not positive")
+        theta, rho = payload["theta"], payload["rho"]
+        if theta is not None:
+            _check_numbers("theta", (theta,))
+        if rho is not None:
+            _check_numbers("rho", (rho,), integer=True)
+        if payload["mode"] not in MODES:
+            raise ValueError(f"unknown graph mode {payload['mode']!r}")
+        if payload["mode"] == MODE_S2G:  # s2g graphs carry no theta or rho
+            if theta is not None or rho is not None:
+                raise ValueError("graph JSON of mode 's2g' carries a theta or a rho")
+        elif theta is None or not 0.0 < theta < 1.0 or rho is None or rho < 1:
+            raise ValueError("graph JSON of mode 's2gpa' needs theta in (0, 1) and rho >= 1")
+        if payload["first_clause_rule"] not in FIRST_CLAUSE_RULES:
+            raise ValueError(
+                f"unknown first-clause rule {payload['first_clause_rule']!r} in graph JSON"
+            )
+        digest = payload["formula_sha256"]
+        if type(digest) is not str or not _SHA256.fullmatch(digest):
+            raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
         graph = ClauseGraph(
             mode=payload["mode"],
             temperature=payload["temperature"],
@@ -267,8 +292,6 @@ def graph_from_json(text: str) -> ClauseGraph:
                 out_events=o,
             )
         )
-    if graph.mode not in MODES:
-        raise ValueError(f"unknown graph mode {graph.mode!r}")
     if declared_m != graph.m or declared_order != graph.insertion_order:
         raise ValueError("graph JSON is inconsistent with its node list")
     known = set(clause)

@@ -1,11 +1,11 @@
 """Clause distance, the per-node fitness record, and energy levels.
 
 Distance between equal-length clauses counts how many literal slots cannot
-be matched across the two literal multisets; a positive and a negated
-occurrence of the same variable are distinct literals.  The distance is
-computed from each clause's cached set of distinct literals; only a pair in
-which both clauses repeat a literal needs the multiset count, and both ways
-give the same value.
+be matched across the two multisets of signed literals; a variable ``x`` and
+its negation ``-x`` are distinct literals.  The distance is computed from
+each clause's cached set of distinct literals; only a pair in which both
+clauses repeat a literal needs the multiset count, and both ways give the
+same value.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def clause_distance(a: Clause, b: Clause) -> int:
     sa, sb = a.literal_set, b.literal_set
     if len(sa) == k or len(sb) == k:
         return k - len(sa & sb)
-    shared = sum((Counter(a.signed()) & Counter(b.signed())).values())
+    shared = sum((Counter(a.literals) & Counter(b.literals)).values())
     return k - shared
 
 

@@ -150,7 +150,7 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     clause_vars: list[tuple[int, ...]] = []
     nt: list[int] = []  # true literal occurrences per clause
     for c, clause in enumerate(formula.clauses):
-        lits = clause.signed()
+        lits = clause.literals
         clause_vars.append(tuple(abs(lit) for lit in lits))
         for lit in lits:
             occ[lit].append(c)

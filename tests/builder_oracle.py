@@ -24,15 +24,15 @@ from collections import Counter
 import numpy as np
 
 from satbec.builder import FIRST_RANDOM, BuilderConfig
-from satbec.cnf import Formula, Literal, formula_sha256
+from satbec.cnf import Formula, formula_sha256
 from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
 from satbec.metrics import FitnessRecord, clause_distance
 from satbec.seeding import derive_rng
 
 
-def literal_code(literal: Literal) -> int:
-    """Dense code in [0, 2n): positive literal of x -> 2(x-1), negated -> 2(x-1)+1."""
-    return 2 * (literal.variable - 1) + (1 if literal.negated else 0)
+def literal_code(literal: int) -> int:
+    """Dense code in [0, 2n) of a signed literal: x -> 2(x-1), -x -> 2(x-1)+1."""
+    return 2 * (abs(literal) - 1) + (1 if literal < 0 else 0)
 
 
 def clause_codes(formula: Formula) -> np.ndarray:
@@ -45,8 +45,8 @@ def clause_codes(formula: Formula) -> np.ndarray:
 
 def distance_matrix(formula: Formula, codes: np.ndarray) -> np.ndarray:
     """Pairwise clause distances.  The vectorized path assumes no repeated
-    variables inside a clause; formulas flagged by the parser fall back to the
-    exact multiset computation."""
+    variables inside a clause; formulas whose ``duplicate_vars`` is set fall
+    back to the exact multiset computation."""
     m, k = codes.shape
     if formula.duplicate_vars:
         dist = np.zeros((m, m), dtype=np.int16)
@@ -116,8 +116,8 @@ def select_first_clause(formula: Formula, cfg: BuilderConfig, rng) -> int:
     whole-formula fitness (a Counter over signed literals)."""
     if cfg.first_clause_rule == FIRST_RANDOM:
         return int(rng.integers(formula.m))
-    counts = Counter(x for clause in formula.clauses for x in clause.signed())
-    fits = [sum(counts[x] for x in clause.signed()) for clause in formula.clauses]
+    counts = Counter(x for clause in formula.clauses for x in clause.literals)
+    fits = [sum(counts[x] for x in clause.literals) for clause in formula.clauses]
     ties = [c for c, fit in enumerate(fits) if fit == max(fits)]
     return ties[int(rng.integers(len(ties)))]
 

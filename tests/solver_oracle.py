@@ -3,9 +3,10 @@
 This is the walk written out in parts: an engine object with its own
 ``delta_e``, ``critical_clauses`` and ``flip``, selector objects for the
 uniform and the ordered clause picks, ``rng.randrange`` for every uniform
-draw, and occurrence lists read from ``Literal`` objects.  ``satbec.solver``
-fuses all of it into one loop; the two must return equal ``SolverResult``s
-field for field, so they must consume the random stream identically.
+draw, and occurrence lists that work out each signed literal's variable and
+sign themselves.  ``satbec.solver`` fuses all of it into one loop; the two
+must return equal ``SolverResult``s field for field, so they must consume
+the random stream identically.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ class Engine:
         self.occ: list[list[int]] = [[] for _ in range(2 * n)]
         self.clause_vars: list[tuple[int, ...]] = []
         for c, clause in enumerate(formula.clauses):
-            self.clause_vars.append(clause.variables())
+            self.clause_vars.append(tuple(abs(lit) for lit in clause.literals))
             for lit in clause.literals:
-                self.occ[2 * (lit.variable - 1) + (1 if lit.negated else 0)].append(c)
+                self.occ[2 * (abs(lit) - 1) + (1 if lit < 0 else 0)].append(c)
         assign = self.assign
         self.num_true = [
-            sum(1 for lit in clause.literals if assign[lit.variable] != lit.negated)
+            sum(1 for lit in clause.literals if assign[abs(lit)] == (lit > 0))
             for clause in formula.clauses
         ]
         self.unsat: list[int] = []

@@ -240,6 +240,32 @@ def test_sweep_rejects_malformed_config(tmp_path):
     assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")) == 2
 
 
+SMALL_INI = "[sweep]\nn_values = 10\nalphas = 1.0\ninstances = 1\ngraphs = 1\n"
+
+
+@pytest.mark.parametrize(
+    "ini, key",
+    [
+        (SMALL_INI + "instance = 1\n", "sweep.instance"),
+        (SMALL_INI + "[buildr]\n", "buildr"),
+        (SMALL_INI + "[buildr]\nmode = s2gpa\n", "buildr.mode"),
+        ("[DEFAULT]\nmode = s2gpa\n" + SMALL_INI, "sweep.mode"),
+        ("[DEFAULT]\ninstances = 1\n", "DEFAULT.instances"),
+        (SMALL_INI.replace("1.0", "x"), "sweep.alphas"),
+        (SMALL_INI.replace("10", ""), "sweep.n_values"),
+    ],
+    ids=["typo-key", "empty-section", "unknown-section", "default-key", "default-only",
+         "bad-list", "empty-list"],
+)
+def test_sweep_config_errors_are_data_errors(tmp_path, capsys, ini, key):
+    config = tmp_path / "sweep.ini"
+    config.write_text(ini, encoding="utf-8")
+    assert run_cli("sweep", "--config", str(config), "--jobs", "1",
+                   "--out", str(tmp_path / "s.csv")) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 SWEEP = ("sweep", "--n-values", "10", "--alphas", "1.0", "--instances", "1", "--graphs", "1",
          "--jobs", "1")
 BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--budget", "50",
@@ -256,6 +282,7 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (SWEEP + ("--k", "0"), None),
         (SWEEP + ("--k", "5", "--n-values", "3"), None),
         (SWEEP + ("--alphas", "0.1"), None),
+        (SWEEP + ("--alphas", "x"), None),
         (BENCH + ("--theta", "2"), None),
         (BENCH + ("--solvers", "chainsat", "--theta", "2"), None),
         (BENCH + ("--temp", "0"), None),
@@ -266,9 +293,9 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (BENCH + ("--seed", "-1"), None),
     ],
     ids=["sweep-theta", "sweep-rho", "sweep-temp-nan", "sweep-ini-mode", "sweep-k0",
-         "sweep-k-above-n", "sweep-one-clause", "bench-theta", "bench-chainsat-theta",
-         "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults", "bench-k-above-n",
-         "bench-seed"],
+         "sweep-k-above-n", "sweep-one-clause", "sweep-bad-list", "bench-theta",
+         "bench-chainsat-theta", "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults",
+         "bench-k-above-n", "bench-seed"],
 )
 def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, ini):
     out = tmp_path / "out.csv"
@@ -372,6 +399,26 @@ def test_graph_with_edge_to_unknown_node_is_data_error(tmp_path, cnf, graph):
         payload["edges"][0]["v"] = payload["m"] + 5
 
     assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
+def test_graph_with_unwritable_header_is_data_error(tmp_path, cnf, graph):
+    def edit(payload):
+        payload["first_clause_rule"] = None
+
+    assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "dot",
+    ["s.json", "s.json.manifest.json", os.path.join("sub", "..", "s.json")],
+    ids=["artifact", "manifest", "same-file-other-spelling"],
+)
+def test_outputs_on_one_path_are_usage_errors(tmp_path, graph, monkeypatch, capsys, dot):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("spectrum", "--in", str(graph), "--out", "s.json", "--dot", dot) == 1
+    assert "are the same file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_no_output_for_unknown_flag(tmp_path):

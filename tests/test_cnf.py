@@ -15,7 +15,6 @@ from satbec.cnf import (
     Clause,
     DimacsError,
     Formula,
-    Literal,
     clause_code_array,
     evaluate,
     formula_sha256,
@@ -25,20 +24,16 @@ from satbec.cnf import (
 )
 
 
-def test_literal_signed_codes():
-    assert Literal(3).signed == 3
-    assert Literal(3, negated=True).signed == -3
-    assert Literal.from_signed(-7) == Literal(7, True)
-    with pytest.raises(ValueError):
-        Literal.from_signed(0)
-    with pytest.raises(ValueError):
-        Literal(0)
+def test_clause_from_signed_rejects_zero():
+    assert Clause.from_signed([3, -7]) == Clause((3, -7))
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        Clause.from_signed((1, 0, 2))
 
 
 def test_clause_accessors():
     c = Clause.from_signed((4, -2, 9))
     assert c.k == 3
-    assert c.signed() == (4, -2, 9)
+    assert c.literals == (4, -2, 9)
     assert c.variables() == (4, 2, 9)
     assert str(c) == "4 -2 9"
 
@@ -47,13 +42,9 @@ def test_clause_cache_leaves_identity_alone():
     a = Clause.from_signed((4, -2, 9))
     b = Clause.from_signed((4, -2, 9))
     assert a.literal_set == {4, -2, 9}  # fills a's cache, not b's
-    assert a.signed() is a.signed()
     assert a == b
     assert hash(a) == hash(b)
-    assert repr(a) == repr(b) == (
-        "Clause(literals=(Literal(variable=4, negated=False), "
-        "Literal(variable=2, negated=True), Literal(variable=9, negated=False)))"
-    )
+    assert repr(a) == repr(b) == "Clause(literals=(4, -2, 9))"
     assert Clause.from_signed((1, 1, -1)).literal_set == {1, -1}
 
 
@@ -61,11 +52,12 @@ def test_formula_pickle_round_trip_ignores_cache(sample20):
     fresh = pickle.dumps(sample20)
     for clause in sample20.clauses:
         clause.literal_set
+    assert not sample20.duplicate_vars
     assert pickle.dumps(sample20) == fresh
     back = pickle.loads(fresh)
     assert back == sample20
     assert hash(back) == hash(sample20)
-    assert tuple(c.signed() for c in back.clauses) == SAMPLE_20
+    assert tuple(c.literals for c in back.clauses) == SAMPLE_20
 
 
 def test_formula_digest_cache_leaves_identity_alone(sample20):
@@ -105,10 +97,10 @@ def test_formula_counts():
 
 def test_assignment_satisfies_and_flip():
     a = Assignment((True, False))
-    assert a.satisfies(Literal(1))
-    assert not a.satisfies(Literal(1, True))
-    assert a.satisfies(Literal(2, True))
-    assert Assignment((True, True)).satisfies(Literal(2))  # variable 2 flipped
+    assert a.satisfies(1)
+    assert not a.satisfies(-1)
+    assert a.satisfies(-2)
+    assert Assignment((True, True)).satisfies(2)  # variable 2 flipped
 
 
 BASIC = """c example
@@ -122,7 +114,7 @@ p cnf 4 3
 def test_parse_basic():
     f = parse_dimacs(BASIC)
     assert (f.n, f.k, f.m) == (4, 3, 3)
-    assert f.clauses[0].signed() == (1, -2, 3)
+    assert f.clauses[0].literals == (1, -2, 3)
     assert not f.duplicate_vars
 
 
@@ -130,13 +122,22 @@ def test_parse_accepts_bytes_multiline_and_percent_footer():
     text = "c x\np cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n%\n0\nnoise after footer\n"
     f = parse_dimacs(text.encode("utf-8"))
     assert f.m == 2
-    assert f.clauses[0].signed() == (1, 2, 3)
-    assert f.clauses[1].signed() == (-1, -2, -3)
+    assert f.clauses[0].literals == (1, 2, 3)
+    assert f.clauses[1].literals == (-1, -2, -3)
 
 
 def test_parse_flags_repeated_variable():
     f = parse_dimacs("p cnf 3 1\n1 -1 2 0\n")
     assert f.duplicate_vars
+
+
+@pytest.mark.parametrize("signed", [(1, 1, 2), (1, -1, 2)])
+def test_duplicate_vars_is_read_from_the_clauses(signed):
+    hand_built = Formula(n=3, k=3, clauses=(Clause.from_signed(signed),))
+    assert hand_built.duplicate_vars
+    assert parse_dimacs(serialize_dimacs(hand_built)) == hand_built
+    assert not generate_random(0, 3, 3, 5).duplicate_vars
+    assert "duplicate_vars" not in {f.name for f in dataclasses.fields(Formula)}
 
 
 @pytest.mark.parametrize(
@@ -192,7 +193,8 @@ def test_generate_random_shape_and_determinism():
 
 def test_generate_random_polarity_balance():
     f = generate_random(5, 3, 30, 400)
-    negs = sum(lit.negated for c in f.clauses for lit in c.literals)
+    assert {type(lit) for c in f.clauses for lit in c.literals} == {int}
+    negs = sum(lit < 0 for c in f.clauses for lit in c.literals)
     assert 0.45 < negs / (3 * 400) < 0.55
 
 
@@ -215,9 +217,9 @@ def test_evaluate_counts_and_indices():
 
 
 def test_literal_codes_are_dense():
-    assert literal_code(Literal(1)) == 0
-    assert literal_code(Literal(1, True)) == 1
-    assert literal_code(Literal(3)) == 4
+    assert literal_code(1) == 0
+    assert literal_code(-1) == 1
+    assert literal_code(3) == 4
     codes = clause_code_array(generate_random(0, 3, 8, 15))
     assert codes.shape == (15, 3)
     assert codes.min() >= 0 and codes.max() < 16
@@ -252,11 +254,6 @@ def test_clause_code_array_matches_literal_code(formula):
 @example(Formula(n=4, k=3, clauses=(Clause.from_signed((2, -2, 3)), Clause.from_signed((1, 1, 1)))))
 def test_dimacs_round_trip(formula):
     """parse_dimacs inverts serialize_dimacs on every formula in the parser's
-    own terms: k is 0 when there is no clause, and ``duplicate_vars`` is set
-    exactly when some clause repeats a variable, with either sign."""
-    formula = dataclasses.replace(
-        formula,
-        k=formula.k if formula.m else 0,
-        duplicate_vars=any(len(set(c.variables())) < c.k for c in formula.clauses),
-    )
+    own terms, where k is 0 when there is no clause."""
+    formula = dataclasses.replace(formula, k=formula.k if formula.m else 0)
     assert parse_dimacs(serialize_dimacs(formula)) == formula

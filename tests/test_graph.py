@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import components, degrees
-from satbec.builder import FIRST_CLAUSE_RULES, BuilderConfig, build_graph
+from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
 from satbec.graph import (
+    FIRST_CLAUSE_RULES,
     MODE_S2G,
     MODE_S2GPA,
     MODES,
@@ -230,6 +231,44 @@ def test_json_rejects_payload_inconsistent_with_itself(name):
     graph_from_json(json.dumps(payload))  # untouched: accepted
     edit(payload)
     with pytest.raises(ValueError, match=message):
+        graph_from_json(json.dumps(payload))
+
+
+# header values no build can write, with the modes they apply to
+HEADER_TAMPERS = [
+    ("first_clause_rule", None, MODES),
+    ("first_clause_rule", "best", MODES),
+    ("formula_sha256", 12, MODES),
+    ("formula_sha256", "0" * 63, MODES),
+    ("formula_sha256", "A" * 64, MODES),
+    ("temperature", -1.0, MODES),
+    ("temperature", 0, MODES),
+    ("n", 0, MODES),
+    ("k", 0, MODES),
+    ("seed", -3, MODES),
+    ("mode", "swap", MODES),
+    ("rho", 0, (MODE_S2GPA,)),
+    ("rho", None, (MODE_S2GPA,)),
+    ("theta", 1.5, (MODE_S2GPA,)),
+    ("theta", 0, (MODE_S2GPA,)),
+    ("theta", None, (MODE_S2GPA,)),
+    ("theta", 0.5, (MODE_S2G,)),
+    ("rho", 4, (MODE_S2G,)),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, key, value",
+    [(mode, key, value) for key, value, modes in HEADER_TAMPERS for mode in modes],
+)
+def test_json_rejects_header_no_build_writes(mode, key, value):
+    graph = build_graph(generate_random(2, 3, 12, 24), BuilderConfig(mode=mode, seed=5))
+    payload = json.loads(graph_to_json(graph))
+    graph_from_json(json.dumps(payload))  # untouched: accepted
+    if value == "swap":
+        value = MODE_S2GPA if mode == MODE_S2G else MODE_S2G
+    payload[key] = value
+    with pytest.raises(ValueError):
         graph_from_json(json.dumps(payload))
 
 

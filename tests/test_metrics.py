@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from builder_oracle import literal_code
 from conftest import SAMPLE_10, formula_from_signed, state_with
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import Clause, Literal, generate_random
+from satbec.cnf import Clause, generate_random
 from satbec.graph import MODES
 from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
 
@@ -29,7 +29,7 @@ def built_fitness(formula, **cfg):
 
 def test_literal_frequency_counts_signed_occurrences(sample10):
     freq = state_with(sample10, range(10)).freq
-    count = lambda signed: freq[literal_code(Literal.from_signed(signed))]
+    count = lambda signed: freq[literal_code(signed)]
     assert freq.sum() == 30
     assert count(52) == 2  # appears in clauses 0 and 5
     assert count(-55) == 2
@@ -73,7 +73,7 @@ def test_clause_distance_multiset_semantics():
 
 def multiset_distance(a, b):
     """The plain multiset formula, kept as the oracle for clause_distance."""
-    shared = collections.Counter(a.signed()) & collections.Counter(b.signed())
+    shared = collections.Counter(a.literals) & collections.Counter(b.literals)
     return a.k - sum(shared.values())
 
 
