@@ -24,8 +24,6 @@ from .solver import (
     solve,
 )
 from .cnf import (
-    Assignment,
-    Clause,
     DimacsError,
     Formula,
     evaluate,

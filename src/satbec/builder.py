@@ -26,14 +26,16 @@ attachment weights over that neighbourhood alone, in one Python pass over
 its row of an overlap table built once per formula by one numpy pass
 (``overlap_table``, O(m x mean neighbourhood) memory) that is exact also
 when clauses repeat literals.  Once the fittest clause's row holds no
-unadded clause, the closest-clause search draws from a sorted list.  The rest of a step is a fixed handful of numpy calls: the
-sum and division that give ``pi`` and, in preferential mode, its cumulative
-sum (in plain mode, one uniform draw per existing node).  A step at n=100,
-m=800 costs about 12 us (median, 2-core Xeon, Python 3.11); those numpy
-calls are O(m), so a build is still O(m^2).  Normalized fitness and
-energies are filled once, after the last step: an ``iteration_hook`` sees
-them still at zero.  The temperature only scales those energies; it changes
-no edge, no insertion order and no energy ordering.
+unadded clause, the closest-clause search draws from a sorted list.
+
+The rest of a step is a fixed handful of numpy calls: the sum and division
+that give ``pi`` and, in preferential mode, its cumulative sum (in plain
+mode, one uniform draw per existing node).  A step at n=100, m=800 costs
+about 12 us (median, 2-core Xeon, Python 3.11); those numpy calls are O(m),
+so a build is still O(m^2).  Normalized fitness and energies are filled
+once, after the last step: an ``iteration_hook`` sees them still at zero.
+The temperature only scales those energies; it changes no edge, no
+insertion order and no energy ordering.
 """
 
 from __future__ import annotations
@@ -160,8 +162,6 @@ class BuildState:
     def __init__(self, formula: Formula, cfg: BuilderConfig):
         if formula.m < 1:
             raise ValueError("formula has no clauses")
-        if formula.k < 1:
-            raise ValueError("clauses must have at least one literal")
         self.formula = formula
         self.cfg = cfg
         self.rng = derive_rng(cfg.seed)

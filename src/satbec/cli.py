@@ -76,6 +76,8 @@ def _read_input(path: str) -> tuple[str, dict]:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read input file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return text, {"path": path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
@@ -165,8 +167,6 @@ def _load_formula(path: str):
         formula = parse_dimacs(text)
     except DimacsError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if formula.m and formula.k < 1:
-        raise DataError(f"{path}: clauses must have at least one literal")
     return record, formula
 
 

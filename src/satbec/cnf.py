@@ -1,6 +1,8 @@
 """CNF data model, DIMACS round-trip, random generation, evaluation.
 
-A clause is the tuple of its signed DIMACS ints, the form every kernel reads.
+A formula is its variable count ``n`` and a tuple of clauses, each clause the
+tuple of its signed DIMACS ints: ``x`` is the variable x and ``-x`` its
+negation.  ``Formula`` checks its clauses once, on construction.
 """
 
 from __future__ import annotations
@@ -8,78 +10,64 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 
 class DimacsError(ValueError):
-    """Raised on malformed DIMACS input.  ``kind`` identifies the failure."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
-
-
-@dataclass(frozen=True)
-class Clause:
-    """A clause as the tuple of its signed DIMACS ints: ``x`` is the variable
-    x and ``-x`` its negation.
-
-    The set of distinct literals is computed on first use and cached on the
-    instance.  The cache is not a field: it takes no part in equality,
-    hashing or ``repr``, and it is dropped when the clause is pickled.
-    """
-
-    literals: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.literals)
-
-    @cached_property
-    def literal_set(self) -> frozenset[int]:
-        """Distinct signed literals; smaller than ``k`` when a literal repeats."""
-        return frozenset(self.literals)
-
-    def __getstate__(self):
-        return {"literals": self.literals}
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(map(abs, self.literals))
-
-    @staticmethod
-    def from_signed(values) -> "Clause":
-        literals = tuple(values)
-        if 0 in literals:
-            raise ValueError("0 is not a literal")
-        return Clause(literals)
-
-    def __str__(self) -> str:
-        return " ".join(map(str, self.literals))
+    """Raised on malformed DIMACS input."""
 
 
 @dataclass(frozen=True)
 class Formula:
-    """A CNF formula.
+    """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
+    length k >= 1, whose literals are nonzero ints in [-n, n].
 
     Its ``formula_sha256`` digest and ``duplicate_vars`` are computed on
-    first use and cached on the instance, like ``Clause``'s literal set: not
-    fields, and dropped when the formula is pickled.
+    first use and cached on the instance: not fields, and dropped when the
+    formula is pickled.
     """
 
     n: int
-    k: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n, clauses = self.n, self.clauses
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be an int >= 0, got {n!r}")
+        # lists would leave the formula unhashable and unequal to its parse
+        if type(clauses) is not tuple or not set(map(type, clauses)) <= {tuple}:
+            raise ValueError("clauses must be a tuple of tuples")
+        lengths = set(map(len, clauses))
+        if len(lengths) > 1:
+            raise ValueError("non-uniform clause length")
+        if 0 in lengths:
+            raise ValueError("clauses must have at least one literal")
+        # by type first: a set holds True or 1.0 as the int 1
+        if not set(map(type, chain.from_iterable(clauses))) <= {int}:
+            raise ValueError("literals must be ints")
+        literals = set().union(*clauses)
+        if 0 in literals:
+            raise ValueError("0 is not a literal")
+        lo, hi = min(literals, default=0), max(literals, default=0)
+        if lo < -n or hi > n:
+            raise ValueError(f"literal {lo if lo < -n else hi} out of range for n={n}")
 
     @property
     def m(self) -> int:
         return len(self.clauses)
 
+    @property
+    def k(self) -> int:
+        """Literals per clause; 0 when there is no clause."""
+        return len(self.clauses[0]) if self.clauses else 0
+
     @cached_property
     def duplicate_vars(self) -> bool:
         """Whether some clause repeats a variable, with either sign; parsed
         formulas may, generated formulas never do."""
-        return any(len(set(clause.variables())) < clause.k for clause in self.clauses)
+        return any(len(set(map(abs, clause))) < len(clause) for clause in self.clauses)
 
     @cached_property
     def _sha256(self) -> str:
@@ -88,39 +76,20 @@ class Formula:
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
-    def alpha(self) -> float:
-        return self.m / self.n
-
-
-@dataclass(frozen=True)
-class Assignment:
-    values: tuple[bool, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def value(self, variable: int) -> bool:
-        return self.values[variable - 1]
-
-    def satisfies(self, literal: int) -> bool:
-        return self.values[abs(literal) - 1] == (literal > 0)
-
 
 def parse_dimacs(text) -> Formula:
     """Parse DIMACS CNF text (str or bytes) into a Formula.
 
     Comment lines start with 'c'; a line starting with '%' ends the input.
-    Clauses may span lines and are 0-terminated.  Clause lengths must be
-    uniform.  A clause that repeats a variable is accepted; the formula's
-    ``duplicate_vars`` then reads True.
+    Clauses may span lines and are 0-terminated.  A clause that repeats a
+    variable is accepted; the formula's ``duplicate_vars`` then reads True.
+    A formula that ``Formula`` rejects is a ``DimacsError``.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = None
     tokens: list[int] = []
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -129,51 +98,47 @@ def parse_dimacs(text) -> Formula:
             break
         if line.startswith("p"):
             if n is not None:
-                raise DimacsError("header", "malformed header: duplicate 'p' line")
+                raise DimacsError("malformed header: duplicate 'p' line")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError("header", f"malformed header: {line!r}")
+                raise DimacsError(f"malformed header: {line!r}")
             try:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
-                raise DimacsError("header", f"malformed header: {line!r}") from None
+                raise DimacsError(f"malformed header: {line!r}") from None
             if n < 0 or m < 0:
-                raise DimacsError("header", "malformed header: negative counts")
+                raise DimacsError("malformed header: negative counts")
             continue
         if n is None:
-            raise DimacsError("header", "malformed header: clause data before 'p' line")
+            raise DimacsError("malformed header: clause data before 'p' line")
         for tok in line.split():
             try:
                 value = int(tok)
             except ValueError:
-                raise DimacsError("token", f"invalid literal token {tok!r}") from None
+                raise DimacsError(f"invalid literal token {tok!r}") from None
             if value == 0:
-                clauses.append(Clause(tuple(tokens)))
+                clauses.append(tuple(tokens))
                 tokens = []
             else:
-                if abs(value) > n:
-                    raise DimacsError("range", f"literal {value} out of range for n={n}")
                 tokens.append(value)
 
     if n is None:
-        raise DimacsError("header", "malformed header: missing 'p' line")
+        raise DimacsError("malformed header: missing 'p' line")
     if tokens:
-        raise DimacsError("unterminated", "unterminated clause at end of input")
+        raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
-        raise DimacsError(
-            "count", f"clause count mismatch: header says {m}, found {len(clauses)}"
-        )
-    k = clauses[0].k if clauses else 0
-    if any(c.k != k for c in clauses):
-        raise DimacsError("length", "non-uniform clause length")
-    return Formula(n=n, k=k, clauses=tuple(clauses))
+        raise DimacsError(f"clause count mismatch: header says {m}, found {len(clauses)}")
+    try:
+        return Formula(n=n, clauses=tuple(clauses))
+    except ValueError as exc:
+        raise DimacsError(str(exc)) from None
 
 
 def serialize_dimacs(formula: Formula) -> str:
     """Canonical DIMACS text: header line, one clause per line, no comments."""
     lines = [f"p cnf {formula.n} {formula.m}"]
     for clause in formula.clauses:
-        lines.append(f"{clause} 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -200,20 +165,16 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
         variables[c] = rng.choice(n, size=k, replace=False) + 1
         polarity[c] = rng.random(k)
     signed = np.where(polarity < 0.5, -variables, variables).tolist()
-    return Formula(n=n, k=k, clauses=tuple(Clause(tuple(lits)) for lits in signed))
+    return Formula(n=n, clauses=tuple(map(tuple, signed)))
 
 
-def evaluate(formula: Formula, assignment: Assignment) -> tuple[int, list[int]]:
-    """Return (number of satisfied clauses, indices of unsatisfied clauses)."""
-    if assignment.n != formula.n:
-        raise ValueError(
-            f"assignment length {assignment.n} does not match n={formula.n}"
-        )
-    unsat = [
-        i
-        for i, clause in enumerate(formula.clauses)
-        if not any(map(assignment.satisfies, clause.literals))
-    ]
+def evaluate(formula: Formula, values) -> tuple[int, list[int]]:
+    """Return (number of satisfied clauses, indices of unsatisfied clauses)
+    under ``values``, the truth values of variables 1..n in order."""
+    if len(values) != formula.n:
+        raise ValueError(f"assignment length {len(values)} does not match n={formula.n}")
+    true = {v if value else -v for v, value in enumerate(values, 1)}
+    unsat = [i for i, clause in enumerate(formula.clauses) if true.isdisjoint(clause)]
     return formula.m - len(unsat), unsat
 
 
@@ -221,7 +182,5 @@ def clause_code_array(formula: Formula) -> np.ndarray:
     """(m, k) int array of dense literal codes in [0, 2n), used by the numeric
     kernels: x -> 2(x-1) and -x -> 2(x-1)+1, read from the clauses' signed
     ints."""
-    signed = np.array(
-        [clause.literals for clause in formula.clauses], dtype=np.int64
-    ).reshape(formula.m, formula.k)
+    signed = np.array(formula.clauses, dtype=np.int64).reshape(formula.m, formula.k)
     return 2 * (np.abs(signed) - 1) + (signed < 0)

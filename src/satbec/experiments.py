@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,8 +107,8 @@ def _check_grid(k: int, n_values: tuple[int, ...], alphas: tuple[float, ...], bu
     when ``builds``, has the 2 clauses a network needs."""
     if not n_values or any(n < 1 for n in n_values):
         raise ValueError("n_values must be positive")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be positive")
+    if not all(0 < a < math.inf for a in alphas):
+        raise ValueError("alphas must be positive and finite")
     if not 1 <= k <= min(n_values):
         raise ValueError(f"k must lie in [1, {min(n_values)}], the smallest n")
     if builds and any(clause_count(n, a) < 2 for n in n_values for a in alphas):
@@ -192,19 +193,20 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _run_tasks(fn, tasks: list, jobs: int) -> dict:
-    """``dict(map(fn, tasks))`` for tasks returning (key, value) pairs, in
-    ``worker_count(jobs, len(tasks))`` processes when that is more than 1."""
+def _run_tasks(fn, cfg: SweepConfig | BenchConfig, jobs: int) -> list:
+    """``fn(cfg, n_index, alpha_index)`` at every grid point, in n-major
+    order, in ``worker_count(jobs, points)`` processes when that is more
+    than 1; ``map`` and ``pool.map`` both keep the order."""
+    tasks = [
+        (cfg, n_index, alpha_index)
+        for n_index in range(len(cfg.n_values))
+        for alpha_index in range(len(cfg.alphas))
+    ]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
-        return dict(map(fn, tasks))
+        return list(map(fn, *zip(*tasks)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(fn, tasks))
-
-
-def _sweep_task(args) -> tuple[tuple[int, int], list[GraphSample]]:
-    cfg, n_index, alpha_index = args
-    return (n_index, alpha_index), run_grid_point(cfg, n_index, alpha_index)
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
@@ -213,13 +215,7 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     ``jobs`` > 1 distributes grid points over processes; the output is
     independent of the worker count.
     """
-    tasks = [
-        (cfg, n_index, alpha_index)
-        for n_index in range(len(cfg.n_values))
-        for alpha_index in range(len(cfg.alphas))
-    ]
-    by_point = _run_tasks(_sweep_task, tasks, jobs)
-    return [aggregate_samples(by_point[key]) for key in sorted(by_point)]
+    return [aggregate_samples(s) for s in _run_tasks(run_grid_point, cfg, jobs)]
 
 
 SWEEP_CSV_COLUMNS = (
@@ -399,8 +395,7 @@ class BenchReport:
     results: dict
 
 
-def _bench_group(args):
-    cfg, n_index, alpha_index = args
+def _bench_group(cfg: BenchConfig, n_index: int, alpha_index: int):
     needs_graph = any(s in solver.ORDERED_SOLVERS for s in cfg.solvers)
     group: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
     for instance in range(cfg.instances):
@@ -417,23 +412,18 @@ def _bench_group(args):
             group[name].append(
                 solver.solve(formula, name, order, cfg.p1, cfg.p2, cfg.budget, sseed)
             )
-    return (n_index, alpha_index), group
+    return group
 
 
 def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
     """Run every configured solver over the instance grid and compare each
     one against the first-listed solver per (n, alpha) group."""
-    tasks = [
-        (cfg, n_index, alpha_index)
-        for n_index in range(len(cfg.n_values))
-        for alpha_index in range(len(cfg.alphas))
-    ]
-    groups = _run_tasks(_bench_group, tasks, jobs)
+    groups = _run_tasks(_bench_group, cfg, jobs)
 
     results: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
-    for key in sorted(groups):
+    for group in groups:
         for name in cfg.solvers:
-            results[name].extend(groups[key][name])
+            results[name].extend(group[name])
 
     summaries = []
     for name in cfg.solvers:
@@ -449,16 +439,16 @@ def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
 
     verdicts = []
     baseline = cfg.solvers[0]
-    for key in sorted(groups):
-        n_index, alpha_index = key
+    points = ((n, alpha) for n in cfg.n_values for alpha in cfg.alphas)
+    for (n, alpha), group in zip(points, groups):
         for name in cfg.solvers[1:]:
             verdicts.append(
                 GroupVerdict(
-                    n=cfg.n_values[n_index],
-                    alpha=cfg.alphas[alpha_index],
+                    n=n,
+                    alpha=alpha,
                     solver_a=name,
                     solver_b=baseline,
-                    verdict=solver.compare(groups[key][name], groups[key][baseline]),
+                    verdict=solver.compare(group[name], group[baseline]),
                 )
             )
     return BenchReport(

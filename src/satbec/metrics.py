@@ -2,42 +2,33 @@
 
 Distance between equal-length clauses counts how many literal slots cannot
 be matched across the two multisets of signed literals; a variable ``x`` and
-its negation ``-x`` are distinct literals.  The distance is computed from
-each clause's cached set of distinct literals; only a pair in which both
-clauses repeat a literal needs the multiset count, and both ways give the
-same value.
+its negation ``-x`` are distinct literals.  It is computed on the clause
+tuples themselves, with one exact multiset path for every pair.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-
-from .cnf import Clause
 
 # two energies within this tolerance sit on the same level
 ENERGY_LEVEL_TOL = 1e-9
 
 
-def clause_distance(a: Clause, b: Clause) -> int:
+def clause_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """k minus the size of the multiset intersection of the literal multisets.
 
-    A shared literal counts min(times in a, times in b), which is 1 whenever
-    either clause holds it once.  So when at least one clause repeats no
-    literal, the multiset intersection has the size of the intersection of
-    the cached literal sets.  Only a pair in which both clauses repeat a
-    literal, such as (1, 1, 2) against (1, 1, 3), takes the multiset path.
-    A clause that repeats a variable with opposite signs, such as
-    (1, -1, 2), holds distinct literals and takes the set path.
+    Each literal of ``a`` that a copy of ``b`` still holds is struck from the
+    copy once, so a shared literal counts min(times in a, times in b); what
+    is left of the copy is the distance.  A clause that repeats a variable
+    with opposite signs, such as (1, -1, 2), holds distinct literals.
     """
-    k = a.k
-    if k != b.k:
-        raise ValueError(f"clause lengths differ: {k} vs {b.k}")
-    sa, sb = a.literal_set, b.literal_set
-    if len(sa) == k or len(sb) == k:
-        return k - len(sa & sb)
-    shared = sum((Counter(a.literals) & Counter(b.literals)).values())
-    return k - shared
+    if len(a) != len(b):
+        raise ValueError(f"clause lengths differ: {len(a)} vs {len(b)}")
+    rest = list(b)
+    for lit in a:
+        if lit in rest:
+            rest.remove(lit)
+    return len(rest)
 
 
 @dataclass(frozen=True)

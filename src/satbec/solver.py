@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .cnf import Assignment, Formula, evaluate, formula_sha256
+from .cnf import Formula, evaluate, formula_sha256
 from .graph import ClauseGraph
 from .metrics import group_energy_levels
 
@@ -132,8 +132,6 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
-    if formula.k < 1:
-        raise ValueError("clauses must have at least one literal")
     p1, p2 = _resolve_probabilities(formula, p1, p2)
     if order is not None and len(order.rank) != m:
         raise ValueError("clause order length does not match formula")
@@ -150,11 +148,10 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     clause_vars: list[tuple[int, ...]] = []
     nt: list[int] = []  # true literal occurrences per clause
     for c, clause in enumerate(formula.clauses):
-        lits = clause.literals
-        clause_vars.append(tuple(abs(lit) for lit in lits))
-        for lit in lits:
+        clause_vars.append(tuple(abs(lit) for lit in clause))
+        for lit in clause:
             occ[lit].append(c)
-        nt.append(sum((lit > 0) == assign[abs(lit)] for lit in lits))
+        nt.append(sum((lit > 0) == assign[abs(lit)] for lit in clause))
     unsat = [c for c in range(m) if nt[c] == 0]
     pos = [-1] * m
     for i, c in enumerate(unsat):
@@ -338,7 +335,7 @@ def nlc_chainsat(
 
 def verify_result(formula: Formula, result: SolverResult) -> bool:
     """Independent check: re-evaluate the final assignment clause by clause."""
-    satisfied, unsat = evaluate(formula, Assignment(result.assignment))
+    satisfied, unsat = evaluate(formula, result.assignment)
     return result.solved == (not unsat) and satisfied == result.satisfied_clauses
 
 

@@ -38,7 +38,7 @@ def literal_code(literal: int) -> int:
 def clause_codes(formula: Formula) -> np.ndarray:
     """(m, k) int64 literal codes, one scalar ``literal_code`` call each."""
     return np.array(
-        [[literal_code(lit) for lit in clause.literals] for clause in formula.clauses],
+        [[literal_code(lit) for lit in clause] for clause in formula.clauses],
         dtype=np.int64,
     ).reshape(formula.m, formula.k)
 
@@ -116,8 +116,8 @@ def select_first_clause(formula: Formula, cfg: BuilderConfig, rng) -> int:
     whole-formula fitness (a Counter over signed literals)."""
     if cfg.first_clause_rule == FIRST_RANDOM:
         return int(rng.integers(formula.m))
-    counts = Counter(x for clause in formula.clauses for x in clause.literals)
-    fits = [sum(counts[x] for x in clause.literals) for clause in formula.clauses]
+    counts = Counter(x for clause in formula.clauses for x in clause)
+    fits = [sum(counts[x] for x in clause) for clause in formula.clauses]
     ties = [c for c, fit in enumerate(fits) if fit == max(fits)]
     return ties[int(rng.integers(len(ties)))]
 

@@ -8,7 +8,7 @@ Both are used as hand-checkable oracles across the module tests.
 import pytest
 
 from satbec.builder import BuilderConfig, BuildState
-from satbec.cnf import Clause, Formula
+from satbec.cnf import Formula
 
 SAMPLE_10 = (
     (59, -55, 52),
@@ -48,8 +48,7 @@ SAMPLE_20 = (
 
 
 def formula_from_signed(signed_clauses, n):
-    clauses = tuple(Clause.from_signed(c) for c in signed_clauses)
-    return Formula(n=n, k=clauses[0].k, clauses=clauses)
+    return Formula(n=n, clauses=tuple(map(tuple, signed_clauses)))
 
 
 def components(graph):

@@ -29,12 +29,12 @@ class Engine:
         self.occ: list[list[int]] = [[] for _ in range(2 * n)]
         self.clause_vars: list[tuple[int, ...]] = []
         for c, clause in enumerate(formula.clauses):
-            self.clause_vars.append(tuple(abs(lit) for lit in clause.literals))
-            for lit in clause.literals:
+            self.clause_vars.append(tuple(abs(lit) for lit in clause))
+            for lit in clause:
                 self.occ[2 * (abs(lit) - 1) + (1 if lit < 0 else 0)].append(c)
         assign = self.assign
         self.num_true = [
-            sum(1 for lit in clause.literals if assign[abs(lit)] == (lit > 0))
+            sum(1 for lit in clause if assign[abs(lit)] == (lit > 0))
             for clause in formula.clauses
         ]
         self.unsat: list[int] = []

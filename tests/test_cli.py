@@ -283,6 +283,9 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (SWEEP + ("--k", "5", "--n-values", "3"), None),
         (SWEEP + ("--alphas", "0.1"), None),
         (SWEEP + ("--alphas", "x"), None),
+        (SWEEP + ("--alphas", "inf"), None),
+        (SWEEP + ("--alphas", "nan"), None),
+        (SWEEP[:3] + SWEEP[5:], "[sweep]\nalphas = inf\n"),
         (BENCH + ("--theta", "2"), None),
         (BENCH + ("--solvers", "chainsat", "--theta", "2"), None),
         (BENCH + ("--temp", "0"), None),
@@ -291,11 +294,14 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (BENCH + ("--k", "2", "--grid", "1,2"), None),
         (BENCH + ("--k", "5", "--n-values", "3", "--p1", "0.1", "--p2", "0.1"), None),
         (BENCH + ("--seed", "-1"), None),
+        (BENCH + ("--solvers", "chainsat", "--grid", "nan"), None),
+        (BENCH + ("--solvers", "chainsat", "--grid", "inf"), None),
     ],
     ids=["sweep-theta", "sweep-rho", "sweep-temp-nan", "sweep-ini-mode", "sweep-k0",
-         "sweep-k-above-n", "sweep-one-clause", "sweep-bad-list", "bench-theta",
-         "bench-chainsat-theta", "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults",
-         "bench-k-above-n", "bench-seed"],
+         "sweep-k-above-n", "sweep-one-clause", "sweep-bad-list", "sweep-alpha-inf",
+         "sweep-alpha-nan", "sweep-ini-alpha-inf", "bench-theta", "bench-chainsat-theta",
+         "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults", "bench-k-above-n",
+         "bench-seed", "bench-chainsat-nan", "bench-chainsat-inf"],
 )
 def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, ini):
     out = tmp_path / "out.csv"
@@ -352,6 +358,29 @@ def test_empty_clause_is_data_error(tmp_path):
                        "--in", str(bad_cnf), "--out", str(out)) == 2
     assert run_cli("build", "--in", str(bad_cnf), "--out", str(tmp_path / "g.json")) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty-clause.cnf"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--in", "bad", "--out", "g.json"),
+        ("classify", "--in", "bad", "--out", "c.json"),
+        ("spectrum", "--in", "bad", "--out", "s.json", "--dot", "s.dot"),
+        ("solve", "--in", "bad", "--out", "r.json"),
+        ("solve", "--algo", "lc", "--in", "f.cnf", "--graph", "bad", "--out", "r.json"),
+        ("compare", "bad", "bad", "--out", "v.json"),
+        ("sweep", "--config", "bad", "--jobs", "1", "--out", "s.csv"),
+    ],
+    ids=["build", "classify", "spectrum", "solve-in", "solve-graph", "compare", "sweep-config"],
+)
+def test_non_utf8_input_is_data_error(tmp_path, cnf, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b"p cnf 3 1\n1 2 \xff 0\n")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def tampered_graph_exits(tmp_path, cnf, graph, edit):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from builder_oracle import literal_code
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
 from satbec.cnf import (
-    Assignment,
-    Clause,
     DimacsError,
     Formula,
     clause_code_array,
@@ -24,40 +22,43 @@ from satbec.cnf import (
 )
 
 
-def test_clause_from_signed_rejects_zero():
-    assert Clause.from_signed([3, -7]) == Clause((3, -7))
-    with pytest.raises(ValueError, match="0 is not a literal"):
-        Clause.from_signed((1, 0, 2))
+@pytest.mark.parametrize(
+    "n, clauses, message",
+    [
+        (3, ((1, 0, 2),), "0 is not a literal"),
+        (3, ((1, 2, 4),), "literal 4 out of range for n=3"),
+        (3, ((1, -4, 2),), "literal -4 out of range for n=3"),
+        (3, ((1, 2), (True, 3)), "must be ints"),  # a set would hold True as 1
+        (3, ((1, 2), (1.0, 3)), "must be ints"),
+        (4, ((1, 2, 3), (1, 2)), "non-uniform clause length"),
+        (3, ((),), "at least one literal"),
+        (-1, (), "n must be an int >= 0"),
+        (2.5, ((1,),), "n must be an int >= 0"),
+        (3, ([1, 2],), "tuple of tuples"),
+        (3, [(1, 2)], "tuple of tuples"),
+    ],
+    ids=["zero", "above-n", "below-minus-n", "bool", "float", "unequal-lengths",
+         "empty-clause", "negative-n", "float-n", "list-clause", "list-of-clauses"],
+)
+def test_formula_rejects_invalid_clauses(n, clauses, message):
+    with pytest.raises(ValueError, match=message):
+        Formula(n=n, clauses=clauses)
 
 
-def test_clause_accessors():
-    c = Clause.from_signed((4, -2, 9))
-    assert c.k == 3
-    assert c.literals == (4, -2, 9)
-    assert c.variables() == (4, 2, 9)
-    assert str(c) == "4 -2 9"
-
-
-def test_clause_cache_leaves_identity_alone():
-    a = Clause.from_signed((4, -2, 9))
-    b = Clause.from_signed((4, -2, 9))
-    assert a.literal_set == {4, -2, 9}  # fills a's cache, not b's
-    assert a == b
-    assert hash(a) == hash(b)
-    assert repr(a) == repr(b) == "Clause(literals=(4, -2, 9))"
-    assert Clause.from_signed((1, 1, -1)).literal_set == {1, -1}
+def test_parse_reports_formula_errors_as_dimacs_errors():
+    with pytest.raises(DimacsError, match="literal 4 out of range for n=3"):
+        parse_dimacs("p cnf 3 1\n1 2 4 0\n")
 
 
 def test_formula_pickle_round_trip_ignores_cache(sample20):
     fresh = pickle.dumps(sample20)
-    for clause in sample20.clauses:
-        clause.literal_set
+    formula_sha256(sample20)
     assert not sample20.duplicate_vars
     assert pickle.dumps(sample20) == fresh
     back = pickle.loads(fresh)
     assert back == sample20
     assert hash(back) == hash(sample20)
-    assert tuple(c.literals for c in back.clauses) == SAMPLE_20
+    assert back.clauses == SAMPLE_20
 
 
 def test_formula_digest_cache_leaves_identity_alone(sample20):
@@ -82,8 +83,6 @@ def test_formula_digest_cache_leaves_identity_alone(sample20):
 )
 def test_sample_dimacs_and_digest_are_pinned(signed, n, digest):
     f = formula_from_signed(signed, n)
-    for clause in f.clauses:
-        clause.literal_set
     body = "".join(" ".join(map(str, c)) + " 0\n" for c in signed)
     assert serialize_dimacs(f) == f"p cnf {n} {len(signed)}\n" + body
     assert formula_sha256(f) == digest
@@ -91,16 +90,8 @@ def test_sample_dimacs_and_digest_are_pinned(signed, n, digest):
 
 def test_formula_counts():
     f = generate_random(0, 3, 10, 42)
-    assert f.m == 42
-    assert f.alpha == pytest.approx(4.2)
-
-
-def test_assignment_satisfies_and_flip():
-    a = Assignment((True, False))
-    assert a.satisfies(1)
-    assert not a.satisfies(-1)
-    assert a.satisfies(-2)
-    assert Assignment((True, True)).satisfies(2)  # variable 2 flipped
+    assert (f.n, f.k, f.m) == (10, 3, 42)
+    assert (Formula(n=4, clauses=()).k, Formula(n=4, clauses=()).m) == (0, 0)
 
 
 BASIC = """c example
@@ -114,7 +105,7 @@ p cnf 4 3
 def test_parse_basic():
     f = parse_dimacs(BASIC)
     assert (f.n, f.k, f.m) == (4, 3, 3)
-    assert f.clauses[0].literals == (1, -2, 3)
+    assert f.clauses[0] == (1, -2, 3)
     assert not f.duplicate_vars
 
 
@@ -122,8 +113,7 @@ def test_parse_accepts_bytes_multiline_and_percent_footer():
     text = "c x\np cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n%\n0\nnoise after footer\n"
     f = parse_dimacs(text.encode("utf-8"))
     assert f.m == 2
-    assert f.clauses[0].literals == (1, 2, 3)
-    assert f.clauses[1].literals == (-1, -2, -3)
+    assert f.clauses == ((1, 2, 3), (-1, -2, -3))
 
 
 def test_parse_flags_repeated_variable():
@@ -133,11 +123,11 @@ def test_parse_flags_repeated_variable():
 
 @pytest.mark.parametrize("signed", [(1, 1, 2), (1, -1, 2)])
 def test_duplicate_vars_is_read_from_the_clauses(signed):
-    hand_built = Formula(n=3, k=3, clauses=(Clause.from_signed(signed),))
+    hand_built = Formula(n=3, clauses=(signed,))
     assert hand_built.duplicate_vars
     assert parse_dimacs(serialize_dimacs(hand_built)) == hand_built
     assert not generate_random(0, 3, 3, 5).duplicate_vars
-    assert "duplicate_vars" not in {f.name for f in dataclasses.fields(Formula)}
+    assert {f.name for f in dataclasses.fields(Formula)} == {"n", "clauses"}
 
 
 @pytest.mark.parametrize(
@@ -184,8 +174,8 @@ def test_generate_random_shape_and_determinism():
     f = generate_random(11, 4, 9, 25)
     assert (f.n, f.k, f.m) == (9, 4, 25)
     for clause in f.clauses:
-        variables = clause.variables()
-        assert len(set(variables)) == clause.k  # distinct variables per clause
+        variables = tuple(map(abs, clause))
+        assert len(set(variables)) == f.k  # distinct variables per clause
         assert all(1 <= v <= 9 for v in variables)
     assert generate_random(11, 4, 9, 25) == f
     assert generate_random(12, 4, 9, 25) != f
@@ -193,8 +183,8 @@ def test_generate_random_shape_and_determinism():
 
 def test_generate_random_polarity_balance():
     f = generate_random(5, 3, 30, 400)
-    assert {type(lit) for c in f.clauses for lit in c.literals} == {int}
-    negs = sum(lit < 0 for c in f.clauses for lit in c.literals)
+    assert {type(lit) for c in f.clauses for lit in c} == {int}
+    negs = sum(lit < 0 for c in f.clauses for lit in c)
     assert 0.45 < negs / (3 * 400) < 0.55
 
 
@@ -206,14 +196,14 @@ def test_generate_random_rejects_bad_args(args):
 
 def test_evaluate_counts_and_indices():
     f = parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
-    satisfied, unsat = evaluate(f, Assignment((True, False)))
+    satisfied, unsat = evaluate(f, (True, False))
     assert satisfied == 2
     assert unsat == [1]
-    satisfied, unsat = evaluate(f, Assignment((True, True)))
+    satisfied, unsat = evaluate(f, (True, True))  # variable 2 flipped
     assert satisfied == 3
     assert unsat == []
     with pytest.raises(ValueError):
-        evaluate(f, Assignment((True,)))
+        evaluate(f, (True,))
 
 
 def test_literal_codes_are_dense():
@@ -237,23 +227,21 @@ def repeating_formulas(draw):
     if clauses and k >= 2 and draw(st.booleans()):
         first = clauses[0][0]
         clauses[0][1] = draw(st.sampled_from((first, -first)))
-    return Formula(n=n, k=k, clauses=tuple(Clause.from_signed(c) for c in clauses))
+    return Formula(n=n, clauses=tuple(map(tuple, clauses)))
 
 
 @given(repeating_formulas())
 def test_clause_code_array_matches_literal_code(formula):
     codes = clause_code_array(formula)
-    expected = [[literal_code(lit) for lit in clause.literals] for clause in formula.clauses]
+    expected = [[literal_code(lit) for lit in clause] for clause in formula.clauses]
     assert codes.dtype == np.int64
     assert codes.shape == (formula.m, formula.k)
     assert codes.tolist() == expected
 
 
 @given(repeating_formulas())
-@example(Formula(n=4, k=0, clauses=()))
-@example(Formula(n=4, k=3, clauses=(Clause.from_signed((2, -2, 3)), Clause.from_signed((1, 1, 1)))))
+@example(Formula(n=4, clauses=()))
+@example(Formula(n=4, clauses=((2, -2, 3), (1, 1, 1))))
 def test_dimacs_round_trip(formula):
-    """parse_dimacs inverts serialize_dimacs on every formula in the parser's
-    own terms, where k is 0 when there is no clause."""
-    formula = dataclasses.replace(formula, k=formula.k if formula.m else 0)
+    """parse_dimacs inverts serialize_dimacs on every formula."""
     assert parse_dimacs(serialize_dimacs(formula)) == formula

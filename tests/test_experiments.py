@@ -280,8 +280,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_sweep_and_benchmark_ask_for_the_capped_pool(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from builder_oracle import literal_code
 from conftest import SAMPLE_10, formula_from_signed, state_with
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import Clause, generate_random
+from satbec.cnf import generate_random
 from satbec.graph import MODES
 from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
 
@@ -61,20 +61,19 @@ def test_clause_distance_hand_cases(sample10):
 
 
 def test_clause_distance_multiset_semantics():
-    a = Clause.from_signed((1, 1, 2))
-    b = Clause.from_signed((1, 2, 2))
-    assert clause_distance(a, b) == 1
-    assert clause_distance(a, Clause.from_signed((-1, -1, -2))) == 3
+    a = (1, 1, 2)
+    assert clause_distance(a, (1, 2, 2)) == 1
+    assert clause_distance(a, (-1, -1, -2)) == 3
     # a variable repeated with opposite signs gives distinct literals
-    assert clause_distance(Clause.from_signed((1, -1, 2)), Clause.from_signed((-1, 1, 3))) == 1
+    assert clause_distance((1, -1, 2), (-1, 1, 3)) == 1
     with pytest.raises(ValueError):
-        clause_distance(a, Clause.from_signed((1, 2)))
+        clause_distance(a, (1, 2))
 
 
 def multiset_distance(a, b):
     """The plain multiset formula, kept as the oracle for clause_distance."""
-    shared = collections.Counter(a.literals) & collections.Counter(b.literals)
-    return a.k - sum(shared.values())
+    shared = collections.Counter(a) & collections.Counter(b)
+    return len(a) - sum(shared.values())
 
 
 @st.composite
@@ -83,7 +82,7 @@ def clause_pairs(draw):
     # repeats and shared literals all common
     k = draw(st.integers(1, 5))
     literals = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=k, max_size=k)
-    return Clause.from_signed(draw(literals)), Clause.from_signed(draw(literals))
+    return tuple(draw(literals)), tuple(draw(literals))
 
 
 @given(clause_pairs())

@@ -3,7 +3,14 @@
 import pytest
 
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import Assignment, evaluate, formula_sha256, generate_random, parse_dimacs
+from satbec.cnf import (
+    DimacsError,
+    Formula,
+    evaluate,
+    formula_sha256,
+    generate_random,
+    parse_dimacs,
+)
 from satbec.graph import MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
 from satbec.metrics import FitnessRecord
 from satbec.solver import (
@@ -126,7 +133,7 @@ def test_chainsat_zero_budget_does_nothing():
     result = chainsat(f, budget=0, seed=0)
     assert result.evaluations == 0
     assert result.flips == 0
-    satisfied, _ = evaluate(f, Assignment(result.assignment))
+    satisfied, _ = evaluate(f, result.assignment)
     assert result.satisfied_clauses == satisfied
     with pytest.raises(ValueError):
         chainsat(f, budget=-1)
@@ -171,12 +178,15 @@ def test_empty_formula_is_solved():
 @pytest.mark.parametrize("algo", SOLVERS)
 @pytest.mark.parametrize("budget", [0, 100])
 def test_empty_clause_is_rejected(algo, budget):
-    # an empty clause leaves no variable to pick; the walk must not start
-    f = parse_dimacs("p cnf 3 1\n0\n")
+    # an empty clause leaves no variable to pick; no formula can hold one, so
+    # no walk starts on it, and the same clause with a literal runs
+    with pytest.raises(DimacsError, match="at least one literal"):
+        parse_dimacs("p cnf 3 1\n0\n")
     with pytest.raises(ValueError, match="at least one literal"):
-        solve(f, algo, ClauseOrder(rank=(0,)), p1=0.5, p2=0.5, budget=budget, seed=0)
-    with pytest.raises(ValueError, match="at least one literal"):
-        solve(f, algo, ClauseOrder(rank=(0,)), budget=budget, seed=0)
+        Formula(n=3, clauses=((),))
+    f = parse_dimacs("p cnf 3 1\n2 0\n")
+    result = solve(f, algo, ClauseOrder(rank=(0,)), p1=0.5, p2=0.5, budget=budget, seed=0)
+    assert verify_result(f, result)
 
 
 def test_solver_requires_probabilities_for_unusual_k():
