@@ -44,6 +44,6 @@ from .graph import (
     graph_to_json,
     particle_spectrum,
 )
-from .metrics import FitnessRecord, clause_distance
+from .metrics import clause_distance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

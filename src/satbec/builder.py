@@ -40,55 +40,22 @@ insertion order and no energy ordering.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cnf import Formula, clause_code_array, formula_sha256
 from .graph import (
-    FIRST_CLAUSE_RULES,
     FIRST_RANDOM,
     MODE_S2G,
-    MODE_S2GPA,
-    MODES,
+    BuilderConfig,
     ClauseGraph,
     GraphEdge,
     GraphNode,
 )
-from .metrics import FitnessRecord
 from .seeding import derive_rng
-
-DEFAULT_THETA = 0.33
-DEFAULT_RHO = 1
-DEFAULT_TEMPERATURE = 1.0
-
-
-@dataclass(frozen=True)
-class BuilderConfig:
-    mode: str = MODE_S2G
-    temperature: float = DEFAULT_TEMPERATURE
-    theta: float = DEFAULT_THETA
-    rho: int = DEFAULT_RHO
-    seed: int = 0
-    first_clause_rule: str = FIRST_RANDOM
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie strictly between 0 and 1")
-        if int(self.rho) != self.rho or self.rho < 1:
-            raise ValueError("rho must be an integer >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.first_clause_rule not in FIRST_CLAUSE_RULES:
-            raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
 
 
 class OverlapTable(NamedTuple):
@@ -356,33 +323,18 @@ def preferential_draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
 
 def _freeze(state: BuildState) -> ClauseGraph:
     cfg = state.cfg
-    preferential = cfg.mode == MODE_S2GPA
-    raw = state.fitness.tolist()
-    normalized = state.normalized.tolist()
-    energy = state.energy.tolist()
-    conn = state.conn.tolist()
-    in_events = state.in_events.tolist()
-    out_events = state.out_events.tolist()
+    header = vars(cfg)
+    if cfg.mode == MODE_S2G:  # s2g graphs carry no theta or rho
+        header = {**header, "theta": None, "rho": None}
+    order = state.order_array()
+    columns = (state.fitness, state.normalized, state.energy, state.conn,
+               state.in_events, state.out_events)
     return ClauseGraph(
-        mode=cfg.mode,
-        temperature=cfg.temperature,
-        theta=cfg.theta if preferential else None,
-        rho=cfg.rho if preferential else None,
-        seed=cfg.seed,
-        first_clause_rule=cfg.first_clause_rule,
+        **header,
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
-        nodes=[
-            GraphNode(
-                c,
-                FitnessRecord(raw[c], normalized[c], energy[c]),
-                conn[c],
-                in_events[c],
-                out_events[c],
-            )
-            for c in state.order_array().tolist()
-        ],
+        nodes=list(map(GraphNode, order.tolist(), *(c[order].tolist() for c in columns))),
         edges={
             (u, v): GraphEdge(u, v, weight, multiplicity)
             for (u, v), (weight, multiplicity) in state.edges.items()

@@ -19,6 +19,13 @@ class DimacsError(ValueError):
     """Raised on malformed DIMACS input."""
 
 
+def _plain_integers(text: str) -> bool:
+    """False when ``text`` holds a character with which ``int`` reads a token
+    that is not an ASCII decimal integer: a '+' sign, a '_' digit separator
+    or a non-ASCII digit."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
@@ -81,12 +88,15 @@ def parse_dimacs(text) -> Formula:
     """Parse DIMACS CNF text (str or bytes) into a Formula.
 
     Comment lines start with 'c'; a line starting with '%' ends the input.
-    Clauses may span lines and are 0-terminated.  A clause that repeats a
-    variable is accepted; the formula's ``duplicate_vars`` then reads True.
-    A formula that ``Formula`` rejects is a ``DimacsError``.
+    Clauses may span lines and are 0-terminated.  Every count and literal is
+    an ASCII decimal integer, a literal with an optional leading '-'.  A
+    clause that repeats a variable is accepted; the formula's
+    ``duplicate_vars`` then reads True.  A formula that ``Formula`` rejects
+    is a ``DimacsError``.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    plain = _plain_integers(text)  # then no line needs the check
     n = m = None
     tokens: list[int] = []
     clauses: list[tuple[int, ...]] = []
@@ -100,7 +110,7 @@ def parse_dimacs(text) -> Formula:
             if n is not None:
                 raise DimacsError("malformed header: duplicate 'p' line")
             parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"] or not _plain_integers(line):
                 raise DimacsError(f"malformed header: {line!r}")
             try:
                 n, m = int(parts[2]), int(parts[3])
@@ -111,6 +121,9 @@ def parse_dimacs(text) -> Formula:
             continue
         if n is None:
             raise DimacsError("malformed header: clause data before 'p' line")
+        if not plain and not _plain_integers(line):
+            bad = next(c for c in line if not _plain_integers(c))
+            raise DimacsError(f"invalid character {bad!r} in clause data")
         for tok in line.split():
             try:
                 value = int(tok)

@@ -18,15 +18,18 @@ import numpy as np
 
 from . import solver
 from .analysis import Phase, classify, nonwinner_stats
-from .builder import (
+from .builder import build_graph
+from .cnf import Formula, generate_random
+from .graph import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
     DEFAULT_THETA,
+    FIRST_RANDOM,
+    MODE_S2G,
+    MODE_S2GPA,
     BuilderConfig,
-    build_graph,
+    ClauseGraph,
 )
-from .cnf import Formula, generate_random
-from .graph import FIRST_RANDOM, MODE_S2G, MODE_S2GPA, ClauseGraph
 from .seeding import TAG_BUILD, TAG_GENERATE, TAG_ORDER, TAG_SOLVE, derive_seed
 
 # accepted satisfiability thresholds for uniform random k-SAT

@@ -1,12 +1,17 @@
-"""Clause network model and its particle-spectrum view.
+"""Clause network model, its build settings, and its particle-spectrum view.
 
 Nodes are clauses of one formula, added in a recorded insertion order.  Each
-node carries the clause's final fitness record plus a real-valued
-connectivity.  Edges are simple; repeated link events between the same pair
-raise a multiplicity counter and keep the weight of the first event.  Every
-link event deposits one particle on each endpoint, so a node's particle count
-is its total number of endpoint events and the graph conserves
-2 x (link events) particles overall.
+node is one flat record: the clause's final raw fitness, normalized fitness
+eta and energy -T ln eta, as in the Bianconi-Barabasi fitness model, plus a
+real-valued connectivity and its link events.  Edges are simple; repeated
+link events between the same pair raise a multiplicity counter and keep the
+weight of the first event.  Every link event deposits one particle on each
+endpoint, so a node's particle count is its total number of endpoint events
+and the graph conserves 2 x (link events) particles overall.
+
+The fields of ``GraphNode``, ``GraphEdge`` and ``ClauseGraph`` are the graph
+JSON keys, and ``BuilderConfig`` is the one check of the build settings a
+graph header records.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from operator import add, itemgetter, ne
 
-from .metrics import ENERGY_LEVEL_TOL, FitnessRecord, group_energy_levels
+from .metrics import ENERGY_LEVEL_TOL, group_energy_levels
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -27,13 +33,52 @@ FIRST_RANDOM = "random"
 FIRST_FITTEST = "fittest"
 FIRST_CLAUSE_RULES = (FIRST_RANDOM, FIRST_FITTEST)
 
+DEFAULT_THETA = 0.33
+DEFAULT_RHO = 1
+DEFAULT_TEMPERATURE = 1.0
+
 _SHA256 = re.compile("[0-9a-f]{64}")
+
+
+def _real(value) -> bool:
+    """An int or a float: a number JSON writes and reads back as its type
+    (numpy floats are floats; bools and numpy ints are neither)."""
+    return type(value) is int or isinstance(value, float)
+
+
+@dataclass(frozen=True)
+class BuilderConfig:
+    """The build settings; construction is the one check of their values."""
+
+    mode: str = MODE_S2G
+    temperature: float = DEFAULT_TEMPERATURE
+    theta: float = DEFAULT_THETA
+    rho: int = DEFAULT_RHO
+    seed: int = 0
+    first_clause_rule: str = FIRST_RANDOM
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # an int above the largest float has no float energy
+        if not (_real(self.temperature) and 0.0 < self.temperature <= sys.float_info.max):
+            raise ValueError("temperature must be positive and finite")
+        if not (_real(self.theta) and 0.0 < self.theta < 1.0):
+            raise ValueError("theta must lie strictly between 0 and 1")
+        if type(self.rho) is not int or self.rho < 1:
+            raise ValueError("rho must be an integer >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if self.first_clause_rule not in FIRST_CLAUSE_RULES:
+            raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
 
 
 @dataclass
 class GraphNode:
     clause: int
-    fitness: FitnessRecord
+    raw_fitness: int
+    normalized_fitness: float
+    energy: float
     connectivity: float
     in_events: int = 0
     out_events: int = 0
@@ -111,7 +156,7 @@ class EnergySpectrum:
 
 def particle_spectrum(graph: ClauseGraph, tol: float = ENERGY_LEVEL_TOL) -> EnergySpectrum:
     """Group nodes into energy levels (ascending) with their particle loads."""
-    energies = [node.fitness.energy for node in graph.nodes]
+    energies = [node.energy for node in graph.nodes]
     levels = []
     for members in group_energy_levels(energies, tol):
         states = tuple(
@@ -127,7 +172,7 @@ def export_dot(graph: ClauseGraph) -> str:
     labels carry the establishing weight."""
     lines = ["graph clause_network {"]
     for node in graph.nodes:
-        lines.append(f'  c{node.clause} [label="C{node.clause} E={node.fitness.energy!r}"];')
+        lines.append(f'  c{node.clause} [label="C{node.clause} E={node.energy!r}"];')
     for key in sorted(graph.edges):
         edge = graph.edges[key]
         label = f"{edge.weight!r}"
@@ -141,54 +186,20 @@ def export_dot(graph: ClauseGraph) -> str:
 def graph_to_json(graph: ClauseGraph) -> str:
     """Stable-order JSON dump; identical graphs serialize byte-identically."""
     payload = {
-        "mode": graph.mode,
-        "temperature": graph.temperature,
-        "theta": graph.theta,
-        "rho": graph.rho,
-        "seed": graph.seed,
-        "first_clause_rule": graph.first_clause_rule,
-        "n": graph.n,
-        "k": graph.k,
+        **vars(graph),
         "m": graph.m,
-        "formula_sha256": graph.formula_sha256,
         "insertion_order": graph.insertion_order,
-        "nodes": [
-            {
-                "clause": node.clause,
-                "raw_fitness": node.fitness.raw,
-                "normalized_fitness": node.fitness.normalized,
-                "energy": node.fitness.energy,
-                "connectivity": node.connectivity,
-                "in_events": node.in_events,
-                "out_events": node.out_events,
-                "particles": node.particles,
-            }
-            for node in graph.nodes
-        ],
-        "edges": [
-            {
-                "u": edge.u,
-                "v": edge.v,
-                "weight": edge.weight,
-                "multiplicity": edge.multiplicity,
-            }
-            for key, edge in sorted(graph.edges.items())
-        ],
+        "nodes": [{**vars(node), "particles": node.particles} for node in graph.nodes],
+        "edges": [vars(graph.edges[key]) for key in sorted(graph.edges)],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-_NODE_KEYS = (
-    "clause",
-    "raw_fitness",
-    "normalized_fitness",
-    "energy",
-    "connectivity",
-    "in_events",
-    "out_events",
-    "particles",
-)
-_EDGE_KEYS = ("u", "v", "weight", "multiplicity")
+# the graph JSON keys: a header of every graph field but the two tables, and
+# in the tables every node field plus its particles, and every edge field
+_HEADER_KEYS = tuple(f.name for f in fields(ClauseGraph) if f.default_factory is MISSING)
+_NODE_KEYS = tuple(f.name for f in fields(GraphNode)) + ("particles",)
+_EDGE_KEYS = tuple(f.name for f in fields(GraphEdge))
 
 
 def _check_numbers(key: str, values, integer: bool = False, minimum=None):
@@ -211,9 +222,21 @@ def _check_numbers(key: str, values, integer: bool = False, minimum=None):
         raise ValueError(f"graph JSON field {key!r} holds a value below {minimum}")
 
 
+def _columns(record, rows, keys) -> dict[str, tuple]:
+    """The columns of ``rows`` by key, each field of ``record`` checked: an
+    ``int`` field holds ints, a ``float`` field finite numbers, and a count,
+    which starts at its default and only grows, no value below that default."""
+    columns = dict(zip(keys, zip(*rows) if rows else [()] * len(keys)))
+    for f in fields(record):
+        minimum = None if f.default is MISSING else f.default
+        _check_numbers(f.name, columns[f.name], integer=f.type == "int", minimum=minimum)
+    return columns
+
+
 def graph_from_json(text: str) -> ClauseGraph:
     """Parse graph JSON and check it against itself: numeric fields are
-    finite numbers, the header holds values a build can write, node clause
+    finite numbers, the header holds settings ``BuilderConfig`` accepts (with
+    a null theta and rho in mode s2g) and a sha256 digest, node clause
     indices are distinct and lie in [0, m), each node's particles equal its
     in plus out events, and every edge joins two distinct known nodes, once.
     Raises ValueError otherwise."""
@@ -222,79 +245,44 @@ def graph_from_json(text: str) -> ClauseGraph:
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid graph JSON: {exc}") from None
     try:
-        _check_numbers("temperature", (payload["temperature"],))
-        _check_numbers("seed", (payload["seed"],), integer=True, minimum=0)
-        _check_numbers("n", (payload["n"],), integer=True, minimum=1)
-        _check_numbers("k", (payload["k"],), integer=True, minimum=1)
-        if payload["temperature"] <= 0:
-            raise ValueError("graph JSON field 'temperature' is not positive")
-        theta, rho = payload["theta"], payload["rho"]
-        if theta is not None:
-            _check_numbers("theta", (theta,))
-        if rho is not None:
-            _check_numbers("rho", (rho,), integer=True)
-        if payload["mode"] not in MODES:
-            raise ValueError(f"unknown graph mode {payload['mode']!r}")
-        if payload["mode"] == MODE_S2G:  # s2g graphs carry no theta or rho
-            if theta is not None or rho is not None:
-                raise ValueError("graph JSON of mode 's2g' carries a theta or a rho")
-        elif theta is None or not 0.0 < theta < 1.0 or rho is None or rho < 1:
-            raise ValueError("graph JSON of mode 's2gpa' needs theta in (0, 1) and rho >= 1")
-        if payload["first_clause_rule"] not in FIRST_CLAUSE_RULES:
-            raise ValueError(
-                f"unknown first-clause rule {payload['first_clause_rule']!r} in graph JSON"
-            )
-        digest = payload["formula_sha256"]
-        if type(digest) is not str or not _SHA256.fullmatch(digest):
-            raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
-        graph = ClauseGraph(
-            mode=payload["mode"],
-            temperature=payload["temperature"],
-            theta=payload["theta"],
-            rho=payload["rho"],
-            seed=payload["seed"],
-            first_clause_rule=payload["first_clause_rule"],
-            n=payload["n"],
-            k=payload["k"],
-            formula_sha256=payload["formula_sha256"],
-        )
+        header = {key: payload[key] for key in _HEADER_KEYS}
         nodes = list(map(itemgetter(*_NODE_KEYS), payload["nodes"]))
         edges = list(map(itemgetter(*_EDGE_KEYS), payload["edges"]))
         declared_m = payload["m"]
         declared_order = payload["insertion_order"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON missing or malformed field: {exc}") from None
-    clause, raw, normalized, energies, conn, in_events, out_events, particles = (
-        zip(*nodes) if nodes else ((),) * len(_NODE_KEYS)
-    )
-    _check_numbers("clause", clause, integer=True)
-    _check_numbers("raw_fitness", raw, integer=True)
-    _check_numbers("normalized_fitness", normalized)
-    _check_numbers("energy", energies)
-    _check_numbers("connectivity", conn)
-    _check_numbers("in_events", in_events, integer=True, minimum=0)
-    _check_numbers("out_events", out_events, integer=True, minimum=0)
+    _check_numbers("temperature", (header["temperature"],))
+    _check_numbers("seed", (header["seed"],), integer=True)
+    _check_numbers("n", (header["n"],), integer=True, minimum=1)
+    _check_numbers("k", (header["k"],), integer=True, minimum=1)
+    theta, rho = header["theta"], header["rho"]
+    if theta is not None:
+        _check_numbers("theta", (theta,))
+    if rho is not None:
+        _check_numbers("rho", (rho,), integer=True)
+    settings = {f.name: header[f.name] for f in fields(BuilderConfig)}
+    if header["mode"] == MODE_S2G:  # s2g graphs carry no theta or rho
+        if theta is not None or rho is not None:
+            raise ValueError("graph JSON of mode 's2g' carries a theta or a rho")
+        del settings["theta"], settings["rho"]
+    try:
+        BuilderConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"graph JSON header holds settings no build writes: {exc}") from None
+    digest = header["formula_sha256"]
+    if type(digest) is not str or not _SHA256.fullmatch(digest):
+        raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
+    columns = _columns(GraphNode, nodes, _NODE_KEYS)
+    particles = columns.pop("particles")
     _check_numbers("particles", particles, integer=True)
-    if any(map(ne, particles, map(add, in_events, out_events))):
+    if any(map(ne, particles, map(add, columns["in_events"], columns["out_events"]))):
         raise ValueError("graph JSON node particles differ from in_events + out_events")
-    u, v, weight, multiplicity = zip(*edges) if edges else ((),) * len(_EDGE_KEYS)
-    _check_numbers("u", u, integer=True)
-    _check_numbers("v", v, integer=True)
-    _check_numbers("weight", weight)
-    _check_numbers("multiplicity", multiplicity, integer=True, minimum=1)
-    for c, r, nf, e, cn, i, o, _ in nodes:
-        graph.nodes.append(
-            GraphNode(
-                clause=c,
-                fitness=FitnessRecord(raw=r, normalized=nf, energy=e),
-                connectivity=cn,
-                in_events=i,
-                out_events=o,
-            )
-        )
+    _columns(GraphEdge, edges, _EDGE_KEYS)
+    graph = ClauseGraph(**header, nodes=list(map(GraphNode, *columns.values())))
     if declared_m != graph.m or declared_order != graph.insertion_order:
         raise ValueError("graph JSON is inconsistent with its node list")
-    known = set(clause)
+    known = set(columns["clause"])
     if len(known) != graph.m or (known and (min(known) < 0 or max(known) >= graph.m)):
         raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")
     for a, b, w, mult in edges:
@@ -302,5 +290,5 @@ def graph_from_json(text: str) -> ClauseGraph:
             raise ValueError(f"graph JSON edge ({a}, {b}) does not join two known nodes")
         if (a, b) in graph.edges or (b, a) in graph.edges:
             raise ValueError(f"graph JSON lists edge ({a}, {b}) twice")
-        graph.edges[(a, b)] = GraphEdge(u=a, v=b, weight=w, multiplicity=mult)
+        graph.edges[(a, b)] = GraphEdge(a, b, w, mult)
     return graph

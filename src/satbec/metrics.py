@@ -1,14 +1,14 @@
-"""Clause distance, the per-node fitness record, and energy levels.
+"""Clause distance and energy levels.
 
 Distance between equal-length clauses counts how many literal slots cannot
 be matched across the two multisets of signed literals; a variable ``x`` and
 its negation ``-x`` are distinct literals.  It is computed on the clause
-tuples themselves, with one exact multiset path for every pair.
+tuples themselves, with one exact multiset path for every pair.  A node's
+fitness and energy are fields of ``graph.GraphNode``; the levels group those
+energies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # two energies within this tolerance sit on the same level
 ENERGY_LEVEL_TOL = 1e-9
@@ -29,13 +29,6 @@ def clause_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
         if lit in rest:
             rest.remove(lit)
     return len(rest)
-
-
-@dataclass(frozen=True)
-class FitnessRecord:
-    raw: int
-    normalized: float
-    energy: float
 
 
 def group_energy_levels(

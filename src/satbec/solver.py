@@ -76,7 +76,7 @@ def clause_order(formula: Formula, graph: ClauseGraph, seed: int) -> ClauseOrder
     energies = [0.0] * m
     conn = [0.0] * m
     for node in graph.nodes:
-        energies[node.clause] = node.fitness.energy
+        energies[node.clause] = node.energy
         conn[node.clause] = node.connectivity
     level = [0] * m
     for level_index, members in enumerate(group_energy_levels(energies)):

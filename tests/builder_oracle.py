@@ -26,7 +26,7 @@ import numpy as np
 from satbec.builder import FIRST_RANDOM, BuilderConfig
 from satbec.cnf import Formula, formula_sha256
 from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
-from satbec.metrics import FitnessRecord, clause_distance
+from satbec.metrics import clause_distance
 from satbec.seeding import derive_rng
 
 
@@ -201,11 +201,9 @@ def freeze(state: OracleState) -> ClauseGraph:
         graph.nodes.append(
             GraphNode(
                 clause=clause,
-                fitness=FitnessRecord(
-                    raw=int(state.fitness[clause]),
-                    normalized=float(state.normalized[clause]),
-                    energy=float(state.energy[clause]),
-                ),
+                raw_fitness=int(state.fitness[clause]),
+                normalized_fitness=float(state.normalized[clause]),
+                energy=float(state.energy[clause]),
                 connectivity=float(state.conn[clause]),
                 in_events=int(state.in_events[clause]),
                 out_events=int(state.out_events[clause]),

@@ -15,7 +15,6 @@ from satbec.analysis import (
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
 from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
-from satbec.metrics import FitnessRecord
 
 
 def graph_with(connectivities, edges, order=None):
@@ -36,7 +35,9 @@ def graph_with(connectivities, edges, order=None):
         g.nodes.append(
             GraphNode(
                 clause=clause,
-                fitness=FitnessRecord(raw=1, normalized=1.0, energy=0.0),
+                raw_fitness=1,
+                normalized_fitness=1.0,
+                energy=0.0,
                 connectivity=by_clause[clause],
             )
         )

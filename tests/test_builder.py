@@ -17,7 +17,7 @@ from satbec.builder import (
     select_first_clause,
 )
 from satbec.cnf import generate_random
-from satbec.graph import MODE_S2G, MODE_S2GPA, graph_to_json
+from satbec.graph import MODE_S2G, MODE_S2GPA, graph_from_json, graph_to_json
 from satbec.seeding import derive_rng
 from satbec.solver import clause_order
 
@@ -33,11 +33,24 @@ from satbec.solver import clause_order
         {"rho": 1.5},
         {"seed": -1},
         {"first_clause_rule": "latest"},
+        # numbers graph JSON would not write and read back as they are
+        {"rho": 1.0},
+        {"seed": True},
+        {"temperature": True},
+        {"seed": np.int64(3)},
+        {"rho": np.int64(2)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         BuilderConfig(**kwargs)
+
+
+def test_config_accepts_numpy_float_temperature():
+    f = generate_random(3, 3, 10, 30)
+    g = build_graph(f, BuilderConfig(temperature=np.float64(2.0), seed=1))
+    assert g == build_graph(f, BuilderConfig(temperature=2.0, seed=1))
+    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_build_needs_two_clauses():
@@ -296,7 +309,7 @@ def test_temperature_only_rescales_energies(mode):
     assert hot.edges == cold.edges
     assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
     for a, b in zip(hot.nodes, cold.nodes):
-        assert a.fitness.energy == pytest.approx(3.7 * b.fitness.energy)
+        assert a.energy == pytest.approx(3.7 * b.energy)
 
 
 @pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])

@@ -339,10 +339,16 @@ def test_exit_codes_for_usage_errors(tmp_path, cnf, capsys):
 
 def test_exit_codes_for_data_errors(tmp_path):
     bad_cnf = tmp_path / "bad.cnf"
-    bad_cnf.write_text("p cnf 3 2\n1 2 3 0\n", encoding="utf-8")
     out = tmp_path / "g.json"
-    assert run_cli("build", "--in", str(bad_cnf), "--out", str(out)) == 2
-    assert not out.exists()  # no partial artifacts on failure
+    for text in (
+        "p cnf 3 2\n1 2 3 0\n",  # clause count mismatch
+        "p cnf 10 1\n1_0 +2 0\n",  # literals that are not ASCII decimal integers
+        "p cnf 3 1\n\u0661 2 3 0\n",
+        "p cnf 1_0 1\n1 0\n",  # a count that is not an ASCII decimal integer
+    ):
+        bad_cnf.write_text(text, encoding="utf-8")
+        assert run_cli("build", "--in", str(bad_cnf), "--out", str(out)) == 2
+        assert not out.exists()  # no partial artifacts on failure
     bad_graph = tmp_path / "bad.json"
     bad_graph.write_text("{}", encoding="utf-8")
     assert run_cli("classify", "--in", str(bad_graph)) == 2

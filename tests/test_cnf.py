@@ -110,7 +110,8 @@ def test_parse_basic():
 
 
 def test_parse_accepts_bytes_multiline_and_percent_footer():
-    text = "c x\np cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n%\n0\nnoise after footer\n"
+    # a comment may hold any character, '+', '_' and non-ASCII ones included
+    text = "c x_1 + \u00fc\np cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n%\n0\nnoise after footer\n"
     f = parse_dimacs(text.encode("utf-8"))
     assert f.m == 2
     assert f.clauses == ((1, 2, 3), (-1, -2, -3))
@@ -143,6 +144,12 @@ def test_duplicate_vars_is_read_from_the_clauses(signed):
         "p cnf 3 1\n1 2 3\n",  # unterminated clause
         "p cnf 4 2\n1 2 3 0\n1 2 0\n",  # non-uniform length
         "",  # missing header
+        "p cnf 10 1\n1_0 +2 0\n",  # underscore and plus sign in literals
+        "p cnf 3 1\n1 +2 3 0\n",  # plus sign
+        "p cnf 3 1\n\u0661 2 3 0\n",  # non-ASCII digit
+        "p cnf 1_0 1\n1 0\n",  # underscore in a count
+        "p cnf 3 \u0661\n1 2 3 0\n",  # non-ASCII digit in a count
+        "p cnf 3 +1\n1 2 3 0\n",  # plus sign in a count
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -24,14 +24,15 @@ from satbec.graph import (
     graph_to_json,
     particle_spectrum,
 )
-from satbec.metrics import FitnessRecord
 
 
 def make_node(clause, raw, max_raw, connectivity, in_events=0, out_events=0):
     normalized = raw / max_raw
     return GraphNode(
         clause=clause,
-        fitness=FitnessRecord(raw=raw, normalized=normalized, energy=-math.log(normalized) + 0.0),
+        raw_fitness=raw,
+        normalized_fitness=normalized,
+        energy=-math.log(normalized) + 0.0,
         connectivity=connectivity,
         in_events=in_events,
         out_events=out_events,
@@ -98,12 +99,14 @@ def test_json_round_trip():
 
 @st.composite
 def small_builds(draw):
-    """Graph JSON of a small build, in either mode."""
+    """Graph JSON of a small build, in either mode, under any settings."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, k + 6))
     formula = generate_random(draw(st.integers(0, 2**16)), k, n, draw(st.integers(2, 25)))
     cfg = BuilderConfig(
         mode=draw(st.sampled_from(MODES)),
+        temperature=draw(st.one_of(st.integers(1, 5), st.floats(0.01, 100.0))),
+        theta=draw(st.floats(0.01, 0.99)),
         rho=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**16)),
         first_clause_rule=draw(st.sampled_from(FIRST_CLAUSE_RULES)),

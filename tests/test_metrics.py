@@ -16,15 +16,15 @@ from satbec.graph import MODES
 from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
 
 
-def built_fitness(formula, **cfg):
-    """Fitness records by clause index of a network built from ``formula``.
+def built_nodes(formula, **cfg):
+    """Nodes by clause index of a network built from ``formula``.
 
     Once every clause has joined, the local literal frequencies are those of
     the whole formula, so raw fitness is whole-formula fitness."""
-    records = [None] * formula.m
+    nodes = [None] * formula.m
     for node in build_graph(formula, BuilderConfig(seed=3, **cfg)).nodes:
-        records[node.clause] = node.fitness
-    return records
+        nodes[node.clause] = node
+    return nodes
 
 
 def test_literal_frequency_counts_signed_occurrences(sample10):
@@ -43,7 +43,7 @@ def test_clause_fitness_matches_counter_oracle(sample10):
     expected = [sum(counts[x] for x in c) for c in SAMPLE_10]
     assert expected == [5, 3, 3, 4, 3, 4, 4, 3, 4, 3]
     for mode in MODES:
-        assert [rec.raw for rec in built_fitness(sample10, mode=mode)] == expected
+        assert [node.raw_fitness for node in built_nodes(sample10, mode=mode)] == expected
 
 
 def test_fitness_respects_table_scope(sample10):
@@ -117,20 +117,20 @@ def test_energy_values():
 
 
 def test_energy_rejects_bad_temperature():
-    # a NaN or infinite temperature would write energies that graph JSON
-    # loading rejects
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # a NaN or infinite temperature, or an int too large for a float, would
+    # write energies or a header that graph JSON loading rejects
+    for bad in (0.0, -1.0, math.nan, math.inf, 10**400):
         with pytest.raises(ValueError):
             BuilderConfig(temperature=bad)
 
 
 def test_fitness_record_from_raw(sample20):
-    # every node's record follows from its raw fitness and the maximum
-    records = built_fitness(sample20, temperature=2.0)
-    top = max(rec.raw for rec in records)
-    for rec in records:
-        assert rec.normalized == rec.raw / top
-        assert rec.energy == pytest.approx(2.0 * math.log(top / rec.raw), abs=1e-12)
+    # every node's fitness and energy follow from its raw fitness and the maximum
+    nodes = built_nodes(sample20, temperature=2.0)
+    top = max(node.raw_fitness for node in nodes)
+    for node in nodes:
+        assert node.normalized_fitness == node.raw_fitness / top
+        assert node.energy == pytest.approx(2.0 * math.log(top / node.raw_fitness), abs=1e-12)
 
 
 def test_group_energy_levels_groups_and_orders():
@@ -154,9 +154,9 @@ def test_group_energy_levels_empty_and_singleton():
 
 def test_sample20_level_structure(sample20):
     # densest instance: three clauses tie at the maximal fitness
-    records = built_fitness(sample20)
-    fits = [rec.raw for rec in records]
+    nodes = built_nodes(sample20)
+    fits = [node.raw_fitness for node in nodes]
     assert max(fits) == 9
     assert [i for i, v in enumerate(fits) if v == 9] == [13, 14, 15]
-    energies = [rec.energy for rec in records]
+    energies = [node.energy for node in nodes]
     assert group_energy_levels(energies)[0] == [13, 14, 15]

@@ -12,7 +12,6 @@ from satbec.cnf import (
     parse_dimacs,
 )
 from satbec.graph import MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
-from satbec.metrics import FitnessRecord
 from satbec.solver import (
     DEFAULT_BUDGET,
     DESK_BUDGET,
@@ -50,7 +49,9 @@ def order_graph(formula, energies, connectivities):
         g.nodes.append(
             GraphNode(
                 clause=clause,
-                fitness=FitnessRecord(raw=1, normalized=1.0, energy=e),
+                raw_fitness=1,
+                normalized_fitness=1.0,
+                energy=e,
                 connectivity=c,
             )
         )
