@@ -23,10 +23,11 @@ joined.
 A newcomer changes only the clauses that share a literal with it, so each
 step updates local frequencies, fitness, the fittest index and the
 attachment weights over that neighbourhood alone, in one Python pass over
-its row of an overlap table built once per formula by one numpy pass
-(``overlap_table``, O(m x mean neighbourhood) memory) that is exact also
-when clauses repeat literals.  Once the fittest clause's row holds no
-unadded clause, the closest-clause search draws from a sorted list.
+its row of an overlap table built once per formula in numpy, one broadcast
+per literal group size (``overlap_table``, O(m x mean neighbourhood)
+memory), that is exact also when clauses repeat literals.  Once the
+fittest clause's row holds no unadded clause, the closest-clause search
+draws from a sorted list.
 
 The rest of a step is a fixed handful of numpy calls: the sum and division
 that give ``pi`` and, in preferential mode, its cumulative sum (in plain
@@ -83,29 +84,27 @@ def overlap_table(codes: np.ndarray) -> OverlapTable:
     by_code = np.argsort(flat, kind="stable")
     sorted_codes = flat[by_code]
     sorted_owner = by_code // k
-    position = np.arange(len(flat))
     # one group per literal: the slots that hold it, in clause order (the sort
     # is stable), so a clause's repeats of it are adjacent: occurrences 0, 1, ...
     group_start = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
     group_size = np.diff(np.r_[group_start, len(flat)])
     run = sorted_codes * m + sorted_owner
-    occurrence = position - np.searchsorted(run, run)
-    # every ordered pair (slot, partner) of slots holding the same literal:
-    # a slot in a group of size g starting at s pairs with s, ..., s + g - 1
-    size_of = np.repeat(group_size, group_size)
-    start_of = np.repeat(group_start, group_size)
-    slot = np.repeat(position, size_of)
-    rank = np.arange(len(slot)) - np.repeat(np.cumsum(size_of) - size_of, size_of)
-    partner = np.repeat(start_of, size_of) + rank
-    a = sorted_owner[slot]
-    b = sorted_owner[partner]
-    other = a != b
-    pair_keys = a * m + b
-    keys, overlap = np.unique(pair_keys[other], return_counts=True)
+    occurrence = np.arange(len(flat)) - np.searchsorted(run, run)
+    # every ordered pair of slots of different clauses holding the same
+    # literal, one (groups, g, g) broadcast per group size g; the sizes go
+    # through a set, because np.unique's hash table adds about 1 MiB of peak RSS
+    matched, unequal = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for g in set(group_size[group_size > 1].tolist()):
+        slots = group_start[group_size == g, None] + np.arange(g)
+        owner, occ = sorted_owner[slots], occurrence[slots]
+        pair_keys = owner[:, :, None] * m + owner[:, None, :]
+        other = owner[:, :, None] != owner[:, None, :]
+        matched.append(pair_keys[other])
+        # a pair of unequal occurrence numbers is no match (none without repeats)
+        unequal.append(pair_keys[other & (occ[:, :, None] != occ[:, None, :])])
+    keys, overlap = np.unique(np.concatenate(matched), return_counts=True)
     distance = (k - overlap).astype(np.int32)
-    # a pair of unequal occurrence numbers is no match (none without repeats)
-    unequal = other & (occurrence[slot] != occurrence[partner])
-    np.add.at(distance, np.searchsorted(keys, pair_keys[unequal]), 1)
+    np.add.at(distance, np.searchsorted(keys, np.concatenate(unequal)), 1)
     start = np.searchsorted(keys, np.arange(m + 1) * m)
     return OverlapTable(start, (keys % m).astype(np.int32), overlap.astype(np.int32), distance)
 

@@ -162,7 +162,26 @@ def formula_sha256(formula: Formula) -> str:
 
 def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     """Uniform random k-SAT formula: each clause draws k distinct variables
-    and independent random polarities."""
+    and independent random polarities.
+
+    Stream contract: the formula is the one that clause-by-clause calls of
+    ``rng.choice(n, size=k, replace=False)`` and ``rng.random(k)`` give on a
+    ``Generator(PCG64(seed))``.  Every draw of those calls is one bounded
+    integer draw on the generator, so a single ``rng.integers`` call over the
+    same bounds replays them, and the clauses are decoded from its output:
+
+    - n <= 10,000 or k <= n // 50: Floyd's sampling (Bentley and Floyd,
+      CACM 30(9), 1987) with bounds n-k, ..., n-1, then a shuffle of the k
+      picks with bounds k-1, ..., 1;
+    - otherwise: a tail shuffle of range(n) with bounds n-1, ...,
+      max(n-k, 1), whose last k positions are the picks;
+    - then k 64-bit words, a literal being negative iff its word is below
+      2^63, which is ``random() < 0.5``.
+
+    This holds on the installed numpy; under NEP 19 numpy does not promise
+    the ``choice`` stream across versions.  The pinned digests and the
+    reference generator in the tests catch any drift.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
@@ -172,13 +191,59 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
-    variables = np.empty((m, k), dtype=np.int64)
-    polarity = np.empty((m, k))
-    for c in range(m):
-        variables[c] = rng.choice(n, size=k, replace=False) + 1
-        polarity[c] = rng.random(k)
-    signed = np.where(polarity < 0.5, -variables, variables).tolist()
+    tail = n > 10_000 and k > n // 50
+    if tail:
+        pick_bounds = np.arange(n - 1, max(n - k, 1) - 1, -1)
+    else:
+        pick_bounds = np.r_[np.arange(n - k, n), np.arange(k - 1, 0, -1)]
+    bounds = np.r_[pick_bounds.astype(np.uint64), np.full(k, 2**64 - 1, dtype=np.uint64)]
+    draws = rng.integers(0, np.tile(bounds, m), dtype=np.uint64, endpoint=True)
+    draws = draws.reshape(m, len(bounds))
+    pick_draws = draws[:, : len(pick_bounds)].astype(np.int64)
+    decode = _tail_shuffle if tail else _floyd
+    variables = decode(pick_draws, k, n) + 1
+    negative = draws[:, len(pick_bounds) :] < np.uint64(2**63)
+    signed = np.where(negative, -variables, variables).tolist()
     return Formula(n=n, clauses=tuple(map(tuple, signed)))
+
+
+def _floyd(draws: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The k distinct values in [0, n) of each row's Floyd draws (its first k
+    columns), shuffled by the other k - 1 columns."""
+    m = len(draws)
+    rows = np.arange(m)
+    picks = draws[:, :k].copy()
+    # step t draws from [0, n-k+t] and takes n-k+t, never picked yet, when
+    # its draw already is
+    for t in range(1, k):
+        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[seen, t] = n - k + t
+    for t, i in enumerate(range(k - 1, 0, -1), start=k):
+        j = draws[:, t]
+        # picks[:, i] is a view: copy it before the first write lands in it
+        picks[:, i], picks[rows, j] = picks[rows, j], picks[:, i].copy()
+    return picks
+
+
+def _tail_shuffle(draws: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The last k entries of range(n) after each row's swaps of position
+    n-1-t with position ``draws[:, t]``.
+
+    Only touched positions are kept: the k output positions n-k, ..., n-1
+    are columns 0, ..., k-1 of a row, and each distinct swap partner below
+    n-k gets a slot of its own after all rows."""
+    m, swaps = draws.shape
+    base = n - k
+    rows = np.arange(m)[:, None]
+    low = draws < base
+    partners, slot = np.unique((rows * n + draws)[low], return_inverse=True)
+    state = np.r_[np.tile(np.arange(base, n), m), partners % n]
+    where = rows * k + draws - base
+    where[low] = m * k + slot
+    for t in range(swaps):
+        i, j = rows[:, 0] * k + k - 1 - t, where[:, t]
+        state[i], state[j] = state[j], state[i]
+    return state[: m * k].reshape(m, k)
 
 
 def evaluate(formula: Formula, values) -> tuple[int, list[int]]:

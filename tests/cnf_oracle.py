@@ -1,0 +1,27 @@
+"""Reference random generator kept as a test oracle.
+
+This is the straightforward generation: one ``rng.choice(n, size=k,
+replace=False)`` call and one ``rng.random(k)`` call per clause, on the same
+``Generator(PCG64(seed))``.  ``satbec.cnf.generate_random`` replays the
+draws of these calls with one ``rng.integers`` call and decodes the clauses
+itself; the two must give equal formulas.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from satbec.cnf import Formula
+
+
+def reference_generate(seed: int, k: int, n: int, m: int) -> Formula:
+    """Random k-SAT formula drawn clause by clause (arguments as checked by
+    ``generate_random``)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    variables = np.empty((m, k), dtype=np.int64)
+    polarity = np.empty((m, k))
+    for c in range(m):
+        variables[c] = rng.choice(n, size=k, replace=False) + 1
+        polarity[c] = rng.random(k)
+    signed = np.where(polarity < 0.5, -variables, variables).tolist()
+    return Formula(n=n, clauses=tuple(map(tuple, signed)))

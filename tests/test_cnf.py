@@ -5,10 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builder_oracle import literal_code
+from cnf_oracle import reference_generate
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
 from satbec.cnf import (
     DimacsError,
@@ -193,6 +194,53 @@ def test_generate_random_polarity_balance():
     assert {type(lit) for c in f.clauses for lit in c} == {int}
     negs = sum(lit < 0 for c in f.clauses for lit in c)
     assert 0.45 < negs / (3 * 400) < 0.55
+
+
+# digests of the per-clause choice + random stream, one case on each side of
+# numpy's switch from Floyd's algorithm to a tail shuffle (n > 10,000 and
+# k > n // 50), and the edges k = n, n = 1 and m = 0
+GENERATED = {
+    (0, 3, 100, 800): "f0ba680f65aae0d3c3a137545eccd4ea02ef7f8ba0db1d6da131e332851816c4",
+    (1, 3, 10**4, 42_560): "72c8ec2b72623cb1d28d32a9dbc99379dc0bee4f56ad954737c53fdc28403f51",
+    (2, 200, 10_001, 3): "b404df0a9e02862850ed9c219c66306ee02df5f1a9a8dfae4c0e12b0584c87d5",
+    (3, 202, 10_001, 3): "5f3a3a20cd0d01442ea426044f992c63154e556287c58666f439a11710b0f185",
+    (4, 10_001, 10_001, 1): "52de7461ce80888ec60d3f3ab0c39460788ca9dece93684c9b9a3c2a1cb1afc0",
+    (5, 1, 1, 4): "43f7a59973db194c6582508f20734e5c407ea28890b11e8ef14c53d2a097b80b",
+    (6, 3, 50, 0): "a60fa42e2e4f71d874246d0348c0d7c72acf02fc4cf739cd1299624efcdfbe2b",
+}
+
+
+@pytest.mark.parametrize("args", GENERATED, ids=map(str, GENERATED))
+def test_generate_random_stream_is_pinned(args):
+    assert formula_sha256(generate_random(*args)) == GENERATED[args]
+
+
+@st.composite
+def generator_args(draw):
+    """(seed, k, n, m) with k 1-6 and n up to 12, so k = n is common."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, 12))
+    return draw(st.integers(0, 2**32)), k, n, draw(st.integers(0, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_args())
+@example((0, 1, 1, 5))
+@example((1, 4, 4, 9))
+@example((2, 3, 7, 0))
+def test_generate_random_matches_reference(args):
+    assert generate_random(*args) == reference_generate(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2, 200, 10_001, 3), (3, 202, 10_001, 3), (4, 10_001, 10_001, 1), (9, 10_001, 10_001, 2),
+     (10, 9_000, 10_001, 2), (12, 401, 20_000, 5)],
+)
+def test_generate_random_tail_shuffle_matches_reference(args):
+    """On both sides of numpy's switch to a tail shuffle, including clauses
+    whose swap partners below the last k positions repeat."""
+    assert generate_random(*args) == reference_generate(*args)
 
 
 @pytest.mark.parametrize("args", [(0, 3, 2, 5), (0, 0, 5, 5), (0, 3, 0, 5), (0, 3, 5, -1)])
