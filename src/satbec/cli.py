@@ -42,6 +42,7 @@ from .graph import (
     export_dot,
     graph_from_json,
     graph_to_json,
+    json_text,
     particle_spectrum,
 )
 from .seeding import TAG_ORDER, derive_seed
@@ -112,7 +113,7 @@ def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outp
         "inputs": inputs,
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: list):
@@ -155,10 +156,6 @@ def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: list =
         _emit(subcommand, args, inputs, artifacts)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _load_formula(path: str):
@@ -325,7 +322,7 @@ def _classification_payload(graph):
 
 def _cmd_classify(args):
     record, graph = _load_graph(getattr(args, "in"))
-    _emit_or_print("classify", args, {"in": record}, _json_text(_classification_payload(graph)))
+    _emit_or_print("classify", args, {"in": record}, json_text(_classification_payload(graph)))
 
 
 def _cmd_spectrum(args):
@@ -346,7 +343,7 @@ def _cmd_spectrum(args):
         ],
     }
     dot = [] if args.dot is None else [(args.dot, export_dot(graph))]
-    _emit_or_print("spectrum", args, {"in": record}, _json_text(payload), dot)
+    _emit_or_print("spectrum", args, {"in": record}, json_text(payload), dot)
 
 
 def _result_payload(algo: str, result, args) -> dict:
@@ -382,7 +379,7 @@ def _cmd_solve(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {"results": [_result_payload(args.algo, result, args)]}
-    _emit("solve", args, inputs, [(args.out, _json_text(payload))])
+    _emit("solve", args, inputs, [(args.out, json_text(payload))])
 
 
 def _is_count(value) -> bool:
@@ -427,7 +424,7 @@ def _cmd_compare(args):
     except ValueError as exc:
         raise DataError(str(exc)) from None
     _emit_or_print("compare", args, {"a": record_a, "b": record_b},
-                   _json_text({"verdict": verdict}))
+                   json_text({"verdict": verdict}))
 
 
 def _cmd_sweep(args):

@@ -193,10 +193,12 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     rng = np.random.Generator(np.random.PCG64(seed))
     tail = n > 10_000 and k > n // 50
     if tail:
-        pick_bounds = np.arange(n - 1, max(n - k, 1) - 1, -1)
+        pick_bounds = np.arange(n - 1, max(n - k, 1) - 1, -1, dtype=np.uint64)
     else:
-        pick_bounds = np.r_[np.arange(n - k, n), np.arange(k - 1, 0, -1)]
-    bounds = np.r_[pick_bounds.astype(np.uint64), np.full(k, 2**64 - 1, dtype=np.uint64)]
+        pick_bounds = np.concatenate(
+            (np.arange(n - k, n, dtype=np.uint64), np.arange(k - 1, 0, -1, dtype=np.uint64))
+        )
+    bounds = np.concatenate((pick_bounds, np.full(k, 2**64 - 1, dtype=np.uint64)))
     draws = rng.integers(0, np.tile(bounds, m), dtype=np.uint64, endpoint=True)
     draws = draws.reshape(m, len(bounds))
     pick_draws = draws[:, : len(pick_bounds)].astype(np.int64)
@@ -212,17 +214,36 @@ def _floyd(draws: np.ndarray, k: int, n: int) -> np.ndarray:
     columns), shuffled by the other k - 1 columns."""
     m = len(draws)
     rows = np.arange(m)
-    picks = draws[:, :k].copy()
-    # step t draws from [0, n-k+t] and takes n-k+t, never picked yet, when
-    # its draw already is
-    for t in range(1, k):
-        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
-        picks[seen, t] = n - k + t
-    for t, i in enumerate(range(k - 1, 0, -1), start=k):
-        j = draws[:, t]
-        # picks[:, i] is a view: copy it before the first write lands in it
-        picks[:, i], picks[rows, j] = picks[rows, j], picks[:, i].copy()
-    return picks
+    # column-major: step t of every row is one run of m values
+    picks = draws[:, :k].T.copy()
+    # step t draws d from [0, n-k+t] and takes n-k+t, never picked yet, when
+    # d already is: when d repeats an earlier draw of its row (the later of
+    # two equal keys in a stable sort), or when d = n-k+u for an earlier
+    # step u that took n-k+u itself
+    keys = (picks + n * rows).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    taken = np.zeros(m * k, dtype=bool)
+    taken[order[1:]] = ranked[1:] == ranked[:-1]
+    u = picks - (n - k)
+    linked = np.flatnonzero(u.view(np.uint64) < np.arange(k, dtype=np.uint64)[:, None])
+    linked = linked[~taken[linked]]
+    # link each such step to its step u and follow the links (always to an
+    # earlier step, so at most k - 1 deep) by pointer jumping: it takes
+    # n-k+t iff the step its links end at repeated a draw
+    link = np.arange(m * k)
+    link[linked] = u.ravel()[linked] * m + linked % m
+    for _ in range((k - 1).bit_length()):
+        link[linked] = link[link[linked]]
+    taken[linked] = taken[link[linked]]
+    np.copyto(picks, (n - k + np.arange(k))[:, None], where=taken.reshape(k, m))
+    flat = picks.ravel()
+    partners = draws[:, k:].T * m + rows
+    for i, where in zip(range(k - 1, 0, -1), partners):
+        swapped = flat[where]
+        flat[where] = picks[i]
+        picks[i] = swapped
+    return picks.T
 
 
 def _tail_shuffle(draws: np.ndarray, k: int, n: int) -> np.ndarray:

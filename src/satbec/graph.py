@@ -21,6 +21,7 @@ import math
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, ne
 
 from .metrics import ENERGY_LEVEL_TOL, group_energy_levels
@@ -183,8 +184,100 @@ def export_dot(graph: ClauseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scalar_text(value) -> str:
+    """JSON text of a value that is not a container, dispatched as json's
+    Python encoder does (an int or float subclass is written as its base)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _record_rows(rows: list, newline: str) -> list[str] | None:
+    """The JSON texts of ``rows``, dicts that share one non-empty key set and
+    hold only exact ints and finite floats, whose repr is their JSON text,
+    each written by one %r template; None for any other list of dicts."""
+    keys = rows[0].keys()
+    if not keys or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    keys = sorted(keys)
+    columns = [list(map(itemgetter(key), rows)) for key in keys]
+    try:
+        if not all(set(map(type, c)) <= {int, float} and all(map(math.isfinite, c))
+                   for c in columns):
+            return None
+    except OverflowError:  # an int too large for a float
+        return None
+    pad = newline + "  "
+    template = ",".join(pad + encode_basestring_ascii(key).replace("%", "%%") + ": %r"
+                        for key in keys)
+    return list(map(("{" + template + newline + "}").__mod__, zip(*columns)))
+
+
+def _write(value, out: list, newline: str):
+    """Append the JSON text of ``value`` to ``out``; ``newline`` starts the
+    line on which ``value`` opens.  A key that is not a str is a TypeError."""
+    if not isinstance(value, (list, tuple, dict)):
+        out.append(_scalar_text(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        types = set(map(type, value))
+        texts = _record_rows(value, inner) if types == {dict} else None
+        if texts is None and not any(issubclass(t, (list, tuple, dict)) for t in types):
+            texts = list(map(_scalar_text, value))
+        if texts is None:
+            separator = "[" + inner
+            for item in value:
+                out.append(separator)
+                _write(item, out, inner)
+                separator = "," + inner
+        else:
+            out.append("[" + inner + ("," + inner).join(texts))
+        out.append(newline + "]")
+
+
+def json_text(payload) -> str:
+    """The JSON artifact text of ``payload``: exactly
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, for a payload
+    whose dict keys are all str (any other key is a TypeError).
+
+    json writes an indented dump with its pure-Python encoder; this writer
+    does the per-value work in C instead, by ``%r`` templates for lists of
+    numeric records and one join for lists of scalars."""
+    out: list[str] = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def graph_to_json(graph: ClauseGraph) -> str:
-    """Stable-order JSON dump; identical graphs serialize byte-identically."""
+    """Stable-order JSON dump; identical graphs serialize byte-identically.
+
+    The text is ``json_text`` of the payload, the layout of every JSON
+    artifact and manifest the CLI writes."""
     payload = {
         **vars(graph),
         "m": graph.m,
@@ -192,7 +285,7 @@ def graph_to_json(graph: ClauseGraph) -> str:
         "nodes": [{**vars(node), "particles": node.particles} for node in graph.nodes],
         "edges": [vars(graph.edges[key]) for key in sorted(graph.edges)],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 # the graph JSON keys: a header of every graph field but the two tables, and

@@ -25,3 +25,14 @@ def reference_generate(seed: int, k: int, n: int, m: int) -> Formula:
         polarity[c] = rng.random(k)
     signed = np.where(polarity < 0.5, -variables, variables).tolist()
     return Formula(n=n, clauses=tuple(map(tuple, signed)))
+
+
+def reference_floyd(draws, k: int, n: int) -> list[int]:
+    """One row of ``satbec.cnf._floyd`` step by step: Floyd's sampling by the
+    first k draws, then numpy's shuffle of the picks by the other k - 1."""
+    picks: list[int] = []
+    for t, d in enumerate(draws[:k]):
+        picks.append(n - k + t if d in picks else d)
+    for i, j in zip(range(k - 1, 0, -1), draws[k:]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks

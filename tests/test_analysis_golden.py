@@ -2,7 +2,9 @@
 particle-spectrum JSON of the builds in ``test_golden``.
 
 The digests in ``golden/analysis_sha256.json`` pin, for each golden build,
-the JSON that ``satbec classify`` and ``satbec spectrum`` print for it.  A
+the JSON that ``satbec classify`` and ``satbec spectrum`` print for it, both
+as this file's own ``json.dumps`` lays it out and as ``satbec.graph.json_text``
+does.  A
 change that alters them changes what the package produces and must say so.
 To print the digests of the current code, run
 
@@ -18,7 +20,7 @@ import pytest
 from test_golden import CASES, GOLDEN_DIR, case_formula
 from satbec.analysis import classify, nonwinner_stats
 from satbec.builder import BuilderConfig, build_graph
-from satbec.graph import particle_spectrum
+from satbec.graph import json_text, particle_spectrum
 
 DIGESTS = os.path.join(GOLDEN_DIR, "analysis_sha256.json")
 
@@ -27,45 +29,43 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def classify_text(graph) -> str:
+def classify_payload(graph) -> dict:
     label = classify(graph)
     mean, std = nonwinner_stats(graph)
-    return _json_text(
-        {
-            "fraction_winner": label.fraction_winner,
-            "label": label.label.value,
-            "nonwinner_mean": mean,
-            "nonwinner_std": std,
-        }
-    )
+    return {
+        "fraction_winner": label.fraction_winner,
+        "label": label.label.value,
+        "nonwinner_mean": mean,
+        "nonwinner_std": std,
+    }
 
 
-def spectrum_text(graph) -> str:
+def spectrum_payload(graph) -> dict:
     spectrum = particle_spectrum(graph)
-    return _json_text(
-        {
-            "total_particles": spectrum.total_particles,
-            "levels": [
-                {
-                    "energy": level.energy,
-                    "particles": level.particles,
-                    "states": [
-                        {"clause": state.clause, "particles": state.particles}
-                        for state in level.states
-                    ],
-                }
-                for level in spectrum.levels
-            ],
-        }
-    )
+    return {
+        "total_particles": spectrum.total_particles,
+        "levels": [
+            {
+                "energy": level.energy,
+                "particles": level.particles,
+                "states": [
+                    {"clause": state.clause, "particles": state.particles}
+                    for state in level.states
+                ],
+            }
+            for level in spectrum.levels
+        ],
+    }
 
 
-def case_digests(name: str) -> dict:
+def case_digests(name: str, write=_json_text) -> dict:
+    """The digests of the case's ``classify`` and ``spectrum`` JSON, as
+    ``write`` lays out their payloads."""
     source, kwargs = CASES[name]
     graph = build_graph(case_formula(source), BuilderConfig(**kwargs))
     return {
-        "classify": hashlib.sha256(classify_text(graph).encode("utf-8")).hexdigest(),
-        "spectrum": hashlib.sha256(spectrum_text(graph).encode("utf-8")).hexdigest(),
+        "classify": hashlib.sha256(write(classify_payload(graph)).encode("utf-8")).hexdigest(),
+        "spectrum": hashlib.sha256(write(spectrum_payload(graph)).encode("utf-8")).hexdigest(),
     }
 
 
@@ -81,6 +81,13 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_analysis_json_matches_golden_digests(name):
     assert case_digests(name) == load_digests()[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_package_json_writer_matches_golden_digests(name):
+    """The bytes ``satbec classify`` and ``satbec spectrum`` write, laid out
+    by the package's own writer."""
+    assert case_digests(name, write=json_text) == load_digests()[name]
 
 
 if __name__ == "__main__":

@@ -547,3 +547,38 @@ def test_full_pipeline_rerun_identical(tmp_path):
         return read(cnf) + read(g) + read(phase)
 
     assert pipeline() == pipeline()
+
+
+def test_every_json_artifact_and_manifest_has_one_layout(tmp_path, capsys):
+    """Each JSON file the CLI writes, manifests included, is laid out as
+    ``json.dumps(sort_keys=True, indent=2)`` plus a newline, also where it
+    records non-ASCII paths."""
+    work = tmp_path / "fórmulas ☃"
+    work.mkdir()
+
+    def path(name):
+        return str(work / name)
+
+    runs = [
+        ("gen", "--seed", "5", "--n", "15", "--m", "40", "--out", path("f.cnf")),
+        ("build", "--mode", "s2gpa", "--seed", "6", "--in", path("f.cnf"), "--out", path("g.json")),
+        ("classify", "--in", path("g.json"), "--out", path("c.json")),
+        ("spectrum", "--in", path("g.json"), "--out", path("s.json"), "--dot", path("s.dot")),
+        ("solve", "--algo", "chainsat", "--budget", "500", "--seed", "3", "--in", path("f.cnf"),
+         "--out", path("a.json")),
+        ("solve", "--algo", "lc", "--graph", path("g.json"), "--budget", "500", "--seed", "3",
+         "--in", path("f.cnf"), "--out", path("b.json")),
+        ("compare", path("a.json"), path("b.json"), "--out", path("v.json")),
+        ("sweep", "--n-values", "10", "--alphas", "2.0", "--instances", "1", "--graphs", "2",
+         "--jobs", "1", "--out", path("sweep.csv")),
+        ("bench", "--grid", "2.0", "--n-values", "10", "--instances", "1", "--budget", "200",
+         "--jobs", "1", "--out", path("bench.csv")),
+    ]
+    for argv in runs:
+        assert run_cli(*argv) == 0, argv
+    texts = [read(p) for p in sorted(work.iterdir()) if p.suffix == ".json"]
+    assert len(texts) == 6 + 10  # six JSON artifacts, one manifest per output
+    assert run_cli("classify", "--in", path("g.json")) == 0
+    texts.append(capsys.readouterr().out)
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

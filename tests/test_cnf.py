@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builder_oracle import literal_code
-from cnf_oracle import reference_generate
+from cnf_oracle import reference_floyd, reference_generate
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
+from satbec import cnf
 from satbec.cnf import (
     DimacsError,
     Formula,
@@ -241,6 +242,28 @@ def test_generate_random_tail_shuffle_matches_reference(args):
     """On both sides of numpy's switch to a tail shuffle, including clauses
     whose swap partners below the last k positions repeat."""
     assert generate_random(*args) == reference_generate(*args)
+
+
+@pytest.mark.parametrize(
+    "args", [(7, 1000, 5000, 4), (8, 64, 64, 40), (9, 100, 1000, 30), (10, 3000, 10_000, 2)]
+)
+def test_generate_random_floyd_matches_reference_at_large_k(args):
+    """Floyd's sampling at large k and few clauses; at k = n most steps
+    collide."""
+    assert generate_random(*args) == reference_generate(*args)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 11, 19, 35])
+def test_floyd_follows_the_longest_collision_chain(k):
+    """At k = n, draws 0, 0, 1, ..., k - 2 make step 1 repeat step 0's draw
+    and each later step t draw the top value t - 1 that step t - 1 took, so
+    one chain of collisions runs through every step.  Other rows are random."""
+    rng = np.random.default_rng(k)
+    floyd = [rng.integers(0, t + 1) for t in range(k)]
+    shuffle = [rng.integers(0, i + 1) for i in range(k - 1, 0, -1)]
+    rows = [[0, 0, *range(1, k - 1)] + shuffle, floyd + shuffle, floyd + [0] * (k - 1)]
+    expected = [reference_floyd(row, k, k) for row in rows]
+    assert cnf._floyd(np.array(rows, dtype=np.int64), k, k).tolist() == expected
 
 
 @pytest.mark.parametrize("args", [(0, 3, 2, 5), (0, 0, 5, 5), (0, 3, 0, 5), (0, 3, 5, -1)])

@@ -3,8 +3,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import components, degrees
@@ -22,6 +23,7 @@ from satbec.graph import (
     export_dot,
     graph_from_json,
     graph_to_json,
+    json_text,
     particle_spectrum,
 )
 
@@ -150,6 +152,58 @@ def test_json_is_stable_and_readable():
     assert len(payload["edges"]) == 3
     # stable key order: serializing the parsed payload with sorted keys is a no-op
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+
+
+# keys and strings with non-ASCII, control, quote, bracket and % characters
+TEXT = st.text(st.sampled_from('ab%"\\/[]{}\x00\x1f\n\té€\u2028😀'), max_size=6)
+NUMBERS = st.one_of(
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=False).map(np.float64),
+)
+SCALARS = st.one_of(TEXT, st.none(), st.booleans(), NUMBERS)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts over one key set (the graph tables and the spectrum
+    states), some rows with an extra key, some values a bool or not finite."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    value = st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        value |= SCALARS
+    extra = draw(TEXT.filter(lambda key: key not in keys))
+    row = st.fixed_dictionaries(dict.fromkeys(keys, value), optional={extra: value})
+    return draw(st.lists(row, max_size=4))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    )
+
+
+PAYLOADS = st.recursive(SCALARS | record_lists(), containers, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+@example([{"clause": 1, "energy": 0.25}, {"energy": -0.0, "clause": 2**80}])
+@example([{"u": 0, "v": 1}, {"u": 0, "w": 1}])
+@example({"nodes": [{"a": 1, "b": True}, {"a": 2, "b": 0.5}],
+          "edges": [{"w": 1.0}, {"w": math.inf}], "states": [{"e": math.nan}]})
+def test_json_text_matches_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_refuses_non_str_keys():
+    with pytest.raises(TypeError):
+        json_text({1: 2})
+    with pytest.raises(TypeError):
+        json_text([{"a": 1}, {1: 2}])
 
 
 @pytest.mark.parametrize(
