@@ -77,3 +77,16 @@ def nonwinner_stats(graph: ClauseGraph) -> tuple[float, float]:
     if np.all(values == values[0]):
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std())
+
+
+def classification(graph: ClauseGraph) -> dict:
+    """The phase summary of one graph, as ``classify`` writes it and a sweep
+    sample records it."""
+    label = classify(graph)
+    mean, std = nonwinner_stats(graph)
+    return {
+        "fraction_winner": label.fraction_winner,
+        "label": label.label.value,
+        "nonwinner_mean": mean,
+        "nonwinner_std": std,
+    }

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from . import solver as solver_mod
-from .analysis import classify, nonwinner_stats
+from .analysis import classification
 from .builder import BuilderConfig, build_graph
 from .cnf import DimacsError, generate_random, parse_dimacs, serialize_dimacs
 from .experiments import (
@@ -306,23 +306,13 @@ def _cmd_build(args):
     _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
 
 
-def _classification_payload(graph):
-    try:
-        label = classify(graph)
-        mean, std = nonwinner_stats(graph)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    return {
-        "fraction_winner": label.fraction_winner,
-        "label": label.label.value,
-        "nonwinner_mean": mean,
-        "nonwinner_std": std,
-    }
-
-
 def _cmd_classify(args):
     record, graph = _load_graph(getattr(args, "in"))
-    _emit_or_print("classify", args, {"in": record}, json_text(_classification_payload(graph)))
+    try:
+        payload = classification(graph)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    _emit_or_print("classify", args, {"in": record}, json_text(payload))
 
 
 def _cmd_spectrum(args):
@@ -331,14 +321,8 @@ def _cmd_spectrum(args):
     payload = {
         "total_particles": spectrum.total_particles,
         "levels": [
-            {
-                "energy": level.energy,
-                "particles": level.particles,
-                "states": [
-                    {"clause": state.clause, "particles": state.particles}
-                    for state in level.states
-                ],
-            }
+            {"energy": level.energy, "particles": level.particles,
+             "states": list(map(vars, level.states))}
             for level in spectrum.levels
         ],
     }
@@ -346,20 +330,21 @@ def _cmd_spectrum(args):
     _emit_or_print("spectrum", args, {"in": record}, json_text(payload), dot)
 
 
-def _result_payload(algo: str, result, args) -> dict:
-    return {
-        "algo": algo,
-        "solved": result.solved,
-        "satisfied_clauses": result.satisfied_clauses,
-        "flips": result.flips,
-        "evaluations": result.evaluations,
-        "budget": args.budget,
-        "p1": args.p1,
-        "p2": args.p2,
-        "seed": args.seed,
-        "formula_sha256": result.formula_sha256,
-        "assignment": list(result.assignment),
-    }
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # a bool is not an int here
+
+
+# the SolverResult fields a result entry holds, each with the test its JSON
+# value must pass
+_RESULT_FIELDS = {
+    "solved": (lambda v: type(v) is bool, "a boolean"),
+    "satisfied_clauses": (_is_count, "a non-negative integer"),
+    "flips": (_is_count, "a non-negative integer"),
+    "evaluations": (_is_count, "a non-negative integer"),
+    "assignment": (lambda v: type(v) is list and all(type(x) is bool for x in v),
+                   "a list of booleans"),
+    "formula_sha256": (lambda v: type(v) is str, "a string"),
+}
 
 
 def _cmd_solve(args):
@@ -371,31 +356,20 @@ def _cmd_solve(args):
             raise UsageError(f"--graph is required for --algo {args.algo}")
         inputs["graph"], graph = _load_graph(args.graph)
         try:
-            order = solver_mod.clause_order(formula, graph, derive_seed(args.seed, TAG_ORDER))
+            order_seed = derive_seed(args.seed, TAG_ORDER)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        try:
+            order = solver_mod.clause_order(formula, graph, order_seed)
         except ValueError as exc:
             raise DataError(str(exc)) from None
     try:
         result = solver_mod.solve(formula, args.algo, order, args.p1, args.p2, args.budget, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    payload = {"results": [_result_payload(args.algo, result, args)]}
-    _emit("solve", args, inputs, [(args.out, json_text(payload))])
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # a bool is not an int here
-
-
-# the fields of a result entry, each with the test its JSON value must pass
-_RESULT_FIELDS = {
-    "solved": (lambda v: type(v) is bool, "a boolean"),
-    "satisfied_clauses": (_is_count, "a non-negative integer"),
-    "flips": (_is_count, "a non-negative integer"),
-    "evaluations": (_is_count, "a non-negative integer"),
-    "assignment": (lambda v: type(v) is list and all(type(x) is bool for x in v),
-                   "a list of booleans"),
-    "formula_sha256": (lambda v: type(v) is str, "a string"),
-}
+    entry = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    entry.update(algo=args.algo, budget=args.budget, p1=args.p1, p2=args.p2, seed=args.seed)
+    _emit("solve", args, inputs, [(args.out, json_text({"results": [entry]}))])
 
 
 def _results_from_file(path: str):

@@ -12,12 +12,12 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import solver
-from .analysis import Phase, classify, nonwinner_stats
+from .analysis import Phase, classification
 from .builder import build_graph
 from .cnf import Formula, generate_random
 from .graph import (
@@ -135,10 +135,9 @@ def build_sample_graph(
     alpha_index: int,
     instance: int,
     graph_index: int,
-    formula: Formula | None = None,
+    formula: Formula,
 ) -> ClauseGraph:
-    if formula is None:
-        formula = sample_formula(cfg, n_index, alpha_index, instance)
+    """Graph ``graph_index`` of ``formula``, the instance's formula."""
     seed = derive_seed(cfg.seed_root, TAG_BUILD, n_index, alpha_index, instance, graph_index)
     return build_graph(formula, cfg.builder_config(seed))
 
@@ -154,19 +153,8 @@ def run_grid_point(cfg: SweepConfig, n_index: int, alpha_index: int) -> list[Gra
             graph = build_sample_graph(
                 cfg, n_index, alpha_index, instance, graph_index, formula=formula
             )
-            label = classify(graph)
-            mean, std = nonwinner_stats(graph)
             samples.append(
-                GraphSample(
-                    n=n,
-                    alpha=alpha,
-                    instance=instance,
-                    graph=graph_index,
-                    fraction_winner=label.fraction_winner,
-                    label=label.label.value,
-                    nonwinner_mean=mean,
-                    nonwinner_std=std,
-                )
+                GraphSample(n, alpha, instance, graph_index, **classification(graph))
             )
     return samples
 
@@ -179,7 +167,7 @@ def aggregate_samples(samples: list[GraphSample]) -> SweepRecord:
     labels = [s.label for s in samples]
     return SweepRecord(
         n=samples[0].n,
-        alpha=samples[0].alpha,
+        alpha=float(samples[0].alpha),
         mean_fraction_winner=float(np.mean(fractions)),
         pct_full_bec=100.0 * labels.count(Phase.FULL_BEC.value) / count,
         pct_partial_bec=100.0 * labels.count(Phase.PARTIAL_BEC.value) / count,
@@ -221,37 +209,16 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     return [aggregate_samples(s) for s in _run_tasks(run_grid_point, cfg, jobs)]
 
 
-SWEEP_CSV_COLUMNS = (
-    "n",
-    "alpha",
-    "mean_fraction_winner",
-    "pct_full_bec",
-    "pct_partial_bec",
-    "pct_fgr",
-    "nonwinner_mean",
-    "nonwinner_std",
-    "samples",
-)
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def sweep_records_to_csv(records) -> str:
+    """The fields of each ``SweepRecord`` as one CSV row; csv writes a
+    float as its repr."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.n,
-                repr(float(r.alpha)),
-                repr(r.mean_fraction_winner),
-                repr(r.pct_full_bec),
-                repr(r.pct_partial_bec),
-                repr(r.pct_fgr),
-                repr(r.nonwinner_mean),
-                repr(r.nonwinner_std),
-                r.samples,
-            ]
-        )
+    writer.writerows(vars(r).values() for r in records)
     return out.getvalue()
 
 
@@ -290,7 +257,7 @@ def second_derivative(fit: PolyFit, alpha: float) -> float:
     return float(sum(j * (j - 1) * c[j] * alpha ** (j - 2) for j in range(2, len(c))))
 
 
-def second_derivative_peak(fit: PolyFit, lo: float, hi: float, samples: int = 2001) -> float:
+def second_derivative_peak(fit: PolyFit, lo: float, hi: float) -> float:
     """Location of the highest interior local maximum of the fitted curve's
     second derivative on [lo, hi].
 
@@ -299,11 +266,11 @@ def second_derivative_peak(fit: PolyFit, lo: float, hi: float, samples: int = 20
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, 2001)
     values = np.array([second_derivative(fit, a) for a in grid])
     interior = [
         i
-        for i in range(1, samples - 1)
+        for i in range(1, len(grid) - 1)
         if values[i] >= values[i - 1] and values[i] >= values[i + 1]
     ]
     if interior:
@@ -342,10 +309,7 @@ class BenchConfig:
         _check_grid(self.k, self.n_values, self.alphas, builds=needs_graph)
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if any(p is not None and not 0.0 <= p <= 1.0 for p in (self.p1, self.p2)):
-            raise ValueError("p1 and p2 must lie in [0, 1]")
-        if self.p1 is None or self.p2 is None:
-            solver.default_flip_probabilities(self.k)
+        solver.flip_probabilities(self.k, self.p1, self.p2)
         if self.seed_root < 0:
             raise ValueError("seed_root must be non-negative")
         self.builder_config(0)
@@ -364,13 +328,13 @@ class BenchConfig:
         return self.alphas
 
 
-def default_alpha_grid(k: int, points: int = 8) -> tuple[float, ...]:
+def default_alpha_grid(k: int) -> tuple[float, ...]:
     """Evenly spaced alphas spanning [threshold - 2, threshold + 1]."""
     try:
         threshold = SAT_THRESHOLD[k]
     except KeyError:
         raise ValueError(f"no accepted threshold for k={k}; pass alphas explicitly") from None
-    return tuple(float(a) for a in np.linspace(threshold - 2.0, threshold + 1.0, points))
+    return tuple(float(a) for a in np.linspace(threshold - 2.0, threshold + 1.0, 8))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, ne
 
-from .metrics import ENERGY_LEVEL_TOL, group_energy_levels
+from .metrics import group_energy_levels
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -155,11 +155,11 @@ class EnergySpectrum:
         return sum(level.particles for level in self.levels)
 
 
-def particle_spectrum(graph: ClauseGraph, tol: float = ENERGY_LEVEL_TOL) -> EnergySpectrum:
+def particle_spectrum(graph: ClauseGraph) -> EnergySpectrum:
     """Group nodes into energy levels (ascending) with their particle loads."""
     energies = [node.energy for node in graph.nodes]
     levels = []
-    for members in group_energy_levels(energies, tol):
+    for members in group_energy_levels(energies):
         states = tuple(
             EnergyState(clause=graph.nodes[i].clause, particles=graph.nodes[i].particles)
             for i in sorted(members, key=lambda i: graph.nodes[i].clause)

@@ -31,20 +31,19 @@ def clause_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return len(rest)
 
 
-def group_energy_levels(
-    energies, tol: float = ENERGY_LEVEL_TOL
-) -> list[list[int]]:
+def group_energy_levels(energies) -> list[list[int]]:
     """Group indices of ``energies`` into levels, ascending.
 
     Values are chained into one level while consecutive sorted values differ
-    by at most ``tol``.  Within a level, indices are sorted ascending.
+    by at most ``ENERGY_LEVEL_TOL``.  Within a level, indices are sorted
+    ascending.
     """
     order = sorted(range(len(energies)), key=lambda i: (energies[i], i))
     groups: list[list[int]] = []
     prev = None
     for idx in order:
         value = energies[idx]
-        if prev is None or value - prev > tol:
+        if prev is None or value - prev > ENERGY_LEVEL_TOL:
             groups.append([idx])
         else:
             groups[-1].append(idx)

@@ -42,14 +42,23 @@ B_BETTER = "b_better"
 TIE = "tie"
 
 
-def default_flip_probabilities(k: int) -> tuple[float, float]:
-    try:
-        p = FLIP_PROBABILITIES[k]
-    except KeyError:
-        raise ValueError(
-            f"no default flip probabilities for k={k}; pass p1 and p2 explicitly"
-        ) from None
-    return p, p
+def flip_probabilities(
+    k: int, p1: float | None = None, p2: float | None = None
+) -> tuple[float, float]:
+    """``p1`` and ``p2``, each None filled from the per-k table; both must
+    lie in [0, 1]."""
+    if p1 is None or p2 is None:
+        try:
+            p = FLIP_PROBABILITIES[k]
+        except KeyError:
+            raise ValueError(
+                f"no default flip probabilities for k={k}; pass p1 and p2 explicitly"
+            ) from None
+        p1 = p if p1 is None else p1
+        p2 = p if p2 is None else p2
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+        raise ValueError("p1 and p2 must lie in [0, 1]")
+    return p1, p2
 
 
 @dataclass(frozen=True)
@@ -99,16 +108,6 @@ class SolverResult:
     unsat_trajectory: tuple[int, ...] | None = None
 
 
-def _resolve_probabilities(formula, p1, p2):
-    if p1 is None or p2 is None:
-        d1, d2 = default_flip_probabilities(formula.k)
-        p1 = d1 if p1 is None else p1
-        p2 = d2 if p2 is None else p2
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValueError("p1 and p2 must lie in [0, 1]")
-    return p1, p2
-
-
 def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     """The walk, as one loop.
 
@@ -132,7 +131,7 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
-    p1, p2 = _resolve_probabilities(formula, p1, p2)
+    p1, p2 = flip_probabilities(formula.k, p1, p2)
     if order is not None and len(order.rank) != m:
         raise ValueError("clause order length does not match formula")
     rng = random.Random(seed)
@@ -288,6 +287,8 @@ def solve(
     ``nlc`` need ``order``; ``chainsat`` ignores it."""
     if algo not in SOLVERS:
         raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if algo not in ORDERED_SOLVERS:
         order = None
     elif order is None:

@@ -15,7 +15,7 @@ import random
 from heapq import heappop, heappush
 
 from satbec.cnf import Formula, formula_sha256
-from satbec.solver import ClauseOrder, SolverResult, _resolve_probabilities
+from satbec.solver import ClauseOrder, SolverResult, flip_probabilities
 
 
 class Engine:
@@ -166,7 +166,7 @@ def oracle_run(formula, p1, p2, budget, seed, selector_factory, record_trajector
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
-    p1, p2 = _resolve_probabilities(formula, p1, p2)
+    p1, p2 = flip_probabilities(formula.k, p1, p2)
     rng = random.Random(seed)
     engine = Engine(formula, rng)
     selector = selector_factory(engine)

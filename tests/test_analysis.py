@@ -6,6 +6,7 @@ from satbec.analysis import (
     FULL_BEC_THRESHOLD,
     PARTIAL_BEC_THRESHOLD,
     Phase,
+    classification,
     classify,
     fraction_winner,
     label_for_fraction,
@@ -124,6 +125,15 @@ def test_nonwinner_stats_hand_cases():
 def test_nonwinner_stats_needs_two_nodes():
     with pytest.raises(ValueError):
         nonwinner_stats(graph_with([1.0], []))
+
+
+def test_classification_is_the_classify_payload():
+    g = graph_with([5.0, 1.0, 3.0], [(0, 1), (0, 2)])
+    assert classification(g) == {
+        "fraction_winner": 1.0, "label": "FullBEC", "nonwinner_mean": 2.0, "nonwinner_std": 1.0,
+    }
+    with pytest.raises(ValueError):
+        classification(graph_with([1.0, 1.0], []))
 
 
 def test_dense_sample_is_fit_get_rich(sample20):

@@ -158,6 +158,16 @@ def test_solve_chainsat_result_file(tmp_path, cnf):
     assert len(result["assignment"]) == 20
 
 
+@pytest.mark.parametrize("algo", SOLVERS)
+def test_solve_rejects_a_negative_seed(tmp_path, cnf, graph, capsys, algo):
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("solve", "--algo", algo, "--graph", str(graph), "--seed", "-1",
+                   "--in", str(cnf), "--out", str(tmp_path / "r.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_solve_lc_needs_graph(tmp_path, cnf):
     out = tmp_path / "r.json"
     assert run_cli("solve", "--algo", "lc", "--in", str(cnf), "--out", str(out)) == 1
@@ -582,3 +592,88 @@ def test_every_json_artifact_and_manifest_has_one_layout(tmp_path, capsys):
     texts.append(capsys.readouterr().out)
     for text in texts:
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of every file the runs below write, and of classify on stdout: the
+# bytes each artifact keeps however its payload is built
+PINNED_SHA256 = {
+    "a.json":
+        "a170453dd728b88a88a415b8753fc39fe8021f861abbcb11db57eff59a7e320d",
+    "a.json.manifest.json":
+        "6b4eafd589fa963294b6eab16fbf10f730cecd092d1c53c4ea921984808a9f9e",
+    "b.json":
+        "7b47cbd25b82489a3cd8ff7b23618582e9ed237b39db9604b10936682eb39b8b",
+    "b.json.manifest.json":
+        "65389cae32b936dba2ae4c9b2370b6cac489ee5a37200bf364049183c92980ce",
+    "bench.csv":
+        "937a8011cd2785f5f4212bc24fc91a601277bf5d8c5a75d9fef41e92dd464cf4",
+    "bench.csv.manifest.json":
+        "a68e97407bcbbfc5ea55b06c97dca6335f043a87ed72c927bb7e79615c9bf10b",
+    "c.json":
+        "04c782561dda87f504817e951a32c3d5b3596e0c3b77f3f49a1a9f8e783701ec",
+    "c.json.manifest.json":
+        "e6036d4509ab7af5503d41d20932457e272d40b60f0f0311c3c585385c69173f",
+    "classify stdout":
+        "04c782561dda87f504817e951a32c3d5b3596e0c3b77f3f49a1a9f8e783701ec",
+    "f.cnf":
+        "bdcb633feb305c6cdfbe0ea5ae3600ff508115cf8827e1a0ba765ec6b4062bb7",
+    "f.cnf.manifest.json":
+        "be366ab31e6b92276a463a26d0c7c246209979e6a4775c2e43540764dbd7ada8",
+    "g.json":
+        "0af5769bb28080b25fcde0b99c14985b5d89141c23707d291bf09863673e63f8",
+    "g.json.manifest.json":
+        "b3f68f04f3f290f6d2d08eda762e3bf7e70679441df371d8698ba248aad7528b",
+    "s.dot":
+        "a90013c33923d27b1d39a8469ff47319b47c60b1046a7b0aa0d330c3467a05a4",
+    "s.dot.manifest.json":
+        "fa3da3e6b55bdaa99c652044b08a3ff948b25440c781377c4b4f0e6b150a1946",
+    "s.json":
+        "9636ada8851da0545f4be0e877fcd2c255ccfdfc086b8d93afcd781a01110667",
+    "s.json.manifest.json":
+        "fa3da3e6b55bdaa99c652044b08a3ff948b25440c781377c4b4f0e6b150a1946",
+    "sweep.csv":
+        "9057291f65724963b95d6e9701eb5457b6e91f5192dabc6e47ec53aad5b2f613",
+    "sweep.csv.manifest.json":
+        "05a4dd91a6defa304dab21d5dc92cc34cc88de94a4e29060943d6dca028f1bdf",
+    "sweep.ini":
+        "f7c3d708bd8a956774a7fed19b1b4ee707be1b72cddac7f2cb3582290ed351fc",
+    "sweep_ini.csv":
+        "a47bcc94b8f4b600705222169e186f0f1e22821d875d25a5a69774527ef88be0",
+    "sweep_ini.csv.manifest.json":
+        "690755ca35a11ebacee1476740428287c2ac4c1c4e5bd6d3f9eb9cc7d5d1f95a",
+    "v.json":
+        "4f5141ed1f128d81fce2c6c3c68d7b59c705119d07aa2fcd7c86c8f2e29f19a8",
+    "v.json.manifest.json":
+        "59a220d1a9e5a5e567b7a62a84d29e4e7b553474b4318b4bd8da8b4f0ff8325b",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("sweep.ini").write_text(
+        "[sweep]\nn_values = 10 12\nalphas = 1.0 2\ninstances = 1\ngraphs = 2\n"
+        "[builder]\nmode = s2g\nfirst = fittest\n",
+        encoding="utf-8",
+    )
+    runs = [
+        ("gen", "--seed", "5", "--n", "15", "--m", "40", "--out", "f.cnf"),
+        ("build", "--mode", "s2gpa", "--seed", "6", "--in", "f.cnf", "--out", "g.json"),
+        ("classify", "--in", "g.json", "--out", "c.json"),
+        ("spectrum", "--in", "g.json", "--out", "s.json", "--dot", "s.dot"),
+        ("solve", "--algo", "chainsat", "--budget", "500", "--seed", "3", "--in", "f.cnf",
+         "--out", "a.json"),
+        ("solve", "--algo", "lc", "--graph", "g.json", "--budget", "500", "--seed", "3",
+         "--in", "f.cnf", "--out", "b.json"),
+        ("compare", "a.json", "b.json", "--out", "v.json"),
+        ("sweep", "--n-values", "10", "--alphas", "1.0,2.0", "--instances", "1", "--graphs",
+         "2", "--jobs", "1", "--out", "sweep.csv"),
+        ("sweep", "--config", "sweep.ini", "--jobs", "1", "--out", "sweep_ini.csv"),
+        ("bench", "--grid", "2.0,3.0", "--n-values", "10", "--instances", "1", "--budget",
+         "200", "--jobs", "1", "--out", "bench.csv"),
+    ]
+    for argv in runs:
+        assert run_cli(*argv) == 0, argv
+    digests = {p.name: sha256(read(p)) for p in sorted(tmp_path.iterdir())}
+    assert run_cli("classify", "--in", "g.json") == 0
+    digests["classify stdout"] = sha256(capsys.readouterr().out)
+    assert digests == PINNED_SHA256

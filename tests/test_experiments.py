@@ -168,6 +168,12 @@ def test_sweep_csv_shape():
     assert int(rows[1][8]) == 4
 
 
+def test_sweep_csv_writes_an_int_alpha_as_a_float():
+    cfg = SweepConfig(n_values=(10,), alphas=(2,), instances=1, graphs_per_instance=1)
+    rows = list(csv.reader(io.StringIO(sweep_records_to_csv(sweep(cfg)))))
+    assert rows[1][:2] == ["10", "2.0"]
+
+
 def test_polyfit6_recovers_planted_coefficients():
     planted = (0.3, -1.2, 0.8, 0.05, -0.004, 0.0002, -0.000007)
     xs = [2.0 + 0.25 * i for i in range(21)]

@@ -25,7 +25,7 @@ from satbec.solver import (
     chainsat,
     clause_order,
     compare,
-    default_flip_probabilities,
+    flip_probabilities,
     lc_chainsat,
     nlc_chainsat,
     solve,
@@ -64,11 +64,31 @@ def small_formula(m, seed=0, n=9):
     return generate_random(seed, 3, n, m)
 
 
-def test_default_flip_probabilities():
+def test_flip_probabilities():
     assert FLIP_PROBABILITIES == {3: 0.005, 4: 0.0001, 5: 0.0002}
-    assert default_flip_probabilities(3) == (0.005, 0.005)
-    with pytest.raises(ValueError):
-        default_flip_probabilities(6)
+    for k, p in FLIP_PROBABILITIES.items():
+        assert flip_probabilities(k) == (p, p)
+    # an explicit value is kept, the other filled from the table
+    assert flip_probabilities(3, p1=0.25) == (0.25, 0.005)
+    assert flip_probabilities(4, p2=1.0) == (0.0001, 1.0)
+    # both explicit: no table entry needed
+    assert flip_probabilities(6, 0.0, 0.5) == (0.0, 0.5)
+    for p1, p2 in [(-0.1, 0.5), (0.5, 1.5), (float("nan"), 0.5), (0.5, float("nan")),
+                   (float("inf"), None)]:
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            flip_probabilities(3, p1, p2)
+    for p1, p2 in [(None, None), (0.1, None), (None, 0.1)]:
+        with pytest.raises(ValueError, match="k=6"):
+            flip_probabilities(6, p1, p2)
+
+
+@pytest.mark.parametrize("algo", SOLVERS)
+@pytest.mark.parametrize("seed", [-1, -5, 1.0, True, None])
+def test_solve_rejects_a_seed_that_is_not_a_non_negative_int(algo, seed):
+    f = small_formula(10)
+    order = ClauseOrder(rank=tuple(range(f.m)))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        solve(f, algo, order, budget=10, seed=seed)
 
 
 def test_budget_constants():
