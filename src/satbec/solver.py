@@ -15,6 +15,9 @@ array (one shared array, or two separate ones for the unsat-pick and
 chain-pick roles); among eligible clauses only unvisited ones are ranked,
 and when all are visited the pick falls back to uniform random.  Bits are
 never cleared during a run.
+
+A flip's cost, breaks less makes counted per literal occurrence, is kept per
+variable as the walk goes (see ``_run``) rather than scanned per evaluation.
 """
 
 from __future__ import annotations
@@ -44,10 +47,13 @@ TIE = "tie"
 
 def flip_probabilities(
     k: int, p1: float | None = None, p2: float | None = None
-) -> tuple[float, float]:
+) -> tuple[float | None, float | None]:
     """``p1`` and ``p2``, each None filled from the per-k table; both must
-    lie in [0, 1]."""
-    if p1 is None or p2 is None:
+    lie in [0, 1].  k = 0 is a formula with no clause: it runs no walk, so
+    only explicit values are checked and a None stays None."""
+    if not all(p is None or 0.0 <= p <= 1.0 for p in (p1, p2)):
+        raise ValueError("p1 and p2 must lie in [0, 1]")
+    if k and (p1 is None or p2 is None):
         try:
             p = FLIP_PROBABILITIES[k]
         except KeyError:
@@ -56,8 +62,6 @@ def flip_probabilities(
             ) from None
         p1 = p if p1 is None else p1
         p2 = p if p2 is None else p2
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValueError("p1 and p2 must lie in [0, 1]")
     return p1, p2
 
 
@@ -116,11 +120,23 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     ``rng.randrange(size)`` does in CPython (``getrandbits`` of
     ``size.bit_length()`` bits until the value is below ``size``), so the
     random stream is the one a ``randrange`` call per draw would consume.
+
+    An evaluation reads ``breaks[v] - makes[v]``, which flips keep equal to
+    a scan of v's occurrence lists.  ``breaks[v]`` counts the clauses whose
+    only true literal occurrence is v's, ``makes[v]`` v's occurrences in
+    clauses with none, and ``tsum[c]`` sums the variables of c's true
+    occurrences, so it names the sole one when ``nt[c] == 1``.  A flip moves
+    a break as ``nt[c]`` leaves or reaches 1 and a make per occurrence as it
+    leaves or reaches 0, one occurrence at a time as the scan counts: a true
+    literal held twice gives ``nt == 2``, no break, and a clause with x and
+    -x passes through 0 between the two loops, its counts netting out as
+    the unsat list and the heap do.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     digest = formula_sha256(formula)
     m = formula.m
+    p1, p2 = flip_probabilities(formula.k, p1, p2)
     if m == 0:
         return SolverResult(
             solved=True,
@@ -131,7 +147,6 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
-    p1, p2 = flip_probabilities(formula.k, p1, p2)
     if order is not None and len(order.rank) != m:
         raise ValueError("clause order length does not match formula")
     rng = random.Random(seed)
@@ -146,11 +161,25 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     occ: list[list[int]] = [[] for _ in range(2 * n + 1)]
     clause_vars: list[tuple[int, ...]] = []
     nt: list[int] = []  # true literal occurrences per clause
+    tsum: list[int] = []  # their variables' sum: the sole one when nt is 1
+    breaks = [0] * (n + 1)
+    makes = [0] * (n + 1)
     for c, clause in enumerate(formula.clauses):
-        clause_vars.append(tuple(abs(lit) for lit in clause))
-        for lit in clause:
+        variables = tuple(map(abs, clause))
+        clause_vars.append(variables)
+        count = total = 0
+        for lit, w in zip(clause, variables):
             occ[lit].append(c)
-        nt.append(sum((lit > 0) == assign[abs(lit)] for lit in clause))
+            if (lit > 0) == assign[w]:
+                count += 1
+                total += w
+        nt.append(count)
+        tsum.append(total)
+        if count == 0:
+            for w in variables:
+                makes[w] += 1
+        elif count == 1:
+            breaks[total] += 1
     unsat = [c for c in range(m) if nt[c] == 0]
     pos = [-1] * m
     for i, c in enumerate(unsat):
@@ -175,6 +204,9 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     flips = 0
     chaining = False
     v = 0
+    # the chain step's handoff candidates, by c * n1 + v
+    others_of = {}
+    n1 = n + 1
     while unsat and evaluations < budget:
         evaluations += 1
         if not chaining:
@@ -195,38 +227,42 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             while r >= k:
                 r = getrandbits(k_bits)
             v = clause_vars[c][r]
-        lit = v if assign[v] else -v
-        true_occ = occ[lit]
-        false_occ = occ[-lit]
-        breaks = 0
-        for c in true_occ:
-            if nt[c] == 1:
-                breaks += 1
-        makes = 0
-        for c in false_occ:
-            if nt[c] == 0:
-                makes += 1
-        de = breaks - makes
+        de = breaks[v] - makes[v]
         chaining = False
         if de == 0 or (de < 0 and random_() < p1):
-            for c in true_occ:
+            lit = v if assign[v] else -v
+            for c in occ[lit]:
                 x = nt[c] - 1
                 nt[c] = x
-                if x == 0:
+                t = tsum[c] - v
+                tsum[c] = t
+                if x == 1:
+                    breaks[t] += 1
+                elif x == 0:
+                    breaks[v] -= 1
+                    for w in clause_vars[c]:
+                        makes[w] += 1
                     pos[c] = len(unsat)
                     unsat.append(c)
                     if not unsat_bits[c]:
                         heappush(heap, rank_pos[c] * m + c)
-            for c in false_occ:
+            for c in occ[-lit]:
                 x = nt[c]
-                if x == 0:
+                nt[c] = x + 1
+                t = tsum[c]
+                tsum[c] = t + v
+                if x == 1:
+                    breaks[t] -= 1
+                elif x == 0:
+                    breaks[v] += 1
+                    for w in clause_vars[c]:
+                        makes[w] -= 1
                     i = pos[c]
                     last = unsat[-1]
                     unsat[i] = last
                     pos[last] = i
                     unsat.pop()
                     pos[c] = -1
-                nt[c] = x + 1
             assign[v] = not assign[v]
             flips += 1
             if trajectory is not None:
@@ -236,7 +272,7 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
             critical = []
             best = -1
             best_rank = m + 1
-            for c in true_occ:
+            for c in occ[v if assign[v] else -v]:
                 if nt[c] == 1:
                     critical.append(c)
                     if not sat_bits[c] and rank_pos[c] < best_rank:
@@ -252,7 +288,10 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
                 while r >= size:
                     r = getrandbits(bits)
                 c = critical[r]
-            others = [w for w in clause_vars[c] if w != v]
+            key = c * n1 + v
+            others = others_of.get(key)
+            if others is None:
+                others = others_of[key] = [w for w in clause_vars[c] if w != v]
             if others:
                 size = len(others)
                 bits = size.bit_length()

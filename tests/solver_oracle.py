@@ -156,6 +156,7 @@ def oracle_run(formula, p1, p2, budget, seed, selector_factory, record_trajector
     if budget < 0:
         raise ValueError("budget must be non-negative")
     digest = formula_sha256(formula)
+    p1, p2 = flip_probabilities(formula.k, p1, p2)
     if formula.m == 0:
         return SolverResult(
             solved=True,
@@ -166,7 +167,6 @@ def oracle_run(formula, p1, p2, budget, seed, selector_factory, record_trajector
             formula_sha256=digest,
             unsat_trajectory=(0,) if record_trajectory else None,
         )
-    p1, p2 = flip_probabilities(formula.k, p1, p2)
     rng = random.Random(seed)
     engine = Engine(formula, rng)
     selector = selector_factory(engine)

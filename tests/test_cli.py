@@ -168,6 +168,18 @@ def test_solve_rejects_a_negative_seed(tmp_path, cnf, graph, capsys, algo):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("flag, value", [("--p1", "5"), ("--p2", "-1"), ("--p1", "nan")])
+def test_solve_checks_flip_probabilities_on_an_empty_formula(tmp_path, capsys, flag, value):
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 3 0\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("solve", "--algo", "chainsat", flag, value,
+                   "--in", str(cnf), "--out", str(tmp_path / "r.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[0, 1]" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_solve_lc_needs_graph(tmp_path, cnf):
     out = tmp_path / "r.json"
     assert run_cli("solve", "--algo", "lc", "--in", str(cnf), "--out", str(out)) == 1

@@ -197,6 +197,21 @@ def test_empty_formula_is_solved():
 
 
 @pytest.mark.parametrize("algo", SOLVERS)
+def test_empty_formula_checks_explicit_flip_probabilities(algo):
+    # no clause, so no k to take defaults from: explicit values are still
+    # range-checked, and the defaults still give a solved result
+    f = Formula(3, ())
+    order = ClauseOrder(rank=())
+    nan = float("nan")
+    for p1, p2 in [(5, None), (None, -0.5), (nan, None), (0.5, nan), (0.5, 1.5)]:
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            solve(f, algo, order, p1=p1, p2=p2, budget=100, seed=0)
+    for p1, p2 in [(None, None), (0.0, None), (None, 1.0)]:
+        result = solve(f, algo, order, p1=p1, p2=p2, budget=100, seed=0)
+        assert result.solved and result.evaluations == 0
+
+
+@pytest.mark.parametrize("algo", SOLVERS)
 @pytest.mark.parametrize("budget", [0, 100])
 def test_empty_clause_is_rejected(algo, budget):
     # an empty clause leaves no variable to pick; no formula can hold one, so
