@@ -1,5 +1,5 @@
-"""Desk-scale experiment harnesses: phase sweeps over (n, alpha) grids,
-polynomial transition localization, and solver benchmarks.
+"""Desk-scale experiment harnesses: phase sweeps over (n, alpha) grids and
+solver benchmarks.
 
 All sampling is addressed by (root seed, grid indices), so results do not
 depend on iteration order or worker count; see ``seeding`` for the layout.
@@ -220,63 +220,6 @@ def sweep_records_to_csv(records) -> str:
     writer.writerow(SWEEP_CSV_COLUMNS)
     writer.writerows(vars(r).values() for r in records)
     return out.getvalue()
-
-
-@dataclass(frozen=True)
-class PolyFit:
-    coefficients: tuple[float, ...]  # c0..c6, y = sum c_j * alpha**j
-    residual: float
-
-    def __call__(self, alpha: float) -> float:
-        return float(np.polynomial.polynomial.polyval(alpha, self.coefficients))
-
-
-def polyfit6(points) -> PolyFit:
-    """Degree-6 least-squares fit of (alpha, y) points.
-
-    Solved by QR/SVD least squares on a column-scaled Vandermonde matrix;
-    plain normal equations lose ~12 digits of conditioning here and miss the
-    exact-recovery tolerance, so they are not used.
-    """
-    pts = [(float(a), float(y)) for a, y in points]
-    alphas = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if len(set(alphas.tolist())) < 7:
-        raise ValueError("need at least 7 distinct abscissae for a degree-6 fit")
-    vander = np.vander(alphas, 7, increasing=True)
-    scale = np.linalg.norm(vander, axis=0)
-    coeffs, _, _, _ = np.linalg.lstsq(vander / scale, ys, rcond=None)
-    coeffs = coeffs / scale
-    residual = float(np.sum((vander @ coeffs - ys) ** 2))
-    return PolyFit(coefficients=tuple(float(c) for c in coeffs), residual=residual)
-
-
-def second_derivative(fit: PolyFit, alpha: float) -> float:
-    """Analytic second derivative of the fitted polynomial at alpha."""
-    c = fit.coefficients
-    return float(sum(j * (j - 1) * c[j] * alpha ** (j - 2) for j in range(2, len(c))))
-
-
-def second_derivative_peak(fit: PolyFit, lo: float, hi: float) -> float:
-    """Location of the highest interior local maximum of the fitted curve's
-    second derivative on [lo, hi].
-
-    Degree-6 fits can swing wildly at the window edges, so boundary argmaxes
-    are only returned when no interior local maximum exists.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    grid = np.linspace(lo, hi, 2001)
-    values = np.array([second_derivative(fit, a) for a in grid])
-    interior = [
-        i
-        for i in range(1, len(grid) - 1)
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1]
-    ]
-    if interior:
-        best = max(interior, key=lambda i: values[i])
-        return float(grid[best])
-    return float(grid[int(np.argmax(values))])
 
 
 @dataclass(frozen=True)

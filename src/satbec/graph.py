@@ -345,18 +345,11 @@ def graph_from_json(text: str) -> ClauseGraph:
         declared_order = payload["insertion_order"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON missing or malformed field: {exc}") from None
-    _check_numbers("temperature", (header["temperature"],))
-    _check_numbers("seed", (header["seed"],), integer=True)
     _check_numbers("n", (header["n"],), integer=True, minimum=1)
     _check_numbers("k", (header["k"],), integer=True, minimum=1)
-    theta, rho = header["theta"], header["rho"]
-    if theta is not None:
-        _check_numbers("theta", (theta,))
-    if rho is not None:
-        _check_numbers("rho", (rho,), integer=True)
     settings = {f.name: header[f.name] for f in fields(BuilderConfig)}
     if header["mode"] == MODE_S2G:  # s2g graphs carry no theta or rho
-        if theta is not None or rho is not None:
+        if header["theta"] is not None or header["rho"] is not None:
             raise ValueError("graph JSON of mode 's2g' carries a theta or a rho")
         del settings["theta"], settings["rho"]
     try:

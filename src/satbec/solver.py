@@ -283,6 +283,8 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
                 c = best
             else:
                 size = len(critical)
+                if not size:  # the kept counts disagree with the clauses
+                    raise RuntimeError(f"variable {v} keeps breaks but no critical clause")
                 bits = size.bit_length()
                 r = getrandbits(bits)
                 while r >= size:

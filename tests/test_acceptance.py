@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import components
+from curve_fit import polyfit6, second_derivative_peak
 from satbec.analysis import Phase
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cli import main as cli_main
@@ -32,9 +33,7 @@ from satbec.experiments import (
     benchmark,
     bench_report_to_csv,
     clause_count,
-    polyfit6,
     run_grid_point,
-    second_derivative_peak,
     sweep,
 )
 from satbec.graph import MODE_S2G, MODE_S2GPA

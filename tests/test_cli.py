@@ -14,6 +14,7 @@ from satbec import __version__, cli
 from satbec.cli import main
 from satbec.experiments import BenchConfig, BenchReport, SweepConfig
 from satbec.solver import DEFAULT_BUDGET, DESK_BUDGET, SOLVERS
+from test_graph import SETTINGS_TAMPERS, tamper_id
 
 
 def run_cli(*argv):
@@ -461,6 +462,18 @@ def test_graph_with_edge_to_unknown_node_is_data_error(tmp_path, cnf, graph):
 def test_graph_with_unwritable_header_is_data_error(tmp_path, cnf, graph):
     def edit(payload):
         payload["first_clause_rule"] = None
+
+    assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key, value, _ in SETTINGS_TAMPERS],  # every case applies to s2gpa
+    ids=tamper_id,
+)
+def test_graph_with_setting_no_build_writes_is_data_error(tmp_path, cnf, graph, key, value):
+    def edit(payload):
+        payload[key] = value
 
     assert tampered_graph_exits(tmp_path, cnf, graph, edit) == [2, 2, 2]
 

@@ -1,4 +1,4 @@
-"""Experiment harness: grids, aggregation, polynomial diagnostics, benchmark."""
+"""Experiment harness: grids, aggregation, benchmark."""
 
 import csv
 import io
@@ -13,18 +13,14 @@ from satbec.experiments import (
     SWEEP_CSV_COLUMNS,
     BenchConfig,
     GraphSample,
-    PolyFit,
     SweepConfig,
     aggregate_samples,
     bench_report_to_csv,
     benchmark,
     clause_count,
     default_alpha_grid,
-    polyfit6,
     run_grid_point,
     sample_formula,
-    second_derivative,
-    second_derivative_peak,
     sweep,
     sweep_records_to_csv,
     worker_count,
@@ -172,44 +168,6 @@ def test_sweep_csv_writes_an_int_alpha_as_a_float():
     cfg = SweepConfig(n_values=(10,), alphas=(2,), instances=1, graphs_per_instance=1)
     rows = list(csv.reader(io.StringIO(sweep_records_to_csv(sweep(cfg)))))
     assert rows[1][:2] == ["10", "2.0"]
-
-
-def test_polyfit6_recovers_planted_coefficients():
-    planted = (0.3, -1.2, 0.8, 0.05, -0.004, 0.0002, -0.000007)
-    xs = [2.0 + 0.25 * i for i in range(21)]
-    points = [(x, sum(c * x**j for j, c in enumerate(planted))) for x in xs]
-    fit = polyfit6(points)
-    assert fit.coefficients == pytest.approx(planted, abs=1e-6)
-    assert fit.residual < 1e-12
-    assert fit(3.0) == pytest.approx(points[4][1])
-
-
-def test_polyfit6_needs_seven_distinct_abscissae():
-    points = [(float(i % 6), 1.0) for i in range(12)]
-    with pytest.raises(ValueError):
-        polyfit6(points)
-
-
-def test_second_derivative_of_quadratic_is_two():
-    points = [(x, x * x) for x in [2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0]]
-    fit = polyfit6(points)
-    for x in (2.0, 3.7, 6.5):
-        assert second_derivative(fit, x) == pytest.approx(2.0, abs=1e-6)
-
-
-def test_second_derivative_peak_finds_interior_maximum():
-    # y = -(x - 4)^4 has second derivative -12 (x - 4)^2, peaking at x = 4
-    points = [(x, -((x - 4.0) ** 4)) for x in [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.5, 6.0, 7.0]]
-    fit = polyfit6(points)
-    assert second_derivative_peak(fit, 2.0, 7.0) == pytest.approx(4.0, abs=1e-2)
-
-
-def test_second_derivative_peak_monotone_falls_back_to_boundary():
-    points = [(x, x**3) for x in [2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0]]
-    fit = polyfit6(points)
-    assert second_derivative_peak(fit, 2.0, 7.0) == pytest.approx(7.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        second_derivative_peak(fit, 3.0, 3.0)
 
 
 def test_default_alpha_grid_spans_threshold_window():

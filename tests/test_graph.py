@@ -275,9 +275,6 @@ TAMPERS = {
     "edge_repeated_reversed": (add_edge(2, 0), "twice"),
     "weight_string": (set_field("edges", 0, "weight", "0.5"), "'weight' is not a number"),
     "multiplicity_zero": (set_field("edges", 0, "multiplicity", 0), "'multiplicity' holds a value below 1"),
-    "temperature_string": (set_top("temperature", "1.0"), "'temperature' is not a number"),
-    "seed_float": (set_top("seed", 1.5), "'seed' is not an integer"),
-    "theta_infinite": (set_top("theta", float("-inf")), "'theta' holds a number that is not finite"),
 }
 
 
@@ -289,6 +286,26 @@ def test_json_rejects_payload_inconsistent_with_itself(name):
     edit(payload)
     with pytest.raises(ValueError, match=message):
         graph_from_json(json.dumps(payload))
+
+
+# header settings only BuilderConfig rejects, with the modes they apply to
+# (an s2g header may carry no theta or rho at all)
+SETTINGS_TAMPERS = [
+    ("temperature", "1.0", MODES),
+    ("temperature", True, MODES),
+    ("temperature", 10**400, MODES),  # an int above the largest float
+    ("seed", 1.5, MODES),
+    ("seed", True, MODES),
+    ("rho", 1.0, (MODE_S2GPA,)),
+    ("theta", float("-inf"), (MODE_S2GPA,)),
+    ("theta", float("inf"), (MODE_S2GPA,)),
+    ("theta", "0.3", (MODE_S2GPA,)),
+]
+
+
+def tamper_id(value):
+    """A test id part: the int above the largest float, not its 401 digits."""
+    return "1e400" if value == 10**400 else None
 
 
 # header values no build can write, with the modes they apply to
@@ -311,12 +328,13 @@ HEADER_TAMPERS = [
     ("theta", None, (MODE_S2GPA,)),
     ("theta", 0.5, (MODE_S2G,)),
     ("rho", 4, (MODE_S2G,)),
-]
+] + SETTINGS_TAMPERS
 
 
 @pytest.mark.parametrize(
     "mode, key, value",
     [(mode, key, value) for key, value, modes in HEADER_TAMPERS for mode in modes],
+    ids=tamper_id,
 )
 def test_json_rejects_header_no_build_writes(mode, key, value):
     graph = build_graph(generate_random(2, 3, 12, 24), BuilderConfig(mode=mode, seed=5))

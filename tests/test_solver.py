@@ -1,6 +1,11 @@
 """Local search: clause ordering, the three solver variants, verification."""
 
+import inspect
+import signal
+
 import pytest
+
+from satbec import solver
 
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import (
@@ -167,6 +172,28 @@ def test_chainsat_is_seed_deterministic():
     assert a == b
     c = chainsat(f, budget=3000, seed=10)
     assert a != c
+
+
+def test_chain_step_with_no_critical_clause_raises():
+    # a copy of the walk that never takes back a break as v's flip leaves a
+    # clause unsat: v's kept count then claims breaks no clause holds, and the
+    # chain step must say so rather than draw from an empty list forever
+    source = inspect.getsource(solver._run)
+    assert source.count("breaks[v] -= 1\n") == 1
+    namespace = dict(vars(solver))
+    exec(compile(source.replace("breaks[v] -= 1\n", "pass\n"), solver.__file__, "exec"), namespace)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the chain step hangs")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RuntimeError, match="no critical clause"):
+            namespace["_run"](generate_random(0, 3, 20, 80), None, 0.0, 10**5, 0, None, False, False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_ordered_variants_run_and_verify():
