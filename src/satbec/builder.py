@@ -33,10 +33,10 @@ The rest of a step is a fixed handful of numpy calls: the sum and division
 that give ``pi`` and, in preferential mode, its cumulative sum (in plain
 mode, one uniform draw per existing node).  A step at n=100, m=800 costs
 about 12 us (median, 2-core Xeon, Python 3.11); those numpy calls are O(m),
-so a build is still O(m^2).  Normalized fitness and energies are filled
-once, after the last step: an ``iteration_hook`` sees them still at zero.
-The temperature only scales those energies; it changes no edge, no
-insertion order and no energy ordering.
+so a build is still O(m^2).  Normalized fitness and energies are computed
+once, from the final fitness, when the graph is frozen.  The temperature
+only scales those energies; it changes no edge, no insertion order and no
+energy ordering.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class BuildState:
     """Mutable construction state; arrays are indexed by clause index.
 
     The step writes Python scalars into ``array.array`` and ``bytearray``
-    storage.  ``added``, ``freq``, ``fitness``, ``conn``, ``in_events`` and
+    storage.  ``freq``, ``fitness``, ``conn``, ``in_events`` and
     ``out_events`` are read-only numpy views of that storage, so an
     ``iteration_hook`` reads the current values without a copy.
 
@@ -121,8 +121,7 @@ class BuildState:
     current; ``link`` keeps connectivity and link events current.  Both keep
     each added clause's attachment weight, connectivity x fitness, at its
     insertion position, so ``attachment_probabilities`` reads one contiguous
-    vector.  ``fill_energies`` sets normalized fitness and energies once the
-    network is complete.
+    vector.
     """
 
     def __init__(self, formula: Formula, cfg: BuilderConfig):
@@ -132,15 +131,15 @@ class BuildState:
         self.cfg = cfg
         self.rng = derive_rng(cfg.seed)
         self.codes = clause_code_array(formula)
-        self.table = overlap_table(self.codes)
+        table = overlap_table(self.codes)
         m = formula.m
         # the step reads one overlap row at a time as Python ints, through
         # memoryviews: as fast to iterate as lists, with no copy of the table
         self._code_rows = self.codes.tolist()
-        self._row_start = self.table.start.tolist()
-        self._near = memoryview(self.table.clause)
-        self._overlap = memoryview(self.table.overlap)
-        self._distance = memoryview(self.table.distance)
+        self._row_start = table.start.tolist()
+        self._near = memoryview(table.clause)
+        self._overlap = memoryview(table.overlap)
+        self._distance = memoryview(table.distance)
         self._order = array("q", [0]) * m
         self._position = [0] * m
         self._added = bytearray(m)
@@ -156,14 +155,11 @@ class BuildState:
         self._newcomer_gain = 1.0 if cfg.mode == MODE_S2G else cfg.theta
         self._order_view = _view(self._order, np.int64)
         self._weight_view = _view(self._weight, float)
-        self.added = _view(self._added, bool)
         self.freq = _view(self._freq, np.int64)
         self.fitness = _view(self._fitness, np.int64)
         self.conn = _view(self._conn, float)
         self.in_events = _view(self._in, np.int64)
         self.out_events = _view(self._out, np.int64)
-        self.normalized = np.zeros(m, dtype=float)
-        self.energy = np.zeros(m, dtype=float)
         self.size = 0
         self.fittest = -1
         self.edges: dict[tuple[int, int], list] = {}
@@ -221,13 +217,6 @@ class BuildState:
             self.fittest = clause
         elif best > fitness[self.fittest]:
             self.fittest = leader
-
-    def fill_energies(self):
-        """Normalized fitness and energies of the added clauses."""
-        order = self.order_array()
-        fits = self.fitness[order]
-        self.normalized[order] = fits / int(fits.max())
-        self.energy[order] = -self.cfg.temperature * np.log(self.normalized[order]) + 0.0
 
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
@@ -326,14 +315,17 @@ def _freeze(state: BuildState) -> ClauseGraph:
     if cfg.mode == MODE_S2G:  # s2g graphs carry no theta or rho
         header = {**header, "theta": None, "rho": None}
     order = state.order_array()
-    columns = (state.fitness, state.normalized, state.energy, state.conn,
-               state.in_events, state.out_events)
+    fits = state.fitness[order]
+    normalized = fits / int(fits.max())
+    energy = -cfg.temperature * np.log(normalized) + 0.0
+    columns = (fits, normalized, energy, state.conn[order], state.in_events[order],
+               state.out_events[order])
     return ClauseGraph(
         **header,
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
-        nodes=list(map(GraphNode, order.tolist(), *(c[order].tolist() for c in columns))),
+        nodes=list(map(GraphNode, order.tolist(), *(c.tolist() for c in columns))),
         edges={
             (u, v): GraphEdge(u, v, weight, multiplicity)
             for (u, v), (weight, multiplicity) in state.edges.items()
@@ -380,5 +372,4 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
                 state.link(newcomer, existing[j], pi.item(j))
         if iteration_hook is not None:
             iteration_hook(state, pi)
-    state.fill_energies()
     return _freeze(state)

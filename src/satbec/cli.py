@@ -101,11 +101,7 @@ def _stage(path: str, text: str) -> str:
 
 
 def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outputs: list) -> str:
-    arguments = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("handler",) and not callable(value)
-    }
+    arguments = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
     payload = {
         "subcommand": subcommand,
         "version": __version__,

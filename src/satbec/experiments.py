@@ -79,20 +79,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class GraphSample:
-    """Classification summary of one built graph."""
-
-    n: int
-    alpha: float
-    instance: int
-    graph: int
-    fraction_winner: float
-    label: str
-    nonwinner_mean: float
-    nonwinner_std: float
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     n: int
     alpha: float
@@ -142,10 +128,9 @@ def build_sample_graph(
     return build_graph(formula, cfg.builder_config(seed))
 
 
-def run_grid_point(cfg: SweepConfig, n_index: int, alpha_index: int) -> list[GraphSample]:
-    """All samples for one grid point, in (instance, graph) order."""
-    n = cfg.n_values[n_index]
-    alpha = cfg.alphas[alpha_index]
+def run_grid_point(cfg: SweepConfig, n_index: int, alpha_index: int) -> list[dict]:
+    """The ``classification`` of every graph of one grid point, in
+    (instance, graph) order."""
     samples = []
     for instance in range(cfg.instances):
         formula = sample_formula(cfg, n_index, alpha_index, instance)
@@ -153,27 +138,26 @@ def run_grid_point(cfg: SweepConfig, n_index: int, alpha_index: int) -> list[Gra
             graph = build_sample_graph(
                 cfg, n_index, alpha_index, instance, graph_index, formula=formula
             )
-            samples.append(
-                GraphSample(n, alpha, instance, graph_index, **classification(graph))
-            )
+            samples.append(classification(graph))
     return samples
 
 
-def aggregate_samples(samples: list[GraphSample]) -> SweepRecord:
+def aggregate_samples(n: int, alpha: float, samples: list[dict]) -> SweepRecord:
+    """The sweep record of grid point (n, alpha) from its samples'
+    classifications."""
     if not samples:
         raise ValueError("no samples to aggregate")
     count = len(samples)
-    fractions = [s.fraction_winner for s in samples]
-    labels = [s.label for s in samples]
+    labels = [s["label"] for s in samples]
     return SweepRecord(
-        n=samples[0].n,
-        alpha=float(samples[0].alpha),
-        mean_fraction_winner=float(np.mean(fractions)),
+        n=n,
+        alpha=float(alpha),
+        mean_fraction_winner=float(np.mean([s["fraction_winner"] for s in samples])),
         pct_full_bec=100.0 * labels.count(Phase.FULL_BEC.value) / count,
         pct_partial_bec=100.0 * labels.count(Phase.PARTIAL_BEC.value) / count,
         pct_fgr=100.0 * labels.count(Phase.FIT_GET_RICH.value) / count,
-        nonwinner_mean=float(np.mean([s.nonwinner_mean for s in samples])),
-        nonwinner_std=float(np.mean([s.nonwinner_std for s in samples])),
+        nonwinner_mean=float(np.mean([s["nonwinner_mean"] for s in samples])),
+        nonwinner_std=float(np.mean([s["nonwinner_std"] for s in samples])),
         samples=count,
     )
 
@@ -206,7 +190,11 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     ``jobs`` > 1 distributes grid points over processes; the output is
     independent of the worker count.
     """
-    return [aggregate_samples(s) for s in _run_tasks(run_grid_point, cfg, jobs)]
+    points = ((n, alpha) for n in cfg.n_values for alpha in cfg.alphas)
+    return [
+        aggregate_samples(n, alpha, samples)
+        for (n, alpha), samples in zip(points, _run_tasks(run_grid_point, cfg, jobs))
+    ]
 
 
 SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))

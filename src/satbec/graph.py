@@ -368,6 +368,8 @@ def graph_from_json(text: str) -> ClauseGraph:
     graph = ClauseGraph(**header, nodes=list(map(GraphNode, *columns.values())))
     if declared_m != graph.m or declared_order != graph.insertion_order:
         raise ValueError("graph JSON is inconsistent with its node list")
+    _check_numbers("m", (declared_m,), integer=True)
+    _check_numbers("insertion_order", declared_order, integer=True)
     known = set(columns["clause"])
     if len(known) != graph.m or (known and (min(known) < 0 or max(known) >= graph.m)):
         raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")

@@ -195,7 +195,7 @@ def test_criterion_03_connectivity_bookkeeping():
 
 def test_criterion_04_winner_takes_all_at_low_density(low_high_sweep):
     samples = low_high_sweep["samples"][1.0]
-    mean_fraction = float(np.mean([s.fraction_winner for s in samples]))
+    mean_fraction = float(np.mean([s["fraction_winner"] for s in samples]))
     elapsed = low_high_sweep["elapsed"]
     ok = mean_fraction >= 0.99 and elapsed < 300.0
     detail = (
@@ -209,7 +209,7 @@ def test_criterion_04_winner_takes_all_at_low_density(low_high_sweep):
 def test_criterion_05_condensate_share_declines(low_high_sweep):
     def full_share(samples):
         return 100.0 * sum(
-            1 for s in samples if s.label == Phase.FULL_BEC.value
+            1 for s in samples if s["label"] == Phase.FULL_BEC.value
         ) / len(samples)
 
     low = full_share(low_high_sweep["samples"][1.0])
@@ -226,9 +226,9 @@ def test_criterion_05_condensate_share_declines(low_high_sweep):
 
 def test_criterion_06_nonwinner_connectivity_regimes(low_high_sweep):
     low = low_high_sweep["samples"][1.0]
-    frozen = sum(1 for s in low if s.nonwinner_std == 0.0 and s.nonwinner_mean == THETA)
+    frozen = sum(1 for s in low if s["nonwinner_std"] == 0.0 and s["nonwinner_mean"] == THETA)
     high = low_high_sweep["samples"][8.0]
-    positive_share = sum(1 for s in high if s.nonwinner_std > 0.0) / len(high)
+    positive_share = sum(1 for s in high if s["nonwinner_std"] > 0.0) / len(high)
     ok_low = frozen == len(low)
     ok_high = positive_share >= 0.90
     detail = (

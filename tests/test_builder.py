@@ -140,9 +140,6 @@ def test_add_clause_incumbent_rule():
     state.add_clause(2)
     assert state.fittest == 1  # clauses 1, 2 jump to 6: lowest index wins
     assert state.fitness[state.order_array()].tolist() == [3, 6, 6]
-    state.fill_energies()
-    assert state.normalized[0] == pytest.approx(0.5)
-    assert state.energy[1] == 0.0
 
 
 def test_add_clause_keeps_order_and_frequencies():

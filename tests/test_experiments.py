@@ -12,7 +12,6 @@ from satbec.experiments import (
     SAT_THRESHOLD,
     SWEEP_CSV_COLUMNS,
     BenchConfig,
-    GraphSample,
     SweepConfig,
     aggregate_samples,
     bench_report_to_csv,
@@ -105,26 +104,19 @@ def test_run_grid_point_shape_and_ranges():
     cfg = SweepConfig(n_values=(15,), alphas=(2.0,), instances=3, graphs_per_instance=4)
     samples = run_grid_point(cfg, 0, 0)
     assert len(samples) == 12
-    assert [(s.instance, s.graph) for s in samples] == [
-        (i, g) for i in range(3) for g in range(4)
-    ]
     for s in samples:
-        assert 0.0 <= s.fraction_winner <= 1.0
-        assert s.label in ("FullBEC", "PartialBEC", "FitGetRich")
-        assert s.nonwinner_std >= 0.0
+        assert 0.0 <= s["fraction_winner"] <= 1.0
+        assert s["label"] in ("FullBEC", "PartialBEC", "FitGetRich")
+        assert s["nonwinner_std"] >= 0.0
 
 
 def sample_with(fraction, label, mean=1.0, std=0.5):
-    return GraphSample(
-        n=10,
-        alpha=1.0,
-        instance=0,
-        graph=0,
-        fraction_winner=fraction,
-        label=label,
-        nonwinner_mean=mean,
-        nonwinner_std=std,
-    )
+    return {
+        "fraction_winner": fraction,
+        "label": label,
+        "nonwinner_mean": mean,
+        "nonwinner_std": std,
+    }
 
 
 def test_aggregate_samples_math():
@@ -134,8 +126,9 @@ def test_aggregate_samples_math():
         sample_with(0.5, "FitGetRich", mean=0.0, std=2.0),
         sample_with(0.5, "FitGetRich", mean=1.0, std=1.0),
     ]
-    record = aggregate_samples(samples)
-    assert record.samples == 4
+    record = aggregate_samples(10, 1, samples)
+    assert (record.n, record.alpha, record.samples) == (10, 1.0, 4)
+    assert isinstance(record.alpha, float)
     assert record.mean_fraction_winner == pytest.approx(0.7)
     assert record.pct_full_bec == pytest.approx(25.0)
     assert record.pct_partial_bec == pytest.approx(25.0)
@@ -143,7 +136,7 @@ def test_aggregate_samples_math():
     assert record.nonwinner_mean == pytest.approx(1.0)
     assert record.nonwinner_std == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        aggregate_samples([])
+        aggregate_samples(10, 1.0, [])
 
 
 def test_sweep_is_worker_count_invariant():

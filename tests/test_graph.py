@@ -263,6 +263,10 @@ TAMPERS = {
     "clause_index_negative": (lambda p: relabel(p, 3, -1), "distinct values in"),
     "clause_index_repeated": (lambda p: relabel(p, 3, 2), "distinct values in"),
     "clause_index_float": (lambda p: relabel(p, 3, 3.0), "'clause' is not an integer"),
+    "insertion_order_float": (
+        lambda p: p.update(insertion_order=list(map(float, p["insertion_order"]))),
+        "'insertion_order' is not an integer",
+    ),
     "energy_string": (set_field("nodes", 1, "energy", "low"), "'energy' is not a number"),
     "energy_nan": (set_field("nodes", 1, "energy", float("nan")), "'energy' holds a number that is not finite"),
     "connectivity_infinite": (set_field("nodes", 0, "connectivity", float("inf")), "not finite"),
@@ -319,6 +323,7 @@ HEADER_TAMPERS = [
     ("temperature", 0, MODES),
     ("n", 0, MODES),
     ("k", 0, MODES),
+    ("m", 24.0, MODES),
     ("seed", -3, MODES),
     ("mode", "swap", MODES),
     ("rho", 0, (MODE_S2GPA,)),

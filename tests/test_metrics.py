@@ -109,11 +109,10 @@ def test_energy_values():
     # fitness 3, 6, 6: normalized 0.5, 1, 1
     f = formula_from_signed([(1, 2, 3), (4, 5, 6), (4, 5, 6)], 6)
     for temperature in (1.0, 2.0):
-        state = state_with(f, range(3), temperature=temperature)
-        state.fill_energies()
-        assert state.energy[0] == pytest.approx(temperature * math.log(2))
-        assert state.energy[1] == 0.0
-        assert math.copysign(1.0, state.energy[1]) == 1.0  # never -0.0
+        nodes = built_nodes(f, temperature=temperature)
+        assert nodes[0].energy == pytest.approx(temperature * math.log(2))
+        assert nodes[1].energy == 0.0
+        assert math.copysign(1.0, nodes[1].energy) == 1.0  # never -0.0
 
 
 def test_energy_rejects_bad_temperature():

@@ -1,14 +1,16 @@
 """The package ships only what its callers run: every public top-level
 function, class and constant of ``src/satbec`` is named somewhere in the
-package or in ``perfbench/`` besides its own definition and the
-``__init__`` re-exports.  Code only the tests use belongs in the tests."""
+package or in ``perfbench/`` besides its own definition.  Code only the
+tests use belongs in the tests.  ``__init__`` binds only dunder names, so
+each public name has one import path: its module."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "satbec").glob("*.py"))
-CALLERS = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+INIT = ROOT / "src" / "satbec" / "__init__.py"
+CALLERS = [p for p in PACKAGE if p != INIT] + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def defined(statement) -> set[str]:
@@ -42,3 +44,16 @@ def test_every_public_name_has_a_caller():
             used |= set(named(statement)) - own
     assert PACKAGE and CALLERS
     assert [f"{module}:{name}" for module, name in public if name not in used] == []
+
+
+def test_init_binds_only_dunder_names():
+    bound = set()
+    for node in ast.walk(ast.parse(INIT.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+    assert "__version__" in bound
+    assert sorted(n for n in bound if not (n.startswith("__") and n.endswith("__"))) == []
