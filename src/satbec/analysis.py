@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,11 +31,8 @@ def winner(graph: ClauseGraph) -> int:
     earliest-inserted node."""
     if not graph.nodes:
         raise ValueError("graph has no nodes")
-    best = graph.nodes[0]
-    for node in graph.nodes[1:]:
-        if node.connectivity > best.connectivity:
-            best = node
-    return best.clause
+    # max keeps the first of equal maxima
+    return max(graph.nodes, key=attrgetter("connectivity")).clause
 
 
 def fraction_winner(graph: ClauseGraph) -> float:

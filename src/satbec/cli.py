@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -144,13 +145,13 @@ def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: li
 
 
 def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: list = ()):
-    """Write ``text`` to ``--out`` and any ``extra`` artifacts, or print it
-    when neither asks for a file."""
+    """Write ``text`` to ``--out``, or print it when ``--out`` is omitted,
+    once any ``extra`` artifacts are written."""
     artifacts = [] if args.out is None else [(args.out, text)]
     artifacts += extra
     if artifacts:
         _emit(subcommand, args, inputs, artifacts)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
 
 
@@ -299,6 +300,8 @@ def _cmd_build(args):
         graph = build_graph(formula, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from None
+    if not all(math.isfinite(node.energy) for node in graph.nodes):
+        raise DataError(f"temperature {cfg.temperature!r} gives an energy too large for a float")
     _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
 
 

@@ -169,19 +169,18 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def _run_tasks(fn, cfg: SweepConfig | BenchConfig, jobs: int) -> list:
-    """``fn(cfg, n_index, alpha_index)`` at every grid point, in n-major
-    order, in ``worker_count(jobs, points)`` processes when that is more
-    than 1; ``map`` and ``pool.map`` both keep the order."""
-    tasks = [
-        (cfg, n_index, alpha_index)
-        for n_index in range(len(cfg.n_values))
-        for alpha_index in range(len(cfg.alphas))
-    ]
-    workers = worker_count(jobs, len(tasks))
+    """``((n, alpha), fn(cfg, n_index, alpha_index))`` at every grid point, in
+    n-major order, in ``worker_count(jobs, points)`` processes when that is
+    more than 1; ``map`` and ``pool.map`` both keep the order."""
+    points = [(i, j) for i in range(len(cfg.n_values)) for j in range(len(cfg.alphas))]
+    tasks = ([cfg] * len(points), *zip(*points))
+    workers = worker_count(jobs, len(points))
     if workers == 1:
-        return list(map(fn, *zip(*tasks)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        results = list(map(fn, *tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, *tasks))
+    return [((cfg.n_values[i], cfg.alphas[j]), r) for (i, j), r in zip(points, results)]
 
 
 def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
@@ -190,10 +189,9 @@ def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     ``jobs`` > 1 distributes grid points over processes; the output is
     independent of the worker count.
     """
-    points = ((n, alpha) for n in cfg.n_values for alpha in cfg.alphas)
     return [
         aggregate_samples(n, alpha, samples)
-        for (n, alpha), samples in zip(points, _run_tasks(run_grid_point, cfg, jobs))
+        for (n, alpha), samples in _run_tasks(run_grid_point, cfg, jobs)
     ]
 
 
@@ -269,14 +267,6 @@ def default_alpha_grid(k: int) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class SolverSummary:
-    solver: str
-    solved: int
-    satisfied_mean: float
-    flips_total: int
-
-
-@dataclass(frozen=True)
 class GroupVerdict:
     n: int
     alpha: float
@@ -287,7 +277,6 @@ class GroupVerdict:
 
 @dataclass(frozen=True)
 class BenchReport:
-    summaries: tuple[SolverSummary, ...]
     verdicts: tuple[GroupVerdict, ...]
     # per solver, results in (n_index, alpha_index, instance) order
     results: dict
@@ -317,43 +306,14 @@ def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
     """Run every configured solver over the instance grid and compare each
     one against the first-listed solver per (n, alpha) group."""
     groups = _run_tasks(_bench_group, cfg, jobs)
-
-    results: dict[str, list[solver.SolverResult]] = {s: [] for s in cfg.solvers}
-    for group in groups:
-        for name in cfg.solvers:
-            results[name].extend(group[name])
-
-    summaries = []
-    for name in cfg.solvers:
-        runs = results[name]
-        summaries.append(
-            SolverSummary(
-                solver=name,
-                solved=sum(1 for r in runs if r.solved),
-                satisfied_mean=float(np.mean([r.satisfied_clauses for r in runs])),
-                flips_total=sum(r.flips for r in runs),
-            )
-        )
-
-    verdicts = []
     baseline = cfg.solvers[0]
-    points = ((n, alpha) for n in cfg.n_values for alpha in cfg.alphas)
-    for (n, alpha), group in zip(points, groups):
-        for name in cfg.solvers[1:]:
-            verdicts.append(
-                GroupVerdict(
-                    n=n,
-                    alpha=alpha,
-                    solver_a=name,
-                    solver_b=baseline,
-                    verdict=solver.compare(group[name], group[baseline]),
-                )
-            )
-    return BenchReport(
-        summaries=tuple(summaries),
-        verdicts=tuple(verdicts),
-        results={name: tuple(runs) for name, runs in results.items()},
+    verdicts = tuple(
+        GroupVerdict(n, alpha, name, baseline, solver.compare(group[name], group[baseline]))
+        for (n, alpha), group in groups
+        for name in cfg.solvers[1:]
     )
+    results = {name: tuple(r for _, group in groups for r in group[name]) for name in cfg.solvers}
+    return BenchReport(verdicts, results)
 
 
 BENCH_CSV_COLUMNS = ("row", "solver", "solved", "maxsat", "flips", "n", "alpha", "verdict")
@@ -363,10 +323,9 @@ def bench_report_to_csv(report: BenchReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(BENCH_CSV_COLUMNS)
-    for s in report.summaries:
-        writer.writerow(
-            ["result", s.solver, s.solved, repr(s.satisfied_mean), s.flips_total, "", "", ""]
-        )
+    for name, runs in report.results.items():
+        solved, satisfied, flips = solver.totals(runs)
+        writer.writerow(["result", name, solved, repr(satisfied / len(runs)), flips, "", "", ""])
     for v in report.verdicts:
         writer.writerow(
             ["verdict", f"{v.solver_a}-vs-{v.solver_b}", "", "", "", v.n, repr(float(v.alpha)), v.verdict]

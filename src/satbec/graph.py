@@ -24,6 +24,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, ne
 
+import numpy as np
+
 from .metrics import group_energy_levels
 
 MODE_S2G = "s2g"
@@ -72,6 +74,14 @@ class BuilderConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.first_clause_rule not in FIRST_CLAUSE_RULES:
             raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
+
+
+def fitness_columns(raw: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized fitness ``raw / max(raw)`` and energy ``-T ln`` of it for a raw
+    fitness column; an energy too large for a float is inf, with no warning."""
+    normalized = raw / int(raw.max())
+    with np.errstate(over="ignore"):
+        return normalized, -temperature * np.log(normalized) + 0.0
 
 
 @dataclass
@@ -326,13 +336,33 @@ def _columns(record, rows, keys) -> dict[str, tuple]:
     return columns
 
 
+def _check_fitness(raw, normalized, energy, temperature):
+    """Raise ValueError unless raw fitness is at least 1 and gives the other two
+    columns by ``fitness_columns``: the normalized fitness exactly, the energy
+    within a relative 1e-12, as ``np.log`` may differ by an ulp between machines."""
+    if not raw:
+        return
+    if min(raw) < 1:
+        raise ValueError("graph JSON field 'raw_fitness' holds a value below 1")
+    try:
+        want_normalized, want_energy = fitness_columns(np.array(raw, np.int64), temperature)
+    except OverflowError:
+        raise ValueError("graph JSON field 'raw_fitness' holds a value no build writes") from None
+    if not np.array_equal(want_normalized, normalized):
+        raise ValueError("graph JSON node normalized_fitness differs from raw_fitness / max")
+    if not np.isclose(energy, want_energy, rtol=1e-12, atol=0.0).all():
+        raise ValueError("graph JSON node energy differs from temperature * ln(max / raw_fitness)")
+
+
 def graph_from_json(text: str) -> ClauseGraph:
     """Parse graph JSON and check it against itself: numeric fields are
     finite numbers, the header holds settings ``BuilderConfig`` accepts (with
     a null theta and rho in mode s2g) and a sha256 digest, node clause
-    indices are distinct and lie in [0, m), each node's particles equal its
-    in plus out events, and every edge joins two distinct known nodes, once.
-    Raises ValueError otherwise."""
+    indices are distinct and lie in [0, m), raw fitness is at least 1 and
+    gives each node's normalized fitness and energy at the header
+    temperature, each node's particles equal its in plus out events, and
+    every edge joins two distinct known nodes, once.  Raises ValueError
+    otherwise."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -370,6 +400,8 @@ def graph_from_json(text: str) -> ClauseGraph:
         raise ValueError("graph JSON is inconsistent with its node list")
     _check_numbers("m", (declared_m,), integer=True)
     _check_numbers("insertion_order", declared_order, integer=True)
+    _check_fitness(columns["raw_fitness"], columns["normalized_fitness"], columns["energy"],
+                   header["temperature"])
     known = set(columns["clause"])
     if len(known) != graph.m or (known and (min(known) < 0 or max(known) >= graph.m)):
         raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")

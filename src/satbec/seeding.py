@@ -1,10 +1,10 @@
 """Deterministic random-stream derivation.
 
 Every stochastic component takes an explicit integer seed.  Array-heavy code
-(formula generation, graph construction) runs on numpy's PCG64; the solver
-loop, which draws scalars only, runs on the stdlib Mersenne Twister.  Both are
-seeded through the helpers below so that a run is reproducible from its root
-seed alone.
+(formula generation, graph construction) runs on ``Generator(PCG64(seed))``;
+the solver loop, which draws scalars only, runs on the stdlib Mersenne
+Twister, ``random.Random(seed)``.  ``derive_seed`` below gives each component
+its seed, so that a run is reproducible from its root seed alone.
 
 Stream-split rule: a child stream is addressed by the root seed plus an
 integer path.  The path is passed as the ``spawn_key`` of a numpy
@@ -28,23 +28,12 @@ TAG_SOLVE = 2
 TAG_ORDER = 3
 
 
-def _seed_sequence(root: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+def derive_seed(root: int, *path: int) -> int:
+    """The integer seed of the stream addressed by (root, path): the first
+    64-bit word of that address's ``SeedSequence``."""
     if root < 0:
         raise ValueError("root seed must be non-negative")
     if any(p < 0 for p in path):
         raise ValueError("stream path entries must be non-negative")
-    return np.random.SeedSequence(entropy=root, spawn_key=path)
-
-
-def derive_rng(root: int, *path: int) -> np.random.Generator:
-    """PCG64 generator for the stream addressed by (root, path)."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(root, path)))
-
-
-def derive_seed(root: int, *path: int) -> int:
-    """Collapse the stream address to a plain integer seed.
-
-    Used when an API takes a single int seed rather than a generator.
-    """
-    state = _seed_sequence(root, path).generate_state(1, np.uint64)
+    state = np.random.SeedSequence(entropy=root, spawn_key=path).generate_state(1, np.uint64)
     return int(state[0])

@@ -381,6 +381,15 @@ def verify_result(formula: Formula, result: SolverResult) -> bool:
     return result.solved == (not unsat) and satisfied == result.satisfied_clauses
 
 
+def totals(results) -> tuple[int, int, int]:
+    """Solved runs, satisfied clauses and flips, each summed over ``results``."""
+    return (
+        sum(r.solved for r in results),
+        sum(r.satisfied_clauses for r in results),
+        sum(r.flips for r in results),
+    )
+
+
 def compare(a, b) -> str:
     """Lexicographic verdict over two result sets on the same instances:
     more solved wins, then more clauses satisfied on average, then fewer
@@ -392,16 +401,8 @@ def compare(a, b) -> str:
     for ra, rb in zip(a, b):
         if ra.formula_sha256 != rb.formula_sha256:
             raise ValueError("result sets cover different instances")
-    solved_a = sum(1 for r in a if r.solved)
-    solved_b = sum(1 for r in b if r.solved)
-    if solved_a != solved_b:
-        return A_BETTER if solved_a > solved_b else B_BETTER
-    satisfied_a = sum(r.satisfied_clauses for r in a)
-    satisfied_b = sum(r.satisfied_clauses for r in b)
-    if satisfied_a != satisfied_b:
-        return A_BETTER if satisfied_a > satisfied_b else B_BETTER
-    flips_a = sum(r.flips for r in a)
-    flips_b = sum(r.flips for r in b)
-    if flips_a != flips_b:
-        return A_BETTER if flips_a < flips_b else B_BETTER
-    return TIE
+    # equal lengths, so more satisfied in total is more on average
+    key_a, key_b = ((solved, satisfied, -flips) for solved, satisfied, flips in map(totals, (a, b)))
+    if key_a == key_b:
+        return TIE
+    return A_BETTER if key_a > key_b else B_BETTER

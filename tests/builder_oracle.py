@@ -27,7 +27,6 @@ from satbec.builder import FIRST_RANDOM, BuilderConfig
 from satbec.cnf import Formula, formula_sha256
 from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
 from satbec.metrics import clause_distance
-from satbec.seeding import derive_rng
 
 
 def literal_code(literal: int) -> int:
@@ -69,7 +68,7 @@ class OracleState:
     def __init__(self, formula: Formula, cfg: BuilderConfig):
         self.formula = formula
         self.cfg = cfg
-        self.rng = derive_rng(cfg.seed)
+        self.rng = np.random.Generator(np.random.PCG64(cfg.seed))
         self.codes = clause_codes(formula)
         self.dist = distance_matrix(formula, self.codes)
         m = formula.m

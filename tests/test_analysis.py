@@ -1,6 +1,8 @@
 """Winner detection, fraction of links, phase labels, non-winner statistics."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from satbec.analysis import (
     FULL_BEC_THRESHOLD,
@@ -63,7 +65,16 @@ def test_winner_matches_linear_scan_oracle():
         g = build_graph(generate_random(seed, 3, 20, 60), BuilderConfig(mode=MODE_S2GPA, seed=seed))
         best = max(node.connectivity for node in g.nodes)
         candidates = [node.clause for node in g.nodes if node.connectivity == best]
-        assert winner(g) in candidates
+        assert winner(g) == candidates[0]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.33, 1.0, 1.33]), min_size=1, max_size=12), st.randoms())
+def test_winner_is_the_first_maximal_node_in_insertion_order(connectivities, random):
+    # few values, so ties are common; the clause labels follow a random order
+    order = list(range(len(connectivities)))
+    random.shuffle(order)
+    g = graph_with(connectivities, [], order=order)
+    assert winner(g) == order[connectivities.index(max(connectivities))]
 
 
 def test_winner_rejects_empty():

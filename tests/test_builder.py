@@ -1,5 +1,8 @@
 """Network construction: config validation, attachment machinery, both modes."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,6 @@ from satbec.builder import (
 )
 from satbec.cnf import generate_random
 from satbec.graph import MODE_S2G, MODE_S2GPA, graph_from_json, graph_to_json
-from satbec.seeding import derive_rng
 from satbec.solver import clause_order
 
 
@@ -178,20 +180,20 @@ def test_attachment_probabilities_need_an_edge():
 
 def test_preferential_draw_frequencies():
     cumulative = np.array([0.25, 1.0])
-    rng = derive_rng(6)
+    rng = np.random.Generator(np.random.PCG64(6))
     draws = [preferential_draw(cumulative, rng) for _ in range(10_000)]
     assert set(draws) == {0, 1}
     second = sum(draws)
     assert 7200 < second < 7800  # binomial(1e4, 0.75), +-3 sigma is ~130
     # same seed, same stream
-    rng = derive_rng(6)
+    rng = np.random.Generator(np.random.PCG64(6))
     assert [preferential_draw(cumulative, rng) for _ in range(10_000)] == draws
 
 
 def test_preferential_draw_rounds_into_last_bin():
     # cumulative that falls short of 1.0 still lands in range
     cumulative = np.array([0.3, 0.99])
-    rng = derive_rng(7)
+    rng = np.random.Generator(np.random.PCG64(7))
     assert all(preferential_draw(cumulative, rng) in (0, 1) for _ in range(2000))
 
 
@@ -307,6 +309,15 @@ def test_temperature_only_rescales_energies(mode):
     assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
     for a, b in zip(hot.nodes, cold.nodes):
         assert a.energy == pytest.approx(3.7 * b.energy)
+
+
+def test_energy_too_large_for_a_float_is_inf_without_a_warning():
+    # sweeps and benches never write a graph, so such a build must still run
+    f = formula_from_signed([(1, 2, 3)] * 10 + [(4, 5, 6)], 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, temperature=1e308, seed=1))
+    assert sorted(node.energy for node in g.nodes) == [0.0] * 10 + [math.inf]
 
 
 @pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,18 @@ def test_spectrum_json_and_dot(tmp_path, graph):
     text = read(dot)
     assert text.startswith("graph clause_network {")
     assert text.rstrip().endswith("}")
+
+
+def test_spectrum_with_dot_and_no_out_prints_the_spectrum(tmp_path, graph, capsys):
+    out = tmp_path / "spectrum.json"
+    assert run_cli("spectrum", "--in", str(graph), "--out", str(out)) == 0
+    assert run_cli("spectrum", "--in", str(graph), "--dot", str(tmp_path / "g.dot")) == 0
+    assert capsys.readouterr().out == read(out)
+    assert read(tmp_path / "g.dot").startswith("graph clause_network {")
+    assert json.loads(read(tmp_path / "g.dot.manifest.json"))["outputs"] == ["g.dot"]
+    # a failed DOT write prints nothing
+    assert run_cli("spectrum", "--in", str(graph), "--dot", str(tmp_path / "missing" / "x.dot")) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_failed_write_leaves_no_artifact(tmp_path, graph):
@@ -377,6 +390,20 @@ def test_exit_codes_for_data_errors(tmp_path):
     assert run_cli("classify", "--in", str(bad_graph)) == 2
 
 
+def test_energy_too_large_for_a_float_is_data_error(tmp_path, capsys):
+    # lowest to highest fitness 1/10, so the top energy is 1e308 * ln 10
+    formula = tmp_path / "f.cnf"
+    formula.write_text("p cnf 6 11\n" + "1 2 3 0\n" * 10 + "4 5 6 0\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("build", "--mode", "s2gpa", "--seed", "1", "--temp", "1e308",
+                       "--in", str(formula), "--out", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err == (
+        "error: temperature 1e+308 gives an energy too large for a float\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cnf"]
+
+
 def test_empty_clause_is_data_error(tmp_path):
     bad_cnf = tmp_path / "empty-clause.cnf"
     bad_cnf.write_text("p cnf 3 1\n0\n", encoding="utf-8")
@@ -545,7 +572,7 @@ def test_sweep_and_bench_defaults_come_from_the_configs(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "sweep", lambda cfg, jobs: seen.append(cfg) or [])
     monkeypatch.setattr(cli, "benchmark",
-                        lambda cfg, jobs: seen.append(cfg) or BenchReport((), (), ()))
+                        lambda cfg, jobs: seen.append(cfg) or BenchReport((), {}))
     assert run_cli("sweep", "--n-values", "10", "--alphas", "1.0",
                    "--out", str(tmp_path / "s.csv")) == 0
     assert run_cli("bench", "--out", str(tmp_path / "b.csv")) == 0

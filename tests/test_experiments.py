@@ -187,10 +187,10 @@ def tiny_bench_config(**overrides):
 
 def test_benchmark_report_shape():
     report = benchmark(tiny_bench_config())
-    assert [s.solver for s in report.summaries] == ["chainsat", "lc", "nlc"]
-    for summary in report.summaries:
-        assert 0 <= summary.solved <= 4
-        assert len(report.results[summary.solver]) == 4
+    assert list(report.results) == ["chainsat", "lc", "nlc"]
+    for runs in report.results.values():
+        assert len(runs) == 4
+        assert 0 <= sum(r.solved for r in runs) <= 4
     # each non-baseline solver is compared against the baseline per group
     pairs = {(v.solver_a, v.solver_b) for v in report.verdicts}
     assert pairs == {("lc", "chainsat"), ("nlc", "chainsat")}

@@ -279,7 +279,24 @@ TAMPERS = {
     "edge_repeated_reversed": (add_edge(2, 0), "twice"),
     "weight_string": (set_field("edges", 0, "weight", "0.5"), "'weight' is not a number"),
     "multiplicity_zero": (set_field("edges", 0, "multiplicity", 0), "'multiplicity' holds a value below 1"),
+    "raw_fitness_zero": (set_field("nodes", 1, "raw_fitness", 0), "'raw_fitness' holds a value below 1"),
+    "raw_fitness_above_int64": (set_field("nodes", 0, "raw_fitness", 2**70), "no build writes"),
+    "normalized_fitness_edited": (set_field("nodes", 1, "normalized_fitness", 7.5),
+                                  "normalized_fitness differs"),
+    "energy_edited": (set_field("nodes", 1, "energy", -5.0), "energy differs"),
+    "energy_off_by_1e-11": (set_field("nodes", 1, "energy", math.log(2) * (1 + 1e-11)), "energy differs"),
+    "temperature_edited": (set_top("temperature", 2.0), "energy differs"),
 }
+
+
+def test_json_accepts_an_energy_a_few_ulps_off():
+    # np.log may round differently on another machine
+    payload = json.loads(graph_to_json(star_graph()))
+    for node in payload["nodes"][1:]:
+        node["energy"] = float(np.nextafter(np.nextafter(node["energy"], 1.0), 1.0))
+    assert [node.energy for node in graph_from_json(json.dumps(payload)).nodes[1:]] == [
+        node["energy"] for node in payload["nodes"][1:]
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERS))

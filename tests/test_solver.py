@@ -4,6 +4,8 @@ import inspect
 import signal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from satbec import solver
 
@@ -283,6 +285,34 @@ def test_compare_rule_order():
     fewer_flips = [result_with(False, 90, 100), result_with(True, 100, 400)]
     assert compare(fewer_flips, base) == A_BETTER
     assert compare(base, base) == TIE
+
+
+def three_step_verdict(a, b):
+    """The verdict rule written out one step at a time: solved runs, then
+    satisfied clauses, then flips."""
+    for key, more_wins in ((lambda r: r.solved, True), (lambda r: r.satisfied_clauses, True),
+                           (lambda r: r.flips, False)):
+        total_a, total_b = sum(map(key, a)), sum(map(key, b))
+        if total_a != total_b:
+            return A_BETTER if (total_a > total_b) == more_wins else B_BETTER
+    return TIE
+
+
+# few distinct values, so that equal totals, and so the later steps, are common
+RESULT_SETS = st.integers(1, 4).flatmap(
+    lambda size: st.tuples(*[
+        st.lists(st.builds(result_with, st.booleans(), st.integers(0, 3), st.integers(0, 3)),
+                 min_size=size, max_size=size)
+    ] * 2)
+)
+
+
+@given(RESULT_SETS)
+def test_compare_matches_the_three_step_rule_and_is_antisymmetric(sets):
+    a, b = sets
+    verdict = compare(a, b)
+    assert verdict == three_step_verdict(a, b)
+    assert compare(b, a) == {A_BETTER: B_BETTER, B_BETTER: A_BETTER, TIE: TIE}[verdict]
 
 
 def test_compare_rejects_mismatched_sets():
