@@ -84,8 +84,8 @@ class Formula:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def parse_dimacs(text) -> Formula:
-    """Parse DIMACS CNF text (str or bytes) into a Formula.
+def parse_dimacs(text: str) -> Formula:
+    """Parse DIMACS CNF text into a Formula.
 
     Comment lines start with 'c'; a line starting with '%' ends the input.
     Clauses may span lines and are 0-terminated.  Every count and literal is
@@ -94,8 +94,6 @@ def parse_dimacs(text) -> Formula:
     ``duplicate_vars`` then reads True.  A formula that ``Formula`` rejects
     is a ``DimacsError``.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     plain = _plain_integers(text)  # then no line needs the check
     n = m = None
     tokens: list[int] = []

@@ -21,12 +21,11 @@ import math
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, ne
+from operator import add, attrgetter, itemgetter, ne
 
 import numpy as np
-
-from .metrics import group_energy_levels
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -166,15 +165,18 @@ class EnergySpectrum:
 
 
 def particle_spectrum(graph: ClauseGraph) -> EnergySpectrum:
-    """Group nodes into energy levels (ascending) with their particle loads."""
-    energies = [node.energy for node in graph.nodes]
+    """Energy levels with their particle loads, one level per raw fitness.
+
+    Energy T ln(max / raw) falls strictly as raw fitness rises, so the levels
+    run from the highest fitness (the lowest energy) down at every
+    temperature.  A level's states are its nodes sorted by clause, and its
+    energy is the least of theirs."""
+    nodes = sorted(graph.nodes, key=lambda node: (-node.raw_fitness, node.clause))
     levels = []
-    for members in group_energy_levels(energies):
-        states = tuple(
-            EnergyState(clause=graph.nodes[i].clause, particles=graph.nodes[i].particles)
-            for i in sorted(members, key=lambda i: graph.nodes[i].clause)
-        )
-        levels.append(EnergyLevel(energy=min(energies[i] for i in members), states=states))
+    for _, members in groupby(nodes, key=attrgetter("raw_fitness")):
+        members = list(members)
+        states = tuple(EnergyState(clause=node.clause, particles=node.particles) for node in members)
+        levels.append(EnergyLevel(energy=min(node.energy for node in members), states=states))
     return EnergySpectrum(levels=tuple(levels))
 
 

@@ -8,13 +8,14 @@ chosen from a clause that the current variable alone satisfies (a chain
 step).
 
 The ordered variants replace the two uniform clause picks with a
-heaviest-first rule.  Clause weight comes from a built network: lower energy
-is heavier, higher connectivity breaks energy ties, and residual ties are
-settled by a seeded shuffle.  Each pick marks its clause as visited in a bit
-array (one shared array, or two separate ones for the unsat-pick and
-chain-pick roles); among eligible clauses only unvisited ones are ranked,
-and when all are visited the pick falls back to uniform random.  Bits are
-never cleared during a run.
+heaviest-first rule.  Clause weight comes from a built network: a lower
+energy level, that is a higher raw fitness, is heavier, higher connectivity
+breaks ties within a level, and residual ties are settled by a seeded
+shuffle.  Each pick marks its clause as visited in a bit array (one shared
+array, or two separate ones for the unsat-pick and chain-pick roles); among
+eligible clauses only unvisited ones are ranked, and when all are visited
+the pick falls back to uniform random.  Bits are never cleared during a
+run.
 
 A flip's cost, breaks less makes counted per literal occurrence, is kept per
 variable as the walk goes (see ``_run``) rather than scanned per evaluation.
@@ -28,7 +29,6 @@ from heapq import heapify, heappop, heappush
 
 from .cnf import Formula, evaluate, formula_sha256
 from .graph import ClauseGraph
-from .metrics import group_energy_levels
 
 SOLVERS = ("chainsat", "lc", "nlc")
 # the solvers that pick clauses by a ClauseOrder
@@ -79,25 +79,22 @@ class ClauseOrder:
 
 
 def clause_order(formula: Formula, graph: ClauseGraph, seed: int) -> ClauseOrder:
-    """Weight order: energy level ascending, connectivity descending, then a
-    seeded random shuffle for full ties."""
+    """Weight order: raw fitness descending (energy level ascending, at
+    every temperature), connectivity descending, then a seeded random
+    shuffle for full ties."""
     if graph.formula_sha256 != formula_sha256(formula):
         raise ValueError("graph was not built from this formula")
     if graph.m != formula.m:
         raise ValueError("graph node count does not match formula")
     m = formula.m
-    energies = [0.0] * m
+    fitness = [0] * m
     conn = [0.0] * m
     for node in graph.nodes:
-        energies[node.clause] = node.energy
+        fitness[node.clause] = node.raw_fitness
         conn[node.clause] = node.connectivity
-    level = [0] * m
-    for level_index, members in enumerate(group_energy_levels(energies)):
-        for clause in members:
-            level[clause] = level_index
     rng = random.Random(seed)
     tie = [rng.random() for _ in range(m)]
-    rank = sorted(range(m), key=lambda c: (level[c], -conn[c], tie[c]))
+    rank = sorted(range(m), key=lambda c: (-fitness[c], -conn[c], tie[c]))
     return ClauseOrder(rank=tuple(rank))
 
 

@@ -20,7 +20,13 @@ from satbec.builder import (
     select_first_clause,
 )
 from satbec.cnf import generate_random
-from satbec.graph import MODE_S2G, MODE_S2GPA, graph_from_json, graph_to_json
+from satbec.graph import (
+    MODE_S2G,
+    MODE_S2GPA,
+    graph_from_json,
+    graph_to_json,
+    particle_spectrum,
+)
 from satbec.solver import clause_order
 
 
@@ -299,16 +305,23 @@ def test_graph_records_build_parameters(sample20):
 
 @pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])
 def test_temperature_only_rescales_energies(mode):
-    # attachment uses raw fitness and energy levels are monotone in fitness,
-    # so the temperature changes nothing but the reported energies
+    # attachment uses raw fitness and a level is one raw fitness, so the
+    # temperature changes nothing but the reported energies, neither at
+    # T = 1e-12, where all 20 levels lie within 1.1e-12 of each other, nor
+    # at T = 1e308, where energies overflow to inf
     f = generate_random(17, 3, 20, 85)
     cold = build_graph(f, BuilderConfig(mode=mode, temperature=1.0, seed=23))
-    hot = build_graph(f, BuilderConfig(mode=mode, temperature=3.7, seed=23))
-    assert hot.insertion_order == cold.insertion_order
-    assert hot.edges == cold.edges
-    assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
-    for a, b in zip(hot.nodes, cold.nodes):
-        assert a.energy == pytest.approx(3.7 * b.energy)
+    levels = [[s.clause for s in level.states] for level in particle_spectrum(cold).levels]
+    assert len(levels) == 20
+    for temperature in (1e-12, 3.7, 1e308):
+        hot = build_graph(f, BuilderConfig(mode=mode, temperature=temperature, seed=23))
+        assert hot.insertion_order == cold.insertion_order
+        assert hot.edges == cold.edges
+        assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
+        assert [[s.clause for s in level.states]
+                for level in particle_spectrum(hot).levels] == levels
+        for a, b in zip(hot.nodes, cold.nodes):
+            assert a.energy == pytest.approx(temperature * b.energy)
 
 
 def test_energy_too_large_for_a_float_is_inf_without_a_warning():

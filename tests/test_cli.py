@@ -360,6 +360,22 @@ def test_bench_tiny_grid(tmp_path):
     assert sum(1 for r in rows if r.startswith("result,")) == 3
 
 
+def test_bench_is_the_same_at_every_temperature(tmp_path, monkeypatch):
+    # a level is one raw fitness, so the clause order, and with it the bench
+    # table, does not move with T, not even at T = 1e-12, where a formula's
+    # energies all lie within about 1e-12 of each other
+    for temp in ("1", "1e-12"):
+        (tmp_path / temp).mkdir()
+        monkeypatch.chdir(tmp_path / temp)
+        assert run_cli("bench", "--n-values", "25", "--instances", "4", "--budget", "500",
+                       "--jobs", "1", "--temp", temp, "--out", "bench.csv") == 0
+    assert read(tmp_path / "1" / "bench.csv") == read(tmp_path / "1e-12" / "bench.csv")
+    manifests = [json.loads(read(tmp_path / temp / "bench.csv.manifest.json"))
+                 for temp in ("1", "1e-12")]
+    assert [m["arguments"].pop("temp") for m in manifests] == [1.0, 1e-12]
+    assert manifests[0] == manifests[1]
+
+
 def test_exit_codes_for_usage_errors(tmp_path, cnf, capsys):
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1

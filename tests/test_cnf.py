@@ -111,10 +111,10 @@ def test_parse_basic():
     assert not f.duplicate_vars
 
 
-def test_parse_accepts_bytes_multiline_and_percent_footer():
+def test_parse_accepts_multiline_and_percent_footer():
     # a comment may hold any character, '+', '_' and non-ASCII ones included
     text = "c x_1 + \u00fc\np cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n%\n0\nnoise after footer\n"
-    f = parse_dimacs(text.encode("utf-8"))
+    f = parse_dimacs(text)
     assert f.m == 2
     assert f.clauses == ((1, 2, 3), (-1, -2, -3))
 

@@ -17,7 +17,9 @@ from satbec.graph import (
     MODE_S2GPA,
     MODES,
     ClauseGraph,
+    EnergyLevel,
     EnergySpectrum,
+    EnergyState,
     GraphEdge,
     GraphNode,
     export_dot,
@@ -41,8 +43,9 @@ def make_node(clause, raw, max_raw, connectivity, in_events=0, out_events=0):
     )
 
 
-def star_graph():
-    # hub 0 with three spokes, insertion order 0,1,2,3
+def unlinked_graph(raw_fitness=()):
+    """A graph with no edges whose node for clause c has raw fitness
+    ``raw_fitness[c]``."""
     g = ClauseGraph(
         mode=MODE_S2G,
         temperature=1.0,
@@ -54,6 +57,13 @@ def star_graph():
         k=3,
         formula_sha256="0" * 64,
     )
+    g.nodes += [make_node(c, raw, max(raw_fitness), 0.0) for c, raw in enumerate(raw_fitness)]
+    return g
+
+
+def star_graph():
+    # hub 0 with three spokes, insertion order 0,1,2,3
+    g = unlinked_graph()
     g.nodes.append(make_node(0, 4, 4, 3.0, in_events=3))
     for spoke in (1, 2, 3):
         g.nodes.append(make_node(spoke, 2, 4, 1.0, out_events=1))
@@ -399,6 +409,25 @@ def test_spectrum_of_sparse_sample(sample10):
     assert energies[2] == pytest.approx(math.log(5 / 3))
     assert energies == sorted(energies)
     assert spectrum.total_particles == g.total_particles
+
+
+def test_spectrum_level_is_one_raw_fitness_in_ascending_energy():
+    # nodes listed against clause order; clauses 0 and 4 share the lowest
+    # fitness, 2 and 3 the middle one, and each level lists its clauses sorted
+    g = unlinked_graph([2, 9, 5, 5, 2])
+    g.nodes.reverse()
+    g.nodes[0].energy = math.nextafter(g.nodes[0].energy, 0.0)  # clause 4, an ulp low
+    spectrum = particle_spectrum(g)
+    assert [[s.clause for s in level.states] for level in spectrum.levels] == [[1], [2, 3], [0, 4]]
+    # a level's energy is the least of its states'
+    assert [level.energy for level in spectrum.levels] == [
+        0.0, -math.log(5 / 9), math.nextafter(-math.log(2 / 9), 0.0)]
+
+
+def test_spectrum_of_empty_and_single_node_graphs():
+    assert particle_spectrum(unlinked_graph()) == EnergySpectrum(levels=())
+    assert particle_spectrum(unlinked_graph([3])) == EnergySpectrum(
+        levels=(EnergyLevel(energy=0.0, states=(EnergyState(clause=0, particles=0),)),))
 
 
 def test_spectrum_level_particles_sum_states():

@@ -1,5 +1,5 @@
 """Literal frequencies, fitness and energies as the builder computes them,
-clause distance, level grouping."""
+clause distance, the ground level."""
 
 import collections
 import math
@@ -12,8 +12,8 @@ from builder_oracle import literal_code
 from conftest import SAMPLE_10, formula_from_signed, state_with
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
-from satbec.graph import MODES
-from satbec.metrics import ENERGY_LEVEL_TOL, clause_distance, group_energy_levels
+from satbec.graph import MODES, particle_spectrum
+from satbec.metrics import clause_distance
 
 
 def built_nodes(formula, **cfg):
@@ -132,30 +132,11 @@ def test_fitness_record_from_raw(sample20):
         assert node.energy == pytest.approx(2.0 * math.log(top / node.raw_fitness), abs=1e-12)
 
 
-def test_group_energy_levels_groups_and_orders():
-    energies = [0.51, 0.0, 0.223, 0.223 + 1e-10, 0.51]
-    assert group_energy_levels(energies) == [[1], [2, 3], [0, 4]]
-
-
-def test_group_energy_levels_tolerance_chaining():
-    # consecutive gaps at half the tolerance chain into one level
-    step = ENERGY_LEVEL_TOL / 2
-    energies = [0.0, step, 2 * step, 1.0]
-    assert group_energy_levels(energies) == [[0, 1, 2], [3]]
-    # a gap above the tolerance splits
-    assert group_energy_levels([0.0, 2 * ENERGY_LEVEL_TOL]) == [[0], [1]]
-
-
-def test_group_energy_levels_empty_and_singleton():
-    assert group_energy_levels([]) == []
-    assert group_energy_levels([1.5]) == [[0]]
-
-
 def test_sample20_level_structure(sample20):
     # densest instance: three clauses tie at the maximal fitness
     nodes = built_nodes(sample20)
     fits = [node.raw_fitness for node in nodes]
     assert max(fits) == 9
     assert [i for i, v in enumerate(fits) if v == 9] == [13, 14, 15]
-    energies = [node.energy for node in nodes]
-    assert group_energy_levels(energies)[0] == [13, 14, 15]
+    ground = particle_spectrum(build_graph(sample20, BuilderConfig(seed=3))).levels[0]
+    assert [state.clause for state in ground.states] == [13, 14, 15]

@@ -3,6 +3,7 @@
 import inspect
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from satbec.cnf import (
     generate_random,
     parse_dimacs,
 )
-from satbec.graph import MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
+from satbec.graph import MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode, fitness_columns
 from satbec.solver import (
     DEFAULT_BUDGET,
     DESK_BUDGET,
@@ -40,7 +41,7 @@ from satbec.solver import (
 )
 
 
-def order_graph(formula, energies, connectivities):
+def order_graph(formula, raw_fitness, connectivities):
     g = ClauseGraph(
         mode=MODE_S2GPA,
         temperature=1.0,
@@ -52,17 +53,18 @@ def order_graph(formula, energies, connectivities):
         k=formula.k,
         formula_sha256=formula_sha256(formula),
     )
-    for clause, (e, c) in enumerate(zip(energies, connectivities)):
+    normalized, energies = fitness_columns(np.array(raw_fitness), g.temperature)
+    for clause, (raw, c) in enumerate(zip(raw_fitness, connectivities)):
         g.nodes.append(
             GraphNode(
                 clause=clause,
-                raw_fitness=1,
-                normalized_fitness=1.0,
-                energy=e,
+                raw_fitness=raw,
+                normalized_fitness=float(normalized[clause]),
+                energy=float(energies[clause]),
                 connectivity=c,
             )
         )
-    for clause in range(1, len(energies)):
+    for clause in range(1, len(raw_fitness)):
         g.edges[(clause - 1, clause)] = GraphEdge(u=clause - 1, v=clause, weight=0.5)
     return g
 
@@ -105,16 +107,16 @@ def test_budget_constants():
 
 def test_clause_order_by_energy_then_connectivity():
     f = small_formula(3)
-    g = order_graph(f, [0.0, 0.7, 0.3], [1.0, 1.0, 1.0])
+    g = order_graph(f, [3, 1, 2], [1.0, 1.0, 1.0])
     assert clause_order(f, g, seed=0).rank == (0, 2, 1)
     # same energy level: higher connectivity first
-    g = order_graph(f, [0.0, 0.0, 0.5], [2.0, 5.0, 1.0])
+    g = order_graph(f, [2, 2, 1], [2.0, 5.0, 1.0])
     assert clause_order(f, g, seed=0).rank == (1, 0, 2)
 
 
 def test_clause_order_final_ties_are_seeded_random():
     f = small_formula(2)
-    g = order_graph(f, [0.2, 0.2], [3.0, 3.0])
+    g = order_graph(f, [1, 1], [3.0, 3.0])
     firsts = [clause_order(f, g, seed=s).rank[0] for s in range(200)]
     zero_first = firsts.count(0)
     assert 60 < zero_first < 140  # both orders occur, roughly balanced
@@ -125,10 +127,10 @@ def test_clause_order_checks_graph_matches_formula():
     f3 = small_formula(3)
     # graph from a different instance
     with pytest.raises(ValueError):
-        clause_order(f3, order_graph(small_formula(3, seed=1), [0.0] * 3, [1.0] * 3), seed=0)
+        clause_order(f3, order_graph(small_formula(3, seed=1), [1] * 3, [1.0] * 3), seed=0)
     # right hash, wrong node count
     with pytest.raises(ValueError):
-        clause_order(f3, order_graph(f3, [0.0, 0.1], [1.0, 1.0]), seed=0)
+        clause_order(f3, order_graph(f3, [2, 1], [1.0, 1.0]), seed=0)
 
 
 def test_clause_order_positions_invert_rank():
