@@ -28,7 +28,7 @@ from . import __version__
 from . import solver as solver_mod
 from .analysis import classification
 from .builder import BuilderConfig, build_graph
-from .cnf import DimacsError, generate_random, parse_dimacs, serialize_dimacs
+from .cnf import DimacsError, generate_random, is_count, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
     SweepConfig,
@@ -329,17 +329,13 @@ def _cmd_spectrum(args):
     _emit_or_print("spectrum", args, {"in": record}, json_text(payload), dot)
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # a bool is not an int here
-
-
 # the SolverResult fields a result entry holds, each with the test its JSON
 # value must pass
 _RESULT_FIELDS = {
     "solved": (lambda v: type(v) is bool, "a boolean"),
-    "satisfied_clauses": (_is_count, "a non-negative integer"),
-    "flips": (_is_count, "a non-negative integer"),
-    "evaluations": (_is_count, "a non-negative integer"),
+    "satisfied_clauses": (is_count, "a non-negative integer"),
+    "flips": (is_count, "a non-negative integer"),
+    "evaluations": (is_count, "a non-negative integer"),
     "assignment": (lambda v: type(v) is list and all(type(x) is bool for x in v),
                    "a list of booleans"),
     "formula_sha256": (lambda v: type(v) is str, "a string"),

@@ -26,6 +26,12 @@ def _plain_integers(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
+def is_count(value, minimum: int = 0) -> bool:
+    """Whether ``value`` is an exact ``int`` (a bool does not count) of at
+    least ``minimum``: the one test of every count, seed and budget."""
+    return type(value) is int and value >= minimum
+
+
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
@@ -41,7 +47,7 @@ class Formula:
 
     def __post_init__(self):
         n, clauses = self.n, self.clauses
-        if type(n) is not int or n < 0:
+        if not is_count(n):
             raise ValueError(f"n must be an int >= 0, got {n!r}")
         # lists would leave the formula unhashable and unequal to its parse
         if type(clauses) is not tuple or not set(map(type, clauses)) <= {tuple}:
@@ -180,14 +186,16 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     the ``choice`` stream across versions.  The pinned digests and the
     reference generator in the tests catch any drift.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not is_count(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not is_count(n, 1):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not is_count(k, 1):
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     if k > n:
         raise ValueError(f"cannot draw {k} distinct variables from {n}")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if not is_count(m):
+        raise ValueError(f"m must be an int >= 0, got {m!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     tail = n > 10_000 and k > n // 50
     if tail:

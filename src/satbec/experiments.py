@@ -19,7 +19,7 @@ import numpy as np
 from . import solver
 from .analysis import Phase, classification
 from .builder import build_graph
-from .cnf import Formula, generate_random
+from .cnf import Formula, generate_random, is_count
 from .graph import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
@@ -56,26 +56,14 @@ class SweepConfig:
     seed_root: int = 0
 
     def __post_init__(self):
-        if not self.alphas:
-            raise ValueError("alphas must not be empty")
         if list(self.alphas) != sorted(self.alphas):
             raise ValueError("alphas must be ascending")
-        _check_grid(self.k, self.n_values, self.alphas, builds=True)
-        if self.instances < 1 or self.graphs_per_instance < 1:
-            raise ValueError("instances and graphs_per_instance must be >= 1")
-        if self.seed_root < 0:
-            raise ValueError("seed_root must be non-negative")
-        self.builder_config(0)
+        _check_grid(self, builds=True)
+        if not is_count(self.graphs_per_instance, 1):
+            raise ValueError("graphs_per_instance must be an int >= 1")
 
     def builder_config(self, seed: int) -> BuilderConfig:
-        return BuilderConfig(
-            mode=self.mode,
-            temperature=self.temperature,
-            theta=self.theta,
-            rho=self.rho,
-            seed=seed,
-            first_clause_rule=self.first_clause_rule,
-        )
+        return _builder_config(self, self.mode, seed)
 
 
 @dataclass(frozen=True)
@@ -91,17 +79,32 @@ class SweepRecord:
     samples: int
 
 
-def _check_grid(k: int, n_values: tuple[int, ...], alphas: tuple[float, ...], builds: bool):
-    """Every (n, alpha) point can draw k distinct variables per clause and,
-    when ``builds``, has the 2 clauses a network needs."""
-    if not n_values or any(n < 1 for n in n_values):
-        raise ValueError("n_values must be positive")
-    if not all(0 < a < math.inf for a in alphas):
+def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
+    """The checks a sweep and a bench config share: n_values, k, instances and
+    seed_root are counts, every (n, alpha) point can draw k distinct variables
+    per clause and, when ``builds``, has the 2 clauses a network needs, and the
+    builder settings are valid."""
+    if not cfg.n_values or not all(is_count(n, 1) for n in cfg.n_values):
+        raise ValueError("n_values must be ints >= 1")
+    if not cfg.alphas:
+        raise ValueError("alphas must not be empty")
+    if not all(0 < a < math.inf for a in cfg.alphas):
         raise ValueError("alphas must be positive and finite")
-    if not 1 <= k <= min(n_values):
-        raise ValueError(f"k must lie in [1, {min(n_values)}], the smallest n")
-    if builds and any(clause_count(n, a) < 2 for n in n_values for a in alphas):
+    if not (is_count(cfg.k, 1) and cfg.k <= min(cfg.n_values)):
+        raise ValueError(f"k must be an int in [1, {min(cfg.n_values)}], the smallest n")
+    if builds and any(clause_count(n, a) < 2 for n in cfg.n_values for a in cfg.alphas):
         raise ValueError("every (n, alpha) point needs at least 2 clauses to build a network")
+    if not is_count(cfg.instances, 1):
+        raise ValueError("instances must be an int >= 1")
+    if not is_count(cfg.seed_root):
+        raise ValueError("seed_root must be a non-negative integer")
+    cfg.builder_config(0)
+
+
+def _builder_config(cfg: SweepConfig | BenchConfig, mode: str, seed: int) -> BuilderConfig:
+    """The build settings of ``cfg``'s flat builder fields, in ``mode``."""
+    return BuilderConfig(mode=mode, temperature=cfg.temperature, theta=cfg.theta, rho=cfg.rho,
+                         seed=seed, first_clause_rule=cfg.first_clause_rule)
 
 
 def sample_formula(
@@ -186,8 +189,9 @@ def _run_tasks(fn, cfg: SweepConfig | BenchConfig, jobs: int) -> list:
 def sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     """One record per (n, alpha) grid point, n-major order.
 
-    ``jobs`` > 1 distributes grid points over processes; the output is
-    independent of the worker count.
+    ``jobs`` > 1 distributes grid points over processes; 0 or 1 runs them in
+    this process (``worker_count(0, n) == 1``; the CLI maps ``--jobs 0`` to
+    all cores).  The output is independent of the worker count.
     """
     return [
         aggregate_samples(n, alpha, samples)
@@ -230,28 +234,15 @@ class BenchConfig:
             raise ValueError(f"solvers must be drawn from {sorted(solver.SOLVERS)}")
         if len(set(self.solvers)) != len(self.solvers):
             raise ValueError("duplicate solver names")
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
         if not self.alphas:
             object.__setattr__(self, "alphas", default_alpha_grid(self.k))
-        needs_graph = any(s in solver.ORDERED_SOLVERS for s in self.solvers)
-        _check_grid(self.k, self.n_values, self.alphas, builds=needs_graph)
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        _check_grid(self, builds=any(s in solver.ORDERED_SOLVERS for s in self.solvers))
+        if not is_count(self.budget):
+            raise ValueError("budget must be a non-negative integer")
         solver.flip_probabilities(self.k, self.p1, self.p2)
-        if self.seed_root < 0:
-            raise ValueError("seed_root must be non-negative")
-        self.builder_config(0)
 
     def builder_config(self, seed: int) -> BuilderConfig:
-        return BuilderConfig(
-            mode=self.graph_mode,
-            temperature=self.temperature,
-            theta=self.theta,
-            rho=self.rho,
-            seed=seed,
-            first_clause_rule=self.first_clause_rule,
-        )
+        return _builder_config(self, self.graph_mode, seed)
 
     def resolved_alphas(self) -> tuple[float, ...]:
         return self.alphas
@@ -304,7 +295,8 @@ def _bench_group(cfg: BenchConfig, n_index: int, alpha_index: int):
 
 def benchmark(cfg: BenchConfig, jobs: int = 1) -> BenchReport:
     """Run every configured solver over the instance grid and compare each
-    one against the first-listed solver per (n, alpha) group."""
+    one against the first-listed solver per (n, alpha) group.  ``jobs`` works
+    as for ``sweep``: 0 or 1 runs in this process."""
     groups = _run_tasks(_bench_group, cfg, jobs)
     baseline = cfg.solvers[0]
     verdicts = tuple(

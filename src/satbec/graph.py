@@ -27,6 +27,8 @@ from operator import add, attrgetter, itemgetter, ne
 
 import numpy as np
 
+from .cnf import is_count
+
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
 MODES = (MODE_S2G, MODE_S2GPA)
@@ -67,9 +69,9 @@ class BuilderConfig:
             raise ValueError("temperature must be positive and finite")
         if not (_real(self.theta) and 0.0 < self.theta < 1.0):
             raise ValueError("theta must lie strictly between 0 and 1")
-        if type(self.rho) is not int or self.rho < 1:
+        if not is_count(self.rho, 1):
             raise ValueError("rho must be an integer >= 1")
-        if type(self.seed) is not int or self.seed < 0:
+        if not is_count(self.seed):
             raise ValueError("seed must be a non-negative integer")
         if self.first_clause_rule not in FIRST_CLAUSE_RULES:
             raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
@@ -362,9 +364,9 @@ def graph_from_json(text: str) -> ClauseGraph:
     a null theta and rho in mode s2g) and a sha256 digest, node clause
     indices are distinct and lie in [0, m), raw fitness is at least 1 and
     gives each node's normalized fitness and energy at the header
-    temperature, each node's particles equal its in plus out events, and
-    every edge joins two distinct known nodes, once.  Raises ValueError
-    otherwise."""
+    temperature, each node's particles equal its in plus out events and the
+    summed multiplicity of its edges, and every edge joins two distinct known
+    nodes, once.  Raises ValueError otherwise."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -404,13 +406,18 @@ def graph_from_json(text: str) -> ClauseGraph:
     _check_numbers("insertion_order", declared_order, integer=True)
     _check_fitness(columns["raw_fitness"], columns["normalized_fitness"], columns["energy"],
                    header["temperature"])
-    known = set(columns["clause"])
-    if len(known) != graph.m or (known and (min(known) < 0 or max(known) >= graph.m)):
+    # each node's link events, summed from its edges' multiplicities
+    events = dict.fromkeys(columns["clause"], 0)
+    if len(events) != graph.m or (events and (min(events) < 0 or max(events) >= graph.m)):
         raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")
     for a, b, w, mult in edges:
-        if a == b or a not in known or b not in known:
+        if a == b or a not in events or b not in events:
             raise ValueError(f"graph JSON edge ({a}, {b}) does not join two known nodes")
         if (a, b) in graph.edges or (b, a) in graph.edges:
             raise ValueError(f"graph JSON lists edge ({a}, {b}) twice")
         graph.edges[(a, b)] = GraphEdge(a, b, w, mult)
+        events[a] += mult
+        events[b] += mult
+    if events != dict(zip(columns["clause"], particles)):
+        raise ValueError("graph JSON node particles differ from the link events of its edges")
     return graph

@@ -18,7 +18,7 @@ the pick falls back to uniform random.  Bits are never cleared during a
 run.
 
 A flip's cost, breaks less makes counted per literal occurrence, is kept per
-variable as the walk goes (see ``_run``) rather than scanned per evaluation.
+variable as the walk goes (see ``solve``) rather than scanned per evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .cnf import Formula, evaluate, formula_sha256
+from .cnf import Formula, evaluate, formula_sha256, is_count
 from .graph import ClauseGraph
 
 SOLVERS = ("chainsat", "lc", "nlc")
@@ -109,12 +109,23 @@ class SolverResult:
     unsat_trajectory: tuple[int, ...] | None = None
 
 
-def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
-    """The walk, as one loop.
+def solve(
+    formula: Formula,
+    algo: str,
+    order: ClauseOrder | None = None,
+    p1: float | None = None,
+    p2: float | None = None,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = 0,
+    record_trajectory: bool = False,
+) -> SolverResult:
+    """Run the solver named ``algo``, one of ``SOLVERS``, as one loop.
+    ``lc`` and ``nlc`` need ``order``; ``chainsat`` ignores it.
 
-    ``order`` None is the base algorithm: every clause starts out visited,
-    so both picks always fall back to uniform.  Uniform draws repeat what
-    ``rng.randrange(size)`` does in CPython (``getrandbits`` of
+    Without an order (``chainsat``) every clause starts out visited, so both
+    picks always fall back to uniform; ``lc`` shares one visited-bit array
+    between the two picks, ``nlc`` keeps one per pick.  Uniform draws repeat
+    what ``rng.randrange(size)`` does in CPython (``getrandbits`` of
     ``size.bit_length()`` bits until the value is below ``size``), so the
     random stream is the one a ``randrange`` call per draw would consume.
 
@@ -129,8 +140,16 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     -x passes through 0 between the two loops, its counts netting out as
     the unsat list and the heap do.
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
+    if not is_count(seed):
+        raise ValueError("seed must be a non-negative integer")
+    if algo not in ORDERED_SOLVERS:
+        order = None
+    elif order is None:
+        raise ValueError(f"solver {algo} needs a clause order")
+    if not is_count(budget):
+        raise ValueError("budget must be a non-negative integer")
     digest = formula_sha256(formula)
     m = formula.m
     p1, p2 = flip_probabilities(formula.k, p1, p2)
@@ -190,7 +209,7 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
     else:
         rank_pos = order.positions()
         unsat_bits = bytearray(m)
-        sat_bits = unsat_bits if shared_bits else bytearray(m)
+        sat_bits = unsat_bits if algo == "lc" else bytearray(m)
     heap = [rank_pos[c] * m + c for c in unsat if not unsat_bits[c]]
     heapify(heap)
 
@@ -309,29 +328,6 @@ def _run(formula, p1, p2, budget, seed, order, shared_bits, record_trajectory):
         formula_sha256=digest,
         unsat_trajectory=tuple(trajectory) if trajectory is not None else None,
     )
-
-
-def solve(
-    formula: Formula,
-    algo: str,
-    order: ClauseOrder | None = None,
-    p1: float | None = None,
-    p2: float | None = None,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    record_trajectory: bool = False,
-) -> SolverResult:
-    """Run the solver named ``algo``, one of ``SOLVERS``.  ``lc`` and
-    ``nlc`` need ``order``; ``chainsat`` ignores it."""
-    if algo not in SOLVERS:
-        raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
-    if type(seed) is not int or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if algo not in ORDERED_SOLVERS:
-        order = None
-    elif order is None:
-        raise ValueError(f"solver {algo} needs a clause order")
-    return _run(formula, p1, p2, budget, seed, order, algo == "lc", record_trajectory)
 
 
 def chainsat(

@@ -332,12 +332,17 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (BENCH + ("--seed", "-1"), None),
         (BENCH + ("--solvers", "chainsat", "--grid", "nan"), None),
         (BENCH + ("--solvers", "chainsat", "--grid", "inf"), None),
+        (BENCH + ("--solvers", "chainsat,bogus"), None),
+        (BENCH + ("--solvers", "lc,lc"), None),
+        (BENCH + ("--instances", "0"), None),
+        (SWEEP + ("--jobs", "-1"), None),
     ],
     ids=["sweep-theta", "sweep-rho", "sweep-temp-nan", "sweep-ini-mode", "sweep-k0",
          "sweep-k-above-n", "sweep-one-clause", "sweep-bad-list", "sweep-alpha-inf",
          "sweep-alpha-nan", "sweep-ini-alpha-inf", "bench-theta", "bench-chainsat-theta",
          "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults", "bench-k-above-n",
-         "bench-seed", "bench-chainsat-nan", "bench-chainsat-inf"],
+         "bench-seed", "bench-chainsat-nan", "bench-chainsat-inf", "bench-unknown-solver",
+         "bench-duplicate-solver", "bench-instances0", "sweep-jobs-negative"],
 )
 def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, ini):
     out = tmp_path / "out.csv"
@@ -397,6 +402,8 @@ def test_exit_codes_for_data_errors(tmp_path):
         "p cnf 10 1\n1_0 +2 0\n",  # literals that are not ASCII decimal integers
         "p cnf 3 1\n\u0661 2 3 0\n",
         "p cnf 1_0 1\n1 0\n",  # a count that is not an ASCII decimal integer
+        "p cnf -1 3\n",  # a negative count
+        "p cnf 3 1\n1 2 3 0\n",  # one clause: no network
     ):
         bad_cnf.write_text(text, encoding="utf-8")
         assert run_cli("build", "--in", str(bad_cnf), "--out", str(out)) == 2
@@ -404,6 +411,60 @@ def test_exit_codes_for_data_errors(tmp_path):
     bad_graph = tmp_path / "bad.json"
     bad_graph.write_text("{}", encoding="utf-8")
     assert run_cli("classify", "--in", str(bad_graph)) == 2
+
+
+def graph_of_another_formula(tmp_path, cnf, graph):
+    other = tmp_path / "other.cnf"
+    assert run_cli("gen", "--seed", "8", "--n", "20", "--m", "60", "--out", str(other)) == 0
+    assert run_cli("build", "--seed", "1", "--in", str(other), "--out", str(tmp_path / "o.json")) == 0
+    return ("solve", "--algo", "lc", "--graph", str(tmp_path / "o.json"), "--budget", "100",
+            "--in", str(cnf), "--out", str(tmp_path / "r.json"))
+
+
+def graph_with_no_link_events(tmp_path, cnf, graph):
+    payload = json.loads(read(graph))
+    payload["edges"] = []
+    for node in payload["nodes"]:
+        node.update(in_events=0, out_events=0, particles=0)
+    (tmp_path / "bare.json").write_text(json.dumps(payload), encoding="utf-8")
+    return ("classify", "--in", str(tmp_path / "bare.json"), "--out", str(tmp_path / "c.json"))
+
+
+def result_file(tmp_path, cnf, edit):
+    good = tmp_path / "good.json"
+    assert run_cli("solve", "--budget", "500", "--in", str(cnf), "--out", str(good)) == 0
+    (tmp_path / "bad.json").write_text(edit(read(good)), encoding="utf-8")
+    return ("compare", str(good), str(tmp_path / "bad.json"), "--out", str(tmp_path / "v.json"))
+
+
+def without_flips(text):
+    payload = json.loads(text)
+    del payload["results"][0]["flips"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "setup, message",
+    [
+        (graph_of_another_formula, "not built from this formula"),
+        (graph_with_no_link_events, "graph has no edges"),
+        (lambda tmp_path, cnf, graph: result_file(tmp_path, cnf, lambda text: "not json"),
+         "not a valid result file"),
+        (lambda tmp_path, cnf, graph: result_file(tmp_path, cnf, without_flips),
+         "not a valid result file: 'flips'"),
+    ],
+    ids=["solve-graph-of-another-formula", "classify-no-edges", "compare-not-json",
+         "compare-no-flips"],
+)
+def test_inconsistent_inputs_are_data_errors_that_write_nothing(tmp_path, cnf, graph, capsys,
+                                                                setup, message):
+    argv = setup(tmp_path, cnf, graph)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_energy_too_large_for_a_float_is_data_error(tmp_path, capsys):

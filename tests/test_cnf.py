@@ -266,7 +266,11 @@ def test_floyd_follows_the_longest_collision_chain(k):
     assert cnf._floyd(np.array(rows, dtype=np.int64), k, k).tolist() == expected
 
 
-@pytest.mark.parametrize("args", [(0, 3, 2, 5), (0, 0, 5, 5), (0, 3, 0, 5), (0, 3, 5, -1)])
+@pytest.mark.parametrize(
+    "args",
+    [(0, 3, 2, 5), (0, 0, 5, 5), (0, 3, 0, 5), (0, 3, 5, -1), (0, 3, 10, 2.5), (0, True, 10, 5),
+     (-1, 3, 10, 5), (1.5, 3, 10, 5), (True, 3, 10, 5)],
+)
 def test_generate_random_rejects_bad_args(args):
     with pytest.raises(ValueError):
         generate_random(*args)

@@ -54,6 +54,12 @@ def test_clause_count_rounds():
         {"n_values": (10,), "alphas": (1.0,), "k": 0},
         {"n_values": (3, 10), "alphas": (1.0,), "k": 5},
         {"n_values": (10,), "alphas": (0.1,)},  # one clause: no network
+        # counts are exact ints, bools refused
+        {"n_values": (10,), "alphas": (1.0,), "seed_root": 1.5},
+        {"n_values": (10,), "alphas": (1.0,), "instances": 1.5},
+        {"n_values": (10.0,), "alphas": (1.0,)},
+        {"n_values": (10,), "alphas": (1.0,), "k": True},
+        {"n_values": (10,), "alphas": (1.0,), "graphs_per_instance": True},
     ],
 )
 def test_sweep_config_rejects_bad_values(kwargs):
@@ -78,6 +84,8 @@ def test_sweep_config_rejects_bad_values(kwargs):
         {"alphas": (-1.0,), "solvers": ("chainsat",)},
         {"seed_root": -1},
         {"theta": 2.0, "solvers": ("chainsat",)},
+        {"budget": 2.5},
+        {"seed_root": True},
     ],
 )
 def test_bench_config_rejects_bad_values(kwargs):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,13 @@ def add_edge(u, v):
     return edit
 
 
+def move_edge(index, u, v):
+    def edit(payload):
+        payload["edges"][index].update(u=u, v=v)
+
+    return edit
+
+
 # star_graph: nodes 0-3, edges (0, 1), (0, 2), (0, 3)
 TAMPERS = {
     "clause_index_m": (lambda p: relabel(p, 3, 4), "distinct values in"),
@@ -289,6 +297,10 @@ TAMPERS = {
     "edge_repeated_reversed": (add_edge(2, 0), "twice"),
     "weight_string": (set_field("edges", 0, "weight", "0.5"), "'weight' is not a number"),
     "multiplicity_zero": (set_field("edges", 0, "multiplicity", 0), "'multiplicity' holds a value below 1"),
+    # each link event puts one particle on each endpoint
+    "edge_dropped": (lambda p: p["edges"].pop(0), "link events of its edges"),
+    "multiplicity_raised": (set_field("edges", 0, "multiplicity", 2), "link events of its edges"),
+    "edge_moved": (move_edge(0, 1, 2), "link events of its edges"),
     "raw_fitness_zero": (set_field("nodes", 1, "raw_fitness", 0), "'raw_fitness' holds a value below 1"),
     "raw_fitness_above_int64": (set_field("nodes", 0, "raw_fitness", 2**70), "no build writes"),
     "normalized_fitness_edited": (set_field("nodes", 1, "normalized_fitness", 7.5),
@@ -394,6 +406,35 @@ def test_export_dot_structure():
     assert any("E=0.0" in line for line in node_lines)
     assert any('label="0.5"' in line for line in edge_lines)
     assert dot.count("{") == dot.count("}")
+
+
+def repeated_pair_graph():
+    """An s2gpa graph of 134 edges, 32 of them with multiplicity above 1."""
+    return build_graph(generate_random(3, 3, 20, 60), BuilderConfig(mode=MODE_S2GPA, rho=3, seed=1))
+
+
+def test_export_dot_labels_a_repeated_pair_with_its_multiplicity():
+    g = repeated_pair_graph()
+    labels = dict(re.findall(r'^  (c\d+ -- c\d+) \[label="(.*)"\];$', export_dot(g), re.M))
+    assert len(labels) == len(g.edges) == 134
+    repeated = [edge for edge in g.edges.values() if edge.multiplicity > 1]
+    assert len(repeated) == 32
+    for edge in g.edges.values():
+        suffix = f" x{edge.multiplicity}" if edge.multiplicity > 1 else ""
+        assert labels[f"c{edge.u} -- c{edge.v}"] == f"{edge.weight!r}{suffix}"
+
+
+@pytest.mark.parametrize("edit", ["drop", "empty"])
+def test_json_rejects_edges_that_disagree_with_particles(edit):
+    g = repeated_pair_graph()
+    payload = json.loads(graph_to_json(g))
+    assert g.total_particles == 2 * g.link_events == 350
+    if edit == "drop":
+        payload["edges"].remove(next(e for e in payload["edges"] if e["multiplicity"] > 1))
+    else:
+        payload["edges"] = []
+    with pytest.raises(ValueError, match="link events of its edges"):
+        graph_from_json(json.dumps(payload))
 
 
 def test_spectrum_of_sparse_sample(sample10):

@@ -100,6 +100,15 @@ def test_solve_rejects_a_seed_that_is_not_a_non_negative_int(algo, seed):
         solve(f, algo, order, budget=10, seed=seed)
 
 
+@pytest.mark.parametrize("algo", SOLVERS)
+@pytest.mark.parametrize("budget", [-1, 2.5, 10.0, True])
+def test_solve_rejects_a_budget_that_is_not_a_non_negative_int(algo, budget):
+    f = small_formula(10)
+    order = ClauseOrder(rank=tuple(range(f.m)))
+    with pytest.raises(ValueError, match="budget must be a non-negative integer"):
+        solve(f, algo, order, budget=budget, seed=0)
+
+
 def test_budget_constants():
     assert DEFAULT_BUDGET == 1_000_000
     assert DESK_BUDGET == 10_000
@@ -182,7 +191,7 @@ def test_chain_step_with_no_critical_clause_raises():
     # a copy of the walk that never takes back a break as v's flip leaves a
     # clause unsat: v's kept count then claims breaks no clause holds, and the
     # chain step must say so rather than draw from an empty list forever
-    source = inspect.getsource(solver._run)
+    source = inspect.getsource(solver.solve)
     assert source.count("breaks[v] -= 1\n") == 1
     namespace = dict(vars(solver))
     exec(compile(source.replace("breaks[v] -= 1\n", "pass\n"), solver.__file__, "exec"), namespace)
@@ -194,7 +203,7 @@ def test_chain_step_with_no_critical_clause_raises():
     signal.alarm(5)
     try:
         with pytest.raises(RuntimeError, match="no critical clause"):
-            namespace["_run"](generate_random(0, 3, 20, 80), None, 0.0, 10**5, 0, None, False, False)
+            namespace["solve"](generate_random(0, 3, 20, 80), "chainsat", None, None, 0.0, 10**5, 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -57,3 +57,33 @@ def test_init_binds_only_dunder_names():
             bound.add((node.asname or node.name).split(".")[0])
     assert "__version__" in bound
     assert sorted(n for n in bound if not (n.startswith("__") and n.endswith("__"))) == []
+
+
+def compares_type_with_int(node) -> bool:
+    """Whether ``node`` compares a ``type(...)`` call with ``int``, as in
+    ``type(x) is int`` or ``type(x) in (int, float)``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(
+        isinstance(o, ast.Call) and isinstance(o.func, ast.Name) and o.func.id == "type"
+        for o in operands
+    ) and any(isinstance(n, ast.Name) and n.id == "int" for o in operands for n in ast.walk(o))
+
+
+def test_the_integer_rule_is_written_once():
+    """``cnf.is_count`` is the one test of an exact int count; only it and
+    ``graph._real`` compare a value's type with ``int``."""
+    found = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node -> the name of its innermost enclosing function
+        for parent in ast.walk(tree):
+            name = scope.get(parent, "<module>")
+            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = parent.name
+            for child in ast.iter_child_nodes(parent):
+                scope[child] = name
+                if compares_type_with_int(child):
+                    found.add(f"{path.name}:{name}")
+    assert sorted(found) == ["cnf.py:is_count", "graph.py:_real"]
