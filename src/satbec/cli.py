@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -28,7 +27,7 @@ from . import __version__
 from . import solver as solver_mod
 from .analysis import classification
 from .builder import BuilderConfig, build_graph
-from .cnf import DimacsError, generate_random, is_count, parse_dimacs, serialize_dimacs
+from .cnf import DimacsError, generate_random, is_count, is_real, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
     SweepConfig,
@@ -300,7 +299,7 @@ def _cmd_build(args):
         graph = build_graph(formula, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    if not all(math.isfinite(node.energy) for node in graph.nodes):
+    if not all(is_real(node.energy) for node in graph.nodes):
         raise DataError(f"temperature {cfg.temperature!r} gives an energy too large for a float")
     _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
 

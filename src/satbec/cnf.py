@@ -8,11 +8,17 @@ negation.  ``Formula`` checks its clauses once, on construction.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
+
+
+# the 32-bit DIMACS literal range, and the largest clause index the builder's
+# int32 overlap table holds: the cap on n, and on m where it is drawn
+MAX_COUNT = 2**31 - 1
 
 
 class DimacsError(ValueError):
@@ -32,6 +38,14 @@ def is_count(value, minimum: int = 0) -> bool:
     return type(value) is int and value >= minimum
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float`` (numpy floats count;
+    bools and numpy ints do not) that a float holds finitely, so no NaN,
+    infinity or huge int: the one test of every real setting and column."""
+    big = sys.float_info.max
+    return (type(value) is int or isinstance(value, float)) and -big <= value <= big
+
+
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
@@ -47,8 +61,8 @@ class Formula:
 
     def __post_init__(self):
         n, clauses = self.n, self.clauses
-        if not is_count(n):
-            raise ValueError(f"n must be an int >= 0, got {n!r}")
+        if not (is_count(n) and n <= MAX_COUNT):
+            raise ValueError(f"n must be an int >= 0 and <= {MAX_COUNT}, got {n!r}")
         # lists would leave the formula unhashable and unequal to its parse
         if type(clauses) is not tuple or not set(map(type, clauses)) <= {tuple}:
             raise ValueError("clauses must be a tuple of tuples")
@@ -188,14 +202,14 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     """
     if not is_count(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not is_count(n, 1):
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not (is_count(n, 1) and n <= MAX_COUNT):
+        raise ValueError(f"n must be an int >= 1 and <= {MAX_COUNT}, got {n!r}")
     if not is_count(k, 1):
         raise ValueError(f"k must be an int >= 1, got {k!r}")
     if k > n:
         raise ValueError(f"cannot draw {k} distinct variables from {n}")
-    if not is_count(m):
-        raise ValueError(f"m must be an int >= 0, got {m!r}")
+    if not (is_count(m) and m <= MAX_COUNT):
+        raise ValueError(f"m must be an int >= 0 and <= {MAX_COUNT}, got {m!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     tail = n > 10_000 and k > n // 50
     if tail:

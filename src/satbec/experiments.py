@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -19,7 +18,7 @@ import numpy as np
 from . import solver
 from .analysis import Phase, classification
 from .builder import build_graph
-from .cnf import Formula, generate_random, is_count
+from .cnf import MAX_COUNT, Formula, generate_random, is_count, is_real
 from .graph import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
@@ -56,9 +55,9 @@ class SweepConfig:
     seed_root: int = 0
 
     def __post_init__(self):
+        _check_grid(self, builds=True)
         if list(self.alphas) != sorted(self.alphas):
             raise ValueError("alphas must be ascending")
-        _check_grid(self, builds=True)
         if not is_count(self.graphs_per_instance, 1):
             raise ValueError("graphs_per_instance must be an int >= 1")
 
@@ -81,15 +80,18 @@ class SweepRecord:
 
 def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
     """The checks a sweep and a bench config share: n_values, k, instances and
-    seed_root are counts, every (n, alpha) point can draw k distinct variables
-    per clause and, when ``builds``, has the 2 clauses a network needs, and the
-    builder settings are valid."""
-    if not cfg.n_values or not all(is_count(n, 1) for n in cfg.n_values):
-        raise ValueError("n_values must be ints >= 1")
+    seed_root are counts, the alphas positive reals, every (n, alpha) point
+    can draw k distinct variables per clause, at most ``MAX_COUNT`` clauses
+    and, when ``builds``, the 2 clauses a network needs, and the builder
+    settings are valid."""
+    if not cfg.n_values or not all(is_count(n, 1) and n <= MAX_COUNT for n in cfg.n_values):
+        raise ValueError(f"n_values must be ints >= 1 and <= {MAX_COUNT}")
     if not cfg.alphas:
         raise ValueError("alphas must not be empty")
-    if not all(0 < a < math.inf for a in cfg.alphas):
+    if not all(is_real(a) and a > 0 for a in cfg.alphas):
         raise ValueError("alphas must be positive and finite")
+    if max(cfg.alphas) * max(cfg.n_values) > MAX_COUNT:
+        raise ValueError(f"alpha * n must not exceed {MAX_COUNT} clauses")
     if not (is_count(cfg.k, 1) and cfg.k <= min(cfg.n_values)):
         raise ValueError(f"k must be an int in [1, {min(cfg.n_values)}], the smallest n")
     if builds and any(clause_count(n, a) < 2 for n in cfg.n_values for a in cfg.alphas):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -27,7 +26,7 @@ from operator import add, attrgetter, itemgetter, ne
 
 import numpy as np
 
-from .cnf import is_count
+from .cnf import is_count, is_real
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -44,12 +43,6 @@ DEFAULT_TEMPERATURE = 1.0
 _SHA256 = re.compile("[0-9a-f]{64}")
 
 
-def _real(value) -> bool:
-    """An int or a float: a number JSON writes and reads back as its type
-    (numpy floats are floats; bools and numpy ints are neither)."""
-    return type(value) is int or isinstance(value, float)
-
-
 @dataclass(frozen=True)
 class BuilderConfig:
     """The build settings; construction is the one check of their values."""
@@ -64,10 +57,9 @@ class BuilderConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # an int above the largest float has no float energy
-        if not (_real(self.temperature) and 0.0 < self.temperature <= sys.float_info.max):
+        if not (is_real(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be positive and finite")
-        if not (_real(self.theta) and 0.0 < self.theta < 1.0):
+        if not (is_real(self.theta) and 0.0 < self.theta < 1.0):
             raise ValueError("theta must lie strictly between 0 and 1")
         if not is_count(self.rho, 1):
             raise ValueError("rho must be an integer >= 1")
@@ -318,13 +310,8 @@ def _check_numbers(key: str, values, integer: bool = False, minimum=None):
         bad = next(v for v in values if type(v) not in allowed)
         kind = "an integer" if integer else "a number"
         raise ValueError(f"graph JSON field {key!r} is not {kind}: {bad!r}")
-    if not integer:
-        try:
-            finite = all(map(math.isfinite, values))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"graph JSON field {key!r} holds a number that is not finite")
+    if not (integer or all(map(is_real, values))):
+        raise ValueError(f"graph JSON field {key!r} holds a number that is not finite")
     if minimum is not None and values and min(values) < minimum:
         raise ValueError(f"graph JSON field {key!r} holds a value below {minimum}")
 

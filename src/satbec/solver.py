@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .cnf import Formula, evaluate, formula_sha256, is_count
+from .cnf import Formula, evaluate, formula_sha256, is_count, is_real
 from .graph import ClauseGraph
 
 SOLVERS = ("chainsat", "lc", "nlc")
@@ -49,10 +49,10 @@ def flip_probabilities(
     k: int, p1: float | None = None, p2: float | None = None
 ) -> tuple[float | None, float | None]:
     """``p1`` and ``p2``, each None filled from the per-k table; both must
-    lie in [0, 1].  k = 0 is a formula with no clause: it runs no walk, so
-    only explicit values are checked and a None stays None."""
-    if not all(p is None or 0.0 <= p <= 1.0 for p in (p1, p2)):
-        raise ValueError("p1 and p2 must lie in [0, 1]")
+    be reals in [0, 1].  k = 0 is a formula with no clause: it runs no walk,
+    so only explicit values are checked and a None stays None."""
+    if not all(p is None or (is_real(p) and 0.0 <= p <= 1.0) for p in (p1, p2)):
+        raise ValueError("p1 and p2 must be real numbers in [0, 1]")
     if k and (p1 is None or p2 is None):
         try:
             p = FLIP_PROBABILITIES[k]

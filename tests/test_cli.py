@@ -322,6 +322,8 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (SWEEP + ("--alphas", "inf"), None),
         (SWEEP + ("--alphas", "nan"), None),
         (SWEEP[:3] + SWEEP[5:], "[sweep]\nalphas = inf\n"),
+        (SWEEP + ("--alphas", "1e300"), None),
+        (SWEEP + ("--n-values", "2147483648"), None),
         (BENCH + ("--theta", "2"), None),
         (BENCH + ("--solvers", "chainsat", "--theta", "2"), None),
         (BENCH + ("--temp", "0"), None),
@@ -332,6 +334,7 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
         (BENCH + ("--seed", "-1"), None),
         (BENCH + ("--solvers", "chainsat", "--grid", "nan"), None),
         (BENCH + ("--solvers", "chainsat", "--grid", "inf"), None),
+        (BENCH + ("--grid", "1e308"), None),
         (BENCH + ("--solvers", "chainsat,bogus"), None),
         (BENCH + ("--solvers", "lc,lc"), None),
         (BENCH + ("--instances", "0"), None),
@@ -339,9 +342,11 @@ BENCH = ("bench", "--n-values", "10", "--grid", "2.0", "--instances", "1", "--bu
     ],
     ids=["sweep-theta", "sweep-rho", "sweep-temp-nan", "sweep-ini-mode", "sweep-k0",
          "sweep-k-above-n", "sweep-one-clause", "sweep-bad-list", "sweep-alpha-inf",
-         "sweep-alpha-nan", "sweep-ini-alpha-inf", "bench-theta", "bench-chainsat-theta",
+         "sweep-alpha-nan", "sweep-ini-alpha-inf", "sweep-m-above-cap", "sweep-n-above-cap",
+         "bench-theta", "bench-chainsat-theta",
          "bench-temp", "bench-budget", "bench-p1", "bench-k2-defaults", "bench-k-above-n",
-         "bench-seed", "bench-chainsat-nan", "bench-chainsat-inf", "bench-unknown-solver",
+         "bench-seed", "bench-chainsat-nan", "bench-chainsat-inf", "bench-m-above-cap",
+         "bench-unknown-solver",
          "bench-duplicate-solver", "bench-instances0", "sweep-jobs-negative"],
 )
 def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, ini):
@@ -386,6 +391,10 @@ def test_exit_codes_for_usage_errors(tmp_path, cnf, capsys):
     assert run_cli() == 1
     assert run_cli("gen", "--n", "5", "--m", "10", "--k", "9",
                    "--out", str(tmp_path / "x.cnf")) == 1
+    # counts above cnf.MAX_COUNT
+    assert run_cli("gen", "--n", "5", "--m", str(10**20), "--out", str(tmp_path / "x.cnf")) == 1
+    assert run_cli("gen", "--n", str(10**20), "--m", "2", "--out", str(tmp_path / "x.cnf")) == 1
+    assert not (tmp_path / "x.cnf").exists()
     assert run_cli("build", "--in", str(tmp_path / "missing.cnf"),
                    "--out", str(tmp_path / "g.json")) == 1
     assert run_cli("build", "--theta", "2.0", "--mode", "s2gpa", "--in", str(cnf),
@@ -404,10 +413,13 @@ def test_exit_codes_for_data_errors(tmp_path):
         "p cnf 1_0 1\n1 0\n",  # a count that is not an ASCII decimal integer
         "p cnf -1 3\n",  # a negative count
         "p cnf 3 1\n1 2 3 0\n",  # one clause: no network
+        "p cnf 1000000000000 2\n1 2 3 0\n-1 2 3 0\n",  # n above cnf.MAX_COUNT
     ):
         bad_cnf.write_text(text, encoding="utf-8")
         assert run_cli("build", "--in", str(bad_cnf), "--out", str(out)) == 2
         assert not out.exists()  # no partial artifacts on failure
+    assert run_cli("solve", "--in", str(bad_cnf), "--out", str(out)) == 2
+    assert not out.exists()
     bad_graph = tmp_path / "bad.json"
     bad_graph.write_text("{}", encoding="utf-8")
     assert run_cli("classify", "--in", str(bad_graph)) == 2

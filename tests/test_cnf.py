@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -36,11 +37,13 @@ from satbec.cnf import (
         (3, ((),), "at least one literal"),
         (-1, (), "n must be an int >= 0"),
         (2.5, ((1,),), "n must be an int >= 0"),
+        (2**31, (), "n must be an int >= 0"),  # above cnf.MAX_COUNT
         (3, ([1, 2],), "tuple of tuples"),
         (3, [(1, 2)], "tuple of tuples"),
     ],
     ids=["zero", "above-n", "below-minus-n", "bool", "float", "unequal-lengths",
-         "empty-clause", "negative-n", "float-n", "list-clause", "list-of-clauses"],
+         "empty-clause", "negative-n", "float-n", "n-above-cap", "list-clause",
+         "list-of-clauses"],
 )
 def test_formula_rejects_invalid_clauses(n, clauses, message):
     with pytest.raises(ValueError, match=message):
@@ -269,11 +272,26 @@ def test_floyd_follows_the_longest_collision_chain(k):
 @pytest.mark.parametrize(
     "args",
     [(0, 3, 2, 5), (0, 0, 5, 5), (0, 3, 0, 5), (0, 3, 5, -1), (0, 3, 10, 2.5), (0, True, 10, 5),
-     (-1, 3, 10, 5), (1.5, 3, 10, 5), (True, 3, 10, 5)],
+     (-1, 3, 10, 5), (1.5, 3, 10, 5), (True, 3, 10, 5),
+     (0, 3, 2**31, 5), (0, 3, 10, 10**20)],  # above cnf.MAX_COUNT
 )
 def test_generate_random_rejects_bad_args(args):
     with pytest.raises(ValueError):
         generate_random(*args)
+
+
+BIG = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "value, real",
+    [(0, True), (-1.5, True), (np.float64(2.0), True), (BIG, True), (-BIG, True),
+     (int(BIG), True), (int(BIG) + 1, False), (-int(BIG) - 1, False), (10**400, False),
+     (float("nan"), False), (float("inf"), False), (-float("inf"), False), (True, False),
+     (np.int64(1), False), (np.float32(0.5), False), ("1", False), (None, False)],
+)
+def test_is_real_accepts_exactly_the_finite_ints_and_floats(value, real):
+    assert bool(cnf.is_real(value)) is real
 
 
 def test_evaluate_counts_and_indices():

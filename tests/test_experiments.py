@@ -4,6 +4,7 @@ import csv
 import io
 import os
 
+import numpy as np
 import pytest
 
 from satbec import experiments
@@ -60,6 +61,17 @@ def test_clause_count_rounds():
         {"n_values": (10.0,), "alphas": (1.0,)},
         {"n_values": (10,), "alphas": (1.0,), "k": True},
         {"n_values": (10,), "alphas": (1.0,), "graphs_per_instance": True},
+        # alphas are reals (cnf.is_real), checked before they are sorted
+        {"n_values": (10,), "alphas": ("x",)},
+        {"n_values": (10,), "alphas": (True,)},
+        {"n_values": (10,), "alphas": (1.0, "x")},
+        {"n_values": (10,), "alphas": (None,)},
+        {"n_values": (10,), "alphas": (np.float32(2.0),)},
+        {"n_values": (10,), "alphas": (np.int64(2),)},
+        # alpha * n or n above cnf.MAX_COUNT
+        {"n_values": (10,), "alphas": (1e300,)},
+        {"n_values": (10,), "alphas": (1e308,)},
+        {"n_values": (2**31,), "alphas": (1.0,)},
     ],
 )
 def test_sweep_config_rejects_bad_values(kwargs):
@@ -86,6 +98,9 @@ def test_sweep_config_rejects_bad_values(kwargs):
         {"theta": 2.0, "solvers": ("chainsat",)},
         {"budget": 2.5},
         {"seed_root": True},
+        {"alphas": (None,)},
+        {"alphas": (1e308,), "solvers": ("chainsat",)},
+        {"p1": np.float32(0.5)},
     ],
 )
 def test_bench_config_rejects_bad_values(kwargs):

@@ -83,7 +83,8 @@ def test_flip_probabilities():
     # both explicit: no table entry needed
     assert flip_probabilities(6, 0.0, 0.5) == (0.0, 0.5)
     for p1, p2 in [(-0.1, 0.5), (0.5, 1.5), (float("nan"), 0.5), (0.5, float("nan")),
-                   (float("inf"), None)]:
+                   (float("inf"), None), ("0.5", None), (None, True), (np.int64(0), None),
+                   (np.float32(0.5), None), (10**400, None)]:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             flip_probabilities(3, p1, p2)
     for p1, p2 in [(None, None), (0.1, None), (None, 0.1)]:
@@ -243,7 +244,7 @@ def test_empty_formula_checks_explicit_flip_probabilities(algo):
     f = Formula(3, ())
     order = ClauseOrder(rank=())
     nan = float("nan")
-    for p1, p2 in [(5, None), (None, -0.5), (nan, None), (0.5, nan), (0.5, 1.5)]:
+    for p1, p2 in [(5, None), (None, -0.5), (nan, None), (0.5, nan), (0.5, 1.5), (True, 0)]:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             solve(f, algo, order, p1=p1, p2=p2, budget=100, seed=0)
     for p1, p2 in [(None, None), (0.0, None), (None, 1.0)]:

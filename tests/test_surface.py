@@ -71,9 +71,9 @@ def compares_type_with_int(node) -> bool:
     ) and any(isinstance(n, ast.Name) and n.id == "int" for o in operands for n in ast.walk(o))
 
 
-def test_the_integer_rule_is_written_once():
-    """``cnf.is_count`` is the one test of an exact int count; only it and
-    ``graph._real`` compare a value's type with ``int``."""
+def functions_where(test) -> set[str]:
+    """``module.py:function`` for each package function (``<module>`` at top
+    level) that holds a node for which ``test`` is true."""
     found = set()
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -84,6 +84,35 @@ def test_the_integer_rule_is_written_once():
                 name = parent.name
             for child in ast.iter_child_nodes(parent):
                 scope[child] = name
-                if compares_type_with_int(child):
+                if test(child):
                     found.add(f"{path.name}:{name}")
-    assert sorted(found) == ["cnf.py:is_count", "graph.py:_real"]
+    return found
+
+
+def test_the_integer_rule_is_written_once():
+    """``cnf.is_count`` is the one test of an exact int count and
+    ``cnf.is_real`` of a finite real; only they compare a value's type with
+    ``int``."""
+    assert sorted(functions_where(compares_type_with_int)) == ["cnf.py:is_count",
+                                                                "cnf.py:is_real"]
+
+
+FINITENESS = {("math", "isfinite"), ("math", "isinf"), ("math", "inf"), ("np", "isfinite"),
+              ("np", "isinf"), ("np", "inf"), ("sys", "float_info")}
+
+
+def checks_finiteness(node) -> bool:
+    """Whether ``node`` names ``math.isfinite``, ``math.isinf``, ``math.inf``
+    (or numpy's), or ``sys.float_info``, or imports one of them by name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return (node.value.id, node.attr) in FINITENESS
+    if isinstance(node, ast.ImportFrom):
+        return any((node.module, alias.name) in FINITENESS for alias in node.names)
+    return False
+
+
+def test_the_real_number_rule_is_written_once():
+    """``cnf.is_real`` is the one test of a finite real; only the JSON
+    writer's dispatch, which picks a text per value, tests finiteness too."""
+    assert sorted(functions_where(checks_finiteness)) == [
+        "cnf.py:is_real", "graph.py:_record_rows", "graph.py:_scalar_text"]
