@@ -20,33 +20,39 @@ connectivity x local fitness, normalized over the existing nodes; the
 probabilities used while linking a newcomer reflect the state before it
 joined.
 
-A newcomer changes only the clauses that share a literal with it, so each
-step updates local frequencies, fitness, the fittest index and the
-attachment weights over that neighbourhood alone, in one Python pass over
-its row of an overlap table built once per formula in numpy, one broadcast
-per literal group size (``overlap_table``, O(m x mean neighbourhood)
-memory), that is exact also when clauses repeat literals.  Once the
-fittest clause's row holds no unadded clause, every unadded clause ties at
-distance k and the search draws from a sorted list of them.  That is the
-case in most searches, 93 % at n=100, alpha=8 (s2gpa) and 87 % on the
-bench grid at n=50 (s2g), over 10 formulas each: the joiner is then a
-uniform draw among the unadded clauses.
+One pass over the literal codes gives each literal two lists: every clause
+holding it, with how many times it does, and the added clauses holding it,
+one entry per slot, appended as each joins.  A newcomer changes only the
+added clauses that share a literal with it, so ``add_clause`` walks the
+added list of each of its slots, adding 1 to each entry's fitness and
+rewriting its attachment weight: a literal held a and b times adds a x b.
+The search sums min(a, b) over the literals each unadded clause shares with
+the target, read from the target's lists; the distance is k minus that sum,
+exact also when clauses repeat literals.  Once no unadded clause shares a
+literal with the target, every unadded clause ties at distance k, the target
+is remembered, and the search draws from a sorted list of them.  That is the
+case in most searches, 93 % at n=100, alpha=8 (s2gpa) and 87 % on the bench
+grid at n=50 (s2g), over 10 formulas each: the joiner is then a uniform draw
+among the unadded clauses.
 
 The rest of a step is a fixed handful of numpy calls: the sum and division
 that give ``pi`` and, in preferential mode, its cumulative sum (in plain
-mode, one uniform draw per existing node).  A step at n=100, m=800 costs
-about 12 us (median, 2-core Xeon, Python 3.11); those numpy calls are O(m),
-so a build is still O(m^2).  Normalized fitness and energies are computed
-once, from the final fitness, when the graph is frozen.  The temperature
-only scales those energies; it changes no edge, no insertion order and no
-energy ordering.
+mode, one uniform draw per existing node).  At n=100, m=800 (s2gpa, medians
+over 20 builds, 2-core shared Xeon, Python 3.11) the set-up before the first
+link costs about 1.4 ms, 0.4 ms of it for the lists, and a step about 23 us:
+8 us for the fitness update, 3 us for the search (11 us in the 6 % of
+searches that find their clause in the lists), 4 us for ``pi`` and 8 us for
+the draw and its link.  The numpy calls are O(m), so a build is still
+O(m^2).  Normalized fitness and energies are computed once, from the final
+fitness, when the graph is frozen.  The temperature only scales those
+energies; it changes no edge, no insertion order and no energy ordering.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import NamedTuple
+from collections import defaultdict
 
 import numpy as np
 
@@ -60,56 +66,6 @@ from .graph import (
     GraphNode,
     fitness_columns,
 )
-
-
-class OverlapTable(NamedTuple):
-    """For each clause, the other clauses that share a literal with it.
-
-    Row ``c`` spans ``start[c]:start[c + 1]`` of the entry arrays and lists
-    its neighbours in index order.  ``overlap`` counts the pairs of literal
-    slots holding the same literal, which is what one clause adds to the
-    other's local fitness.  ``distance`` is the clause distance: a literal
-    held c_a and c_b times is c_a x c_b such pairs but only min(c_a, c_b)
-    matches.  Every pair absent from the table is at distance k.
-    """
-
-    start: np.ndarray
-    clause: np.ndarray
-    overlap: np.ndarray
-    distance: np.ndarray
-
-
-def overlap_table(codes: np.ndarray) -> OverlapTable:
-    """Sparse literal-overlap lists of the clauses whose literal codes are
-    the rows of ``codes``, O(m * mean row length)."""
-    m, k = codes.shape
-    flat = codes.ravel()
-    by_code = np.argsort(flat, kind="stable")
-    sorted_codes = flat[by_code]
-    sorted_owner = by_code // k
-    # one group per literal: the slots that hold it, in clause order (the sort
-    # is stable), so a clause's repeats of it are adjacent: occurrences 0, 1, ...
-    group_start = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    group_size = np.diff(np.r_[group_start, len(flat)])
-    run = sorted_codes * m + sorted_owner
-    occurrence = np.arange(len(flat)) - np.searchsorted(run, run)
-    # every ordered pair of slots of different clauses holding the same
-    # literal, one (groups, g, g) broadcast per group size g; the sizes go
-    # through a set, because np.unique's hash table adds about 1 MiB of peak RSS
-    matched, unequal = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for g in set(group_size[group_size > 1].tolist()):
-        slots = group_start[group_size == g, None] + np.arange(g)
-        owner, occ = sorted_owner[slots], occurrence[slots]
-        pair_keys = owner[:, :, None] * m + owner[:, None, :]
-        other = owner[:, :, None] != owner[:, None, :]
-        matched.append(pair_keys[other])
-        # a pair of unequal occurrence numbers is no match (none without repeats)
-        unequal.append(pair_keys[other & (occ[:, :, None] != occ[:, None, :])])
-    keys, overlap = np.unique(np.concatenate(matched), return_counts=True)
-    distance = (k - overlap).astype(np.int32)
-    np.add.at(distance, np.searchsorted(keys, np.concatenate(unequal)), 1)
-    start = np.searchsorted(keys, np.arange(m + 1) * m)
-    return OverlapTable(start, (keys % m).astype(np.int32), overlap.astype(np.int32), distance)
 
 
 class BuildState:
@@ -134,20 +90,26 @@ class BuildState:
         self.cfg = cfg
         self.rng = np.random.Generator(np.random.PCG64(cfg.seed))
         self.codes = clause_code_array(formula)
-        table = overlap_table(self.codes)
         m = formula.m
-        # the step reads one overlap row at a time as Python ints, through
-        # memoryviews: as fast to iterate as lists, with no copy of the table
         self._code_rows = self.codes.tolist()
-        self._row_start = table.start.tolist()
-        self._near = memoryview(table.clause)
-        self._overlap = memoryview(table.overlap)
-        self._distance = memoryview(table.distance)
+        # per literal code: every clause holding it, with how many times it
+        # does, in index order; and the added clauses holding it, one entry
+        # per slot, in joining order
+        holders = defaultdict(list)
+        for clause, row in enumerate(self._code_rows):
+            for code in row:
+                held = holders[code]
+                if held and held[-1][0] == clause:  # the clause repeats it
+                    held[-1] = (clause, held[-1][1] + 1)
+                else:
+                    held.append((clause, 1))
+        self._holders: dict[int, list[tuple[int, int]]] = holders
+        self._joined: dict[int, list[int]] = {code: [] for code in holders}
         self._order = array("q", [0]) * m
         self._position = [0] * m
         self._added = bytearray(m)
         self._unadded = list(range(m))
-        # a clause whose overlap row has no unadded clause left
+        # an added clause that shares a literal with no unadded clause
         self._exhausted = -1
         self._freq = array("q", [0]) * (2 * formula.n)
         self._fitness = array("q", [0]) * m
@@ -175,11 +137,11 @@ class BuildState:
         """Move a clause into the network and update local frequencies,
         fitness and the fittest index.
 
-        The newcomer raises the fitness of each added clause sharing a
-        literal with it by their overlap.  Fitness never decreases, so the
-        incumbent can only be overtaken by a clause touched here; it keeps
-        its place on ties, otherwise the lowest index among the maximizers
-        wins.
+        Each of the newcomer's literal slots raises the fitness of each
+        added clause by the number of its slots holding that literal.
+        Fitness never decreases, so the incumbent can only be overtaken by a
+        clause touched here; it keeps its place on ties, otherwise the lowest
+        index among the maximizers wins.
         """
         added = self._added
         if added[clause]:
@@ -203,23 +165,39 @@ class BuildState:
         conn = self._conn
         weight = self._weight
         where = self._position
-        # rows list clauses in index order, so the first clause to reach the
-        # row's maximum is the lowest-indexed one
+        joined = self._joined
         best, leader = -1, clause
-        lo, hi = self._row_start[clause], self._row_start[clause + 1]
-        for other, overlap in zip(self._near[lo:hi], self._overlap[lo:hi]):
-            if added[other]:
-                fit_other = fitness[other] + overlap
+        for code in codes:
+            for other in joined[code]:
+                fit_other = fitness[other] + 1
                 fitness[other] = fit_other
                 weight[where[other]] = conn[other] * fit_other
-                if fit_other > best:
+                if fit_other > best or (fit_other == best and other < leader):
                     best, leader = fit_other, other
+        for code in codes:
+            joined[code].append(clause)
         if fit > best or (fit == best and clause < leader):
             best, leader = fit, clause
         if self.fittest < 0:
             self.fittest = clause
         elif best > fitness[self.fittest]:
             self.fittest = leader
+
+    def matches(self, t: int) -> dict[int, int]:
+        """Each unadded clause sharing a literal with clause ``t``, mapped to
+        the size of the multiset intersection of their literals: a literal
+        held a times by ``t`` and b times by the other counts min(a, b).
+        The clause distance is k minus that size, and k for every clause
+        absent here."""
+        added = self._added
+        row = self._code_rows[t]
+        matched: dict[int, int] = {}
+        for code in set(row):
+            a = row.count(code)
+            for other, b in self._holders[code]:
+                if not added[other]:
+                    matched[other] = matched.get(other, 0) + (a if a < b else b)
+        return matched
 
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
@@ -264,26 +242,18 @@ def find_closest_clause(state: BuildState, t: int) -> int:
     uniform over the tied clauses in index order.
 
     Only clauses sharing a literal with ``t`` are closer than k; when none is
-    left, every unadded clause ties at distance k.  A row found exhausted is
-    remembered, since clauses never leave the network.
+    left, every unadded clause ties at distance k.  A clause found exhausted
+    is remembered, since clauses never leave the network.
     """
     added = state._added
     if not added[t]:
         raise ValueError(f"clause {t} has not been added")
     rng = state.rng
     if t != state._exhausted:
-        lo, hi = state._row_start[t], state._row_start[t + 1]
-        ties = []
-        least = 0
-        for other, distance in zip(state._near[lo:hi], state._distance[lo:hi]):
-            if added[other]:
-                continue
-            if not ties or distance < least:
-                least = distance
-                ties = [other]
-            elif distance == least:
-                ties.append(other)
-        if ties:
+        matched = state.matches(t)
+        if matched:
+            most = max(matched.values())
+            ties = sorted([other for other, count in matched.items() if count == most])
             return ties[rng.integers(len(ties))]
         state._exhausted = t
     ties = state._unadded
@@ -299,7 +269,7 @@ def attachment_probabilities(state: BuildState) -> np.ndarray:
     exists (the forced first edge guarantees that from step two on).
     """
     weights = state._weight_view[: state.size]
-    total = weights.sum()
+    total = np.add.reduce(weights)
     if not total > 0:
         raise RuntimeError("attachment probabilities undefined before the first edge")
     return weights / total
@@ -358,19 +328,22 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
     if iteration_hook is not None:
         iteration_hook(state, pi)
 
+    m = formula.m
+    s2g = cfg.mode == MODE_S2G
+    add_clause, link, random = state.add_clause, state.link, rng.random
     existing = state._order
-    while state.size < formula.m:
+    while state.size < m:
         newcomer = find_closest_clause(state, state.fittest)
         pi = attachment_probabilities(state)
-        state.add_clause(newcomer)
-        if cfg.mode == MODE_S2G:
-            for j in (rng.random(len(pi)) < pi).nonzero()[0].tolist():
-                state.link(newcomer, existing[j], pi.item(j))
+        add_clause(newcomer)
+        if s2g:
+            for j in (random(len(pi)) < pi).nonzero()[0].tolist():
+                link(newcomer, existing[j], pi.item(j))
         else:
             cumulative = pi.cumsum()
             for _ in range(cfg.rho):
                 j = preferential_draw(cumulative, rng)
-                state.link(newcomer, existing[j], pi.item(j))
+                link(newcomer, existing[j], pi.item(j))
         if iteration_hook is not None:
             iteration_hook(state, pi)
     return _freeze(state)

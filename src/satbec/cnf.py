@@ -16,8 +16,9 @@ from itertools import chain
 import numpy as np
 
 
-# the 32-bit DIMACS literal range, and the largest clause index the builder's
-# int32 overlap table holds: the cap on n, and on m where it is drawn
+# the 32-bit range in which DIMACS solvers read a literal and the header's
+# counts, so every formula written stays readable: the cap on n, and on m
+# where it is drawn
 MAX_COUNT = 2**31 - 1
 
 

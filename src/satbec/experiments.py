@@ -79,11 +79,14 @@ class SweepRecord:
 
 
 def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
-    """The checks a sweep and a bench config share: n_values, k, instances and
-    seed_root are counts, the alphas positive reals, every (n, alpha) point
-    can draw k distinct variables per clause, at most ``MAX_COUNT`` clauses
-    and, when ``builds``, the 2 clauses a network needs, and the builder
-    settings are valid."""
+    """The checks a sweep and a bench config share: n_values and alphas are
+    tuples, so the frozen config hashes, n_values, k, instances and seed_root
+    are counts, the alphas positive reals, every (n, alpha) point can draw k
+    distinct variables per clause, at most ``MAX_COUNT`` clauses and, when
+    ``builds``, the 2 clauses a network needs, and the builder settings are
+    valid."""
+    if type(cfg.n_values) is not tuple or type(cfg.alphas) is not tuple:
+        raise ValueError("n_values and alphas must be tuples")
     if not cfg.n_values or not all(is_count(n, 1) and n <= MAX_COUNT for n in cfg.n_values):
         raise ValueError(f"n_values must be ints >= 1 and <= {MAX_COUNT}")
     if not cfg.alphas:
@@ -232,11 +235,12 @@ class BenchConfig:
     seed_root: int = 0
 
     def __post_init__(self):
-        if not self.solvers or any(s not in solver.SOLVERS for s in self.solvers):
-            raise ValueError(f"solvers must be drawn from {sorted(solver.SOLVERS)}")
+        if (type(self.solvers) is not tuple or not self.solvers
+                or any(s not in solver.SOLVERS for s in self.solvers)):
+            raise ValueError(f"solvers must be a tuple drawn from {sorted(solver.SOLVERS)}")
         if len(set(self.solvers)) != len(self.solvers):
             raise ValueError("duplicate solver names")
-        if not self.alphas:
+        if type(self.alphas) is tuple and not self.alphas:
             object.__setattr__(self, "alphas", default_alpha_grid(self.k))
         _check_grid(self, builds=any(s in solver.ORDERED_SOLVERS for s in self.solvers))
         if not is_count(self.budget):

@@ -12,9 +12,10 @@ types and the scalar ``clause_distance`` from the package: literal codes
 (``literal_code``, also the reference for ``clause_code_array``), the
 distance matrix, attachment probabilities, the preferential draw and the
 frozen graph are computed here, so a fault in the package's versions shows
-up as a difference.  In particular the overlap table's distances, one
-vectorized pass for every formula, are checked against ``clause_distance``
-pair by pair whenever a clause repeats a variable.
+up as a difference.  In particular the distances the package's search reads
+from its per-literal clause lists (``BuildState.matches``) are checked
+against ``clause_distance`` pair by pair whenever a clause repeats a
+variable.
 """
 
 from __future__ import annotations

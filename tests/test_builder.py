@@ -150,6 +150,19 @@ def test_add_clause_incumbent_rule():
     assert state.fitness[state.order_array()].tolist() == [3, 6, 6]
 
 
+def test_add_clause_new_leader_is_lowest_index_not_first_joined():
+    # clause 2 joins before clause 0; the newcomer 3 lifts both to 7, past
+    # the incumbent 1 at 5, and the lower index wins the tie
+    f = formula_from_signed([(1, 2, 3), (7, 8, 7), (1, 2, 4), (1, 2, 5)], 8)
+    state = BuildState(f, BuilderConfig())
+    for clause in (1, 2, 0):
+        state.add_clause(clause)
+    assert state.fittest == 1
+    state.add_clause(3)
+    assert state.fitness.tolist() == [7, 5, 7, 7]
+    assert state.fittest == 0
+
+
 def test_add_clause_keeps_order_and_frequencies():
     f = formula_from_signed([(1, 2, 3), (1, -2, 4), (1, 1, 5)], 5)
     state = BuildState(f, BuilderConfig())
@@ -160,6 +173,21 @@ def test_add_clause_keeps_order_and_frequencies():
     assert state.fitness.tolist() == [4 + 1 + 1, 4 + 1 + 1, 4 + 4 + 1]
     with pytest.raises(ValueError):
         state.add_clause(0)
+
+
+def test_repeated_literal_adds_product_to_fitness_and_min_to_distance():
+    # literal 1 is held twice by clauses 0 and 1, once by clause 2
+    f = formula_from_signed([(1, 1, 2), (1, 1, 3), (1, 4, 5)], 5)
+    state = BuildState(f, BuilderConfig(seed=0))
+    state.add_clause(0)
+    assert state.fitness[0] == 2 + 2 + 1
+    assert state.matches(0) == {1: 2, 2: 1}  # distances 1 and 2
+    assert find_closest_clause(state, 0) == 1
+    state.add_clause(1)
+    assert state.fitness[0] == 5 + 2 * 2
+    state.add_clause(2)
+    assert state.fitness.tolist() == [9 + 2 * 1, 9 + 2 * 1, 5 + 1 + 1]
+    assert state.fittest == 0  # 0 and 1 tie throughout: the incumbent stays
 
 
 def test_attachment_probabilities_proportional_to_conn_times_fitness():

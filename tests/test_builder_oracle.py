@@ -1,6 +1,6 @@
 """The incremental builder against the full-recompute, dense-matrix oracle
 in ``builder_oracle``: same graph JSON byte for byte, same state at every
-step, and the same distances from the sparse overlap table."""
+step, and the same distances from the per-literal clause lists."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from builder_oracle import OracleState, distance_matrix, oracle_build, update_fitness
 from conftest import formula_from_signed
-from satbec.builder import BuilderConfig, build_graph, overlap_table
+from satbec.builder import BuilderConfig, BuildState, build_graph
 from satbec.cnf import clause_code_array, generate_random, parse_dimacs
 from satbec.graph import MODE_S2G, MODE_S2GPA, graph_to_json
 
@@ -78,24 +78,19 @@ def test_builder_matches_oracle_step_by_step(formula, cfg):
 
 @settings(max_examples=200, deadline=None)
 @given(formulas())
-def test_overlap_table_matches_dense_matrix(formula):
-    codes = clause_code_array(formula)
-    m, k = codes.shape
-    table = overlap_table(codes)
+def test_matches_give_dense_distance_matrix(formula):
+    # before any clause joins, every clause is unadded, so the matches of
+    # each target give its whole row of the distance matrix
+    state = BuildState(formula, BuilderConfig())
+    m, k = formula.m, formula.k
     dense = np.full((m, m), k, dtype=np.int64)
-    overlap = np.zeros((m, m), dtype=np.int64)
-    for c in range(m):
-        row = slice(table.start[c], table.start[c + 1])
-        near = table.clause[row]
-        assert np.all(np.diff(near) > 0)  # index order, no repeats
-        assert c not in near
-        dense[c, near] = table.distance[row]
-        overlap[c, near] = table.overlap[row]
-    expected = distance_matrix(formula, codes)
+    for t in range(m):
+        for other, count in state.matches(t).items():
+            dense[t, other] = k - count
+    assert np.all(np.diagonal(dense) == 0)
+    expected = distance_matrix(formula, clause_code_array(formula))
     off_diagonal = ~np.eye(m, dtype=bool)
     assert np.array_equal(dense[off_diagonal], expected[off_diagonal])
-    pairs = (codes[:, None, :, None] == codes[None, :, None, :]).sum(axis=(2, 3))
-    assert np.array_equal(overlap[off_diagonal], pairs[off_diagonal])
 
 
 def test_builder_matches_oracle_at_alpha_8():

@@ -72,6 +72,11 @@ def test_clause_count_rounds():
         {"n_values": (10,), "alphas": (1e300,)},
         {"n_values": (10,), "alphas": (1e308,)},
         {"n_values": (2**31,), "alphas": (1.0,)},
+        # n_values and alphas are tuples, so the frozen config hashes
+        {"n_values": (10,), "alphas": 2.0},
+        {"n_values": 10, "alphas": (2.0,)},
+        {"n_values": (10,), "alphas": [2.0]},
+        {"n_values": [10], "alphas": (2.0,)},
     ],
 )
 def test_sweep_config_rejects_bad_values(kwargs):
@@ -101,6 +106,12 @@ def test_sweep_config_rejects_bad_values(kwargs):
         {"alphas": (None,)},
         {"alphas": (1e308,), "solvers": ("chainsat",)},
         {"p1": np.float32(0.5)},
+        # solvers, n_values and alphas are tuples, so the frozen config hashes
+        {"solvers": ["chainsat"]},
+        {"n_values": [50]},
+        {"alphas": [2.0]},
+        {"alphas": []},
+        {"alphas": 2.0},
     ],
 )
 def test_bench_config_rejects_bad_values(kwargs):
