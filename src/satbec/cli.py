@@ -27,7 +27,7 @@ from . import __version__
 from . import solver as solver_mod
 from .analysis import classification
 from .builder import BuilderConfig, build_graph
-from .cnf import DimacsError, generate_random, is_count, is_real, parse_dimacs, serialize_dimacs
+from .cnf import generate_random, is_count, is_real, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
     SweepConfig,
@@ -70,16 +70,20 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def _read_input(path: str) -> tuple[str, dict]:
-    """The text of ``path`` and its manifest input record."""
+def _load(path: str, parse: Callable) -> tuple[dict, object]:
+    """The manifest input record of ``path`` and ``parse`` of its UTF-8 text.
+
+    An unreadable file is a usage error; text that is not UTF-8, or that
+    ``parse`` refuses with a ``ValueError``, is a data error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        record = {"path": path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+        return record, parse(text)
     except OSError as exc:
         raise UsageError(f"cannot read input file {path!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return text, {"path": path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def _stage(path: str, text: str) -> str:
@@ -113,15 +117,19 @@ def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outp
 
 
 def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: list):
-    """Write artifacts ([(path, text)]) plus a manifest per artifact.
+    """Write artifacts ([(path, text)]) plus a manifest per artifact, then
+    print each artifact whose path is None (an omitted ``--out``).
 
     No two of these files may resolve to the same path.  Every file is first
-    written to a temporary file; they are renamed into place only once all of
-    them have been written, so a failed write leaves none of them behind.
+    written to a temporary file, and a failed write removes the temporary
+    files, so nothing is left behind and nothing is printed.  The files are
+    then renamed into place in order; a rename that fails leaves the files
+    renamed before it.
     """
-    manifest = _manifest_text(subcommand, args, inputs, [path for path, _ in artifacts])
+    written = [(path, text) for path, text in artifacts if path is not None]
+    manifest = _manifest_text(subcommand, args, inputs, [path for path, _ in written])
     files = []
-    for path, text in artifacts:
+    for path, text in written:
         files += [(path, text), (path + ".manifest.json", manifest)]
     first = {}
     for i, (path, _) in enumerate(files):
@@ -141,34 +149,9 @@ def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: li
     finally:
         for tmp in staged.values():
             os.unlink(tmp)
-
-
-def _emit_or_print(subcommand: str, args, inputs: dict, text: str, extra: list = ()):
-    """Write ``text`` to ``--out``, or print it when ``--out`` is omitted,
-    once any ``extra`` artifacts are written."""
-    artifacts = [] if args.out is None else [(args.out, text)]
-    artifacts += extra
-    if artifacts:
-        _emit(subcommand, args, inputs, artifacts)
-    if args.out is None:
-        sys.stdout.write(text)
-
-
-def _load_formula(path: str):
-    text, record = _read_input(path)
-    try:
-        formula = parse_dimacs(text)
-    except DimacsError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return record, formula
-
-
-def _load_graph(path: str):
-    text, record = _read_input(path)
-    try:
-        return record, graph_from_json(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    for path, text in artifacts:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _cmd_gen(args):
@@ -293,7 +276,7 @@ def _config(config_cls, settings, args, ini: dict | None = None):
 
 
 def _cmd_build(args):
-    record, formula = _load_formula(getattr(args, "in"))
+    record, formula = _load(getattr(args, "in"), parse_dimacs)
     cfg = _config(BuilderConfig, _BUILD_SETTINGS, args)
     try:
         graph = build_graph(formula, cfg)
@@ -305,16 +288,16 @@ def _cmd_build(args):
 
 
 def _cmd_classify(args):
-    record, graph = _load_graph(getattr(args, "in"))
+    record, graph = _load(getattr(args, "in"), graph_from_json)
     try:
         payload = classification(graph)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    _emit_or_print("classify", args, {"in": record}, json_text(payload))
+    _emit("classify", args, {"in": record}, [(args.out, json_text(payload))])
 
 
 def _cmd_spectrum(args):
-    record, graph = _load_graph(getattr(args, "in"))
+    record, graph = _load(getattr(args, "in"), graph_from_json)
     spectrum = particle_spectrum(graph)
     payload = {
         "total_particles": spectrum.total_particles,
@@ -325,7 +308,7 @@ def _cmd_spectrum(args):
         ],
     }
     dot = [] if args.dot is None else [(args.dot, export_dot(graph))]
-    _emit_or_print("spectrum", args, {"in": record}, json_text(payload), dot)
+    _emit("spectrum", args, {"in": record}, [(args.out, json_text(payload)), *dot])
 
 
 # the SolverResult fields a result entry holds, each with the test its JSON
@@ -342,13 +325,13 @@ _RESULT_FIELDS = {
 
 
 def _cmd_solve(args):
-    record, formula = _load_formula(getattr(args, "in"))
+    record, formula = _load(getattr(args, "in"), parse_dimacs)
     inputs = {"in": record}
     order = None
     if args.algo in solver_mod.ORDERED_SOLVERS:
         if args.graph is None:
             raise UsageError(f"--graph is required for --algo {args.algo}")
-        inputs["graph"], graph = _load_graph(args.graph)
+        inputs["graph"], graph = _load(args.graph, graph_from_json)
         try:
             order_seed = derive_seed(args.seed, TAG_ORDER)
         except ValueError as exc:
@@ -366,55 +349,60 @@ def _cmd_solve(args):
     _emit("solve", args, inputs, [(args.out, json_text({"results": [entry]}))])
 
 
-def _results_from_file(path: str):
+def _results(text: str) -> list:
     """The solver results of a ``solve`` output file; a field of any other
     type than ``solve`` writes is a data error, not a value to coerce."""
-    text, record = _read_input(path)
     results = []
     try:
         for entry in json.loads(text)["results"]:
             fields = {name: entry[name] for name in _RESULT_FIELDS}
             for name, (valid, kind) in _RESULT_FIELDS.items():
                 if not valid(fields[name]):
-                    raise DataError(f"{path}: not a valid result file: {name!r} must be {kind}")
+                    raise TypeError(f"{name!r} must be {kind}")
             fields["assignment"] = tuple(fields["assignment"])
             results.append(solver_mod.SolverResult(**fields))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not a valid result file: {exc}") from None
-    return record, results
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"not a valid result file: {exc}") from None
+    return results
 
 
 def _cmd_compare(args):
-    record_a, results_a = _results_from_file(args.a)
-    record_b, results_b = _results_from_file(args.b)
+    record_a, results_a = _load(args.a, _results)
+    record_b, results_b = _load(args.b, _results)
     try:
         verdict = solver_mod.compare(results_a, results_b)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    _emit_or_print("compare", args, {"a": record_a, "b": record_b},
-                   json_text({"verdict": verdict}))
+    _emit("compare", args, {"a": record_a, "b": record_b},
+          [(args.out, json_text({"verdict": verdict}))])
+
+
+def _ini_settings(text: str) -> dict:
+    """The values of a sweep INI file as {"section.key": text}; a malformed
+    file or an unknown section or key raises ``ValueError``."""
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text)
+        ini = {f"{name}.{key}": value
+               for name in parser.sections() or [parser.default_section]
+               for key, value in parser[name].items()}
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
+    # every key counts: a [DEFAULT] key as read by each section, or as
+    # DEFAULT.key in a file with no other section
+    known = {s.ini for s in _SWEEP_SETTINGS}
+    sections = {key.partition(".")[0] for key in known}
+    unknown = sorted(set(ini) - known) + sorted(set(parser.sections()) - sections)
+    if unknown:
+        raise ValueError(f"unknown config section or key {unknown[0]!r}")
+    return ini
 
 
 def _cmd_sweep(args):
     ini = {}
     inputs = {}
     if args.config is not None:
-        text, inputs["config"] = _read_input(args.config)
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-            ini = {f"{name}.{key}": value
-                   for name in parser.sections() or [parser.default_section]
-                   for key, value in parser[name].items()}
-        except configparser.Error as exc:
-            raise DataError(f"{args.config}: {exc}") from None
-        # every key counts: a [DEFAULT] key as read by each section, or as
-        # DEFAULT.key in a file with no other section
-        known = {s.ini for s in _SWEEP_SETTINGS}
-        sections = {key.partition(".")[0] for key in known}
-        unknown = sorted(set(ini) - known) + sorted(set(parser.sections()) - sections)
-        if unknown:
-            raise DataError(f"{args.config}: unknown config section or key {unknown[0]!r}")
+        inputs["config"], ini = _load(args.config, _ini_settings)
     cfg = _config(SweepConfig, _SWEEP_SETTINGS, args, ini)
     records = sweep(cfg, jobs=_effective_jobs(args.jobs))
     _emit("sweep", args, inputs, [(args.out, sweep_records_to_csv(records))])

@@ -172,7 +172,10 @@ def aggregate_samples(n: int, alpha: float, samples: list[dict]) -> SweepRecord:
 
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` independent tasks: ``jobs`` capped at
-    the task count and the core count, and at least 1."""
+    the task count and the core count, and at least 1.  ``jobs`` must be a
+    count (``cnf.is_count``); anything else raises ValueError."""
+    if not is_count(jobs):
+        raise ValueError("jobs must be a non-negative integer")
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 

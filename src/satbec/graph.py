@@ -356,7 +356,7 @@ def graph_from_json(text: str) -> ClauseGraph:
     nodes, once.  Raises ValueError otherwise."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid graph JSON: {exc}") from None
     try:
         header = {key: payload[key] for key in _HEADER_KEYS}

@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, manifests, exit codes, reruns."""
 
+import errno
 import hashlib
 import json
 import os
@@ -526,6 +527,102 @@ def test_non_utf8_input_is_data_error(tmp_path, cnf, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: bad: ") and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--in", "deep.json", "--out", "c.json"),
+        ("spectrum", "--in", "deep.json", "--out", "s.json", "--dot", "s.dot"),
+        ("solve", "--algo", "lc", "--in", "f.cnf", "--graph", "deep.json", "--out", "r.json"),
+        ("compare", "deep.json", "deep.json", "--out", "v.json"),
+    ],
+    ids=["classify", "spectrum", "solve-graph", "compare"],
+)
+def test_deeply_nested_json_is_data_error(tmp_path, cnf, monkeypatch, capsys, argv):
+    # json.loads raises RecursionError on this, not JSONDecodeError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 200_000, encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: deep.json: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+HUGE = "9" * 5001  # more digits than int() converts from text
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("cnf", ("build", "--in", "huge", "--out", "g2.json")),
+        ("cnf", ("solve", "--in", "huge", "--out", "r2.json")),
+        ("graph", ("classify", "--in", "huge", "--out", "c.json")),
+        ("result", ("compare", "r.json", "huge", "--out", "v.json")),
+        ("ini", ("sweep", "--config", "huge", "--jobs", "1", "--out", "s.csv")),
+    ],
+    ids=["build", "solve", "classify", "compare", "sweep-config"],
+)
+def test_an_integer_too_long_to_convert_is_data_error(tmp_path, cnf, graph, monkeypatch, capsys,
+                                                      kind, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", "--budget", "100", "--in", "f.cnf", "--out", "r.json") == 0
+    text = {
+        "cnf": lambda: f"p cnf 3 2\n1 -2 {HUGE} 0\n-1 2 3 0\n",
+        "graph": lambda: re.sub(r'"seed": \d+', f'"seed": {HUGE}', read(graph), count=1),
+        "result": lambda: re.sub(r'"flips": \d+', f'"flips": {HUGE}', read(tmp_path / "r.json")),
+        "ini": lambda: SMALL_INI.replace("instances = 1", f"instances = {HUGE}"),
+    }[kind]()
+    assert HUGE in text
+    (tmp_path / "huge").write_text(text, encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_failed_write_removes_every_temporary_file(tmp_path, graph, monkeypatch, capsys):
+    fdopen, calls = os.fdopen, []
+
+    def failing_fdopen(fd, *args, **kwargs):
+        calls.append(fd)
+        if len(calls) == 3:  # the DOT file, after the spectrum and its manifest
+            os.close(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", failing_fdopen)
+    before = sorted(tmp_path.iterdir())
+    dot = tmp_path / "s.dot"
+    assert run_cli("spectrum", "--in", str(graph), "--out", str(tmp_path / "s.json"),
+                   "--dot", str(dot)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write to {str(dot)!r}: [Errno 28] No space left on device\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_failed_rename_leaves_the_files_renamed_before_it(tmp_path, graph, monkeypatch,
+                                                            capsys):
+    replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:  # the DOT file, after the spectrum and its manifest
+            raise OSError(errno.EACCES, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    before = [p.name for p in tmp_path.iterdir()]
+    dot = tmp_path / "s.dot"
+    assert run_cli("spectrum", "--in", str(graph), "--out", str(tmp_path / "s.json"),
+                   "--dot", str(dot)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write to {str(dot)!r}: [Errno 13] Permission denied\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        before + ["s.json", "s.json.manifest.json"])
 
 
 def tampered_graph_exits(tmp_path, cnf, graph, edit):

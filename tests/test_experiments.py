@@ -258,6 +258,12 @@ def test_worker_count_caps_jobs_at_tasks_and_cores(monkeypatch):
     assert worker_count(16, 16) == 1
 
 
+@pytest.mark.parametrize("jobs", ["2", None, 2.5, -3, True, np.int64(2)])
+def test_worker_count_refuses_a_jobs_that_is_not_a_count(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        worker_count(jobs, 4)
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it is asked
     for and runs the tasks in this process."""

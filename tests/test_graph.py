@@ -219,7 +219,9 @@ def test_json_text_refuses_non_str_keys():
 
 @pytest.mark.parametrize(
     "text",
-    ["not json", "{}", '{"mode": "s2g"}', '{"nodes": [], "edges": []}'],
+    ["not json", "{}", '{"mode": "s2g"}', '{"nodes": [], "edges": []}',
+     # json.loads raises RecursionError here, not JSONDecodeError
+     pytest.param("[" * 200_000, id="deeply-nested")],
 )
 def test_json_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from satbec.builder import BuilderConfig
 from satbec.cnf import Formula, generate_random
-from satbec.experiments import BenchConfig, SweepConfig
+from satbec.experiments import BenchConfig, SweepConfig, benchmark, sweep
 from satbec.seeding import derive_seed
 from satbec.solver import ClauseOrder, flip_probabilities, solve
 
@@ -25,6 +25,10 @@ WORK = {"seed", "seed_root", "budget", "root"}
 FORMULA = generate_random(1, 3, 10, 20)
 ORDER = ClauseOrder(rank=tuple(range(FORMULA.m)))
 SETTINGS = {"temperature": 1.0, "theta": 0.33, "rho": 1, "first_clause_rule": "random"}
+# one grid point of one small build or bench group, so any accepted jobs
+# runs in this process
+SWEEP = SweepConfig(n_values=(10,), alphas=(2.0,), instances=1, graphs_per_instance=1)
+BENCH = BenchConfig(n_values=(10,), alphas=(2.0,), solvers=("chainsat",), instances=1, budget=100)
 
 # (entry point, valid small keyword arguments, the fields that are tuples, whose
 # one item a hostile value replaces)
@@ -43,6 +47,8 @@ CALLS = [
     (lambda **kwargs: solve(FORMULA, order=ORDER, **kwargs),
      {"algo": "lc", "p1": None, "p2": 0.5, "budget": 100, "seed": 0}, ()),
     (lambda root, entry: derive_seed(root, 1, entry), {"root": 1, "entry": 2}, ()),
+    (lambda jobs: sweep(SWEEP, jobs=jobs), {"jobs": 1}, ()),
+    (lambda jobs: benchmark(BENCH, jobs=jobs), {"jobs": 1}, ()),
 ]
 
 

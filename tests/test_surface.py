@@ -116,3 +116,28 @@ def test_the_real_number_rule_is_written_once():
     writer's dispatch, which picks a text per value, tests finiteness too."""
     assert sorted(functions_where(checks_finiteness)) == [
         "cnf.py:is_real", "graph.py:_record_rows", "graph.py:_scalar_text"]
+
+
+OUTPUT = {("sys", "stdout"), ("os", "replace")}
+
+
+def calls_open(node) -> bool:
+    """Whether ``node`` calls the builtin ``open``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+
+
+def writes_output(node) -> bool:
+    """Whether ``node`` names ``sys.stdout`` or ``os.replace``, or imports
+    one of them by name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return (node.value.id, node.attr) in OUTPUT
+    if isinstance(node, ast.ImportFrom):
+        return any((node.module, alias.name) in OUTPUT for alias in node.names)
+    return False
+
+
+def test_cli_files_have_one_way_in_and_one_way_out():
+    """``cli._load`` is the one reader of an input file and ``cli._emit`` the
+    one writer of an artifact, to a file or to stdout."""
+    assert sorted(functions_where(calls_open)) == ["cli.py:_load"]
+    assert sorted(functions_where(writes_output)) == ["cli.py:_emit"]
