@@ -20,43 +20,50 @@ connectivity x local fitness, normalized over the existing nodes; the
 probabilities used while linking a newcomer reflect the state before it
 joined.
 
-One pass over the literal codes gives each literal two lists: every clause
-holding it, with how many times it does, and the added clauses holding it,
-one entry per slot, appended as each joins.  A newcomer changes only the
-added clauses that share a literal with it, so ``add_clause`` walks the
-added list of each of its slots, adding 1 to each entry's fitness and
-rewriting its attachment weight: a literal held a and b times adds a x b.
-The search sums min(a, b) over the literals each unadded clause shares with
-the target, read from the target's lists; the distance is k minus that sum,
-exact also when clauses repeat literals.  Once no unadded clause shares a
-literal with the target, every unadded clause ties at distance k, the target
-is remembered, and the search draws from a sorted list of them.  That is the
-case in most searches, 93 % at n=100, alpha=8 (s2gpa) and 87 % on the bench
-grid at n=50 (s2g), over 10 formulas each: the joiner is then a uniform draw
-among the unadded clauses.
+Each formula computes its literal tables once, on the first build, and keeps
+them (``Formula.literal_tables``): every clause's literal ids and, per
+literal, every clause holding it with how many times it does.  A build adds
+per literal the added clauses holding it, one entry per slot, appended as
+each joins.  A newcomer changes only the added clauses that share a literal
+with it, so ``add_clause`` walks the added list of each of its slots, adding
+1 to each entry's fitness and rewriting its attachment weight: a literal
+held a and b times adds a x b.  The search sums min(a, b) over the literals
+each unadded clause shares with the target, read from the target's holders;
+the distance is k minus that sum, exact also when clauses repeat literals.
+Once no unadded clause shares a literal with the target, every unadded
+clause ties at distance k, the target is remembered, and the step draws the
+joiner straight from the sorted list of unadded clauses.  That is the case
+in most searches, 93 % at n=100, alpha=8 (s2gpa) and 87 % on the bench grid
+at n=50 (s2g), over 10 formulas each.
 
-The rest of a step is a fixed handful of numpy calls: the sum and division
-that give ``pi`` and, in preferential mode, its cumulative sum (in plain
-mode, one uniform draw per existing node).  At n=100, m=800 (s2gpa, medians
-over 20 builds, 2-core shared Xeon, Python 3.11) the set-up before the first
-link costs about 1.4 ms, 0.4 ms of it for the lists, and a step about 23 us:
-8 us for the fitness update, 3 us for the search (11 us in the 6 % of
-searches that find their clause in the lists), 4 us for ``pi`` and 8 us for
-the draw and its link.  The numpy calls are O(m), so a build is still
-O(m^2).  Normalized fitness and energies are computed once, from the final
-fitness, when the graph is frozen.  The temperature only scales those
-energies; it changes no edge, no insertion order and no energy ordering.
+The rest of a step is a fixed handful of numpy calls on the attachment
+weights: the sum and division that give ``pi`` and, in preferential mode,
+its cumulative sum and one ``searchsorted`` per draw (in plain mode, one
+uniform draw per existing node).  The counters are Python lists; only the
+weights, which numpy reads, are an ``array.array``.  At n=100, m=800
+(s2gpa, 2-core shared Xeon, Python 3.11, numpy 2.4) a formula's tables cost
+about 1.2 ms once.  The traced ``sweep_dense`` benchmark (ten builds per
+formula) reads medians of 0.19 ms for a build's set-up before the first
+link, 16 us for a step and 0.7 ms for freezing the graph, about half of it
+for the node records.  A copy of the loop with timers around each part
+(100 builds of 20 formulas) splits a step as 5 us for the fitness update, 3
+us for the search (11 us in the 6 % of searches that read the holders), 6
+us for ``pi`` and its cumulative sum and 4 us for the draw and its link.
+The numpy calls are O(m), so a build is still O(m^2).  Normalized fitness
+and energies are computed once, from the final fitness, when the graph is
+frozen.  The temperature only scales those energies; it changes no edge, no
+insertion order and no energy ordering.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from operator import itemgetter
 
 import numpy as np
 
-from .cnf import Formula, clause_code_array, formula_sha256
+from .cnf import Formula, formula_sha256
 from .graph import (
     FIRST_RANDOM,
     MODE_S2G,
@@ -69,18 +76,18 @@ from .graph import (
 
 
 class BuildState:
-    """Mutable construction state; arrays are indexed by clause index.
+    """Mutable construction state; counters are indexed by clause index.
 
-    The step writes Python scalars into ``array.array`` and ``bytearray``
-    storage.  ``freq``, ``fitness``, ``conn``, ``in_events`` and
-    ``out_events`` are read-only numpy views of that storage, so an
-    ``iteration_hook`` reads the current values without a copy.
+    The step keeps its counters in Python lists and only the attachment
+    weights, which numpy reads, in an ``array.array``.  ``freq``,
+    ``fitness``, ``conn``, ``in_events`` and ``out_events`` are read-only
+    numpy arrays made when read, so an ``iteration_hook`` may keep one: it
+    holds the values of the step that read it.
 
     ``add_clause`` keeps the local frequencies, fitness and fittest index
     current; ``link`` keeps connectivity and link events current.  Both keep
     each added clause's attachment weight, connectivity x fitness, at its
-    insertion position, so ``attachment_probabilities`` reads one contiguous
-    vector.
+    insertion position, so the step reads one contiguous vector.
     """
 
     def __init__(self, formula: Formula, cfg: BuilderConfig):
@@ -89,49 +96,58 @@ class BuildState:
         self.formula = formula
         self.cfg = cfg
         self.rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        self.codes = clause_code_array(formula)
+        # the formula's shared, read-only tables: literal codes, each
+        # clause's literal ids and each literal's holders
+        self.codes, self._rows, self._holders = formula.literal_tables
         m = formula.m
-        self._code_rows = self.codes.tolist()
-        # per literal code: every clause holding it, with how many times it
-        # does, in index order; and the added clauses holding it, one entry
-        # per slot, in joining order
-        holders = defaultdict(list)
-        for clause, row in enumerate(self._code_rows):
-            for code in row:
-                held = holders[code]
-                if held and held[-1][0] == clause:  # the clause repeats it
-                    held[-1] = (clause, held[-1][1] + 1)
-                else:
-                    held.append((clause, 1))
-        self._holders: dict[int, list[tuple[int, int]]] = holders
-        self._joined: dict[int, list[int]] = {code: [] for code in holders}
-        self._order = array("q", [0]) * m
+        # per literal id: the added clauses holding it, one entry per slot,
+        # in joining order
+        self._joined: list[list[int]] = [[] for _ in self._holders]
+        self._order: list[int] = []
         self._position = [0] * m
         self._added = bytearray(m)
         self._unadded = list(range(m))
         # an added clause that shares a literal with no unadded clause
         self._exhausted = -1
-        self._freq = array("q", [0]) * (2 * formula.n)
-        self._fitness = array("q", [0]) * m
-        self._conn = array("d", [0.0]) * m
-        self._in = array("q", [0]) * m
-        self._out = array("q", [0]) * m
+        self._freq = [0] * len(self._holders)
+        self._fitness = [0] * m
+        self._conn = [0.0] * m
+        self._in = [0] * m
+        self._out = [0] * m
         self._weight = array("d", [0.0]) * m
         self._newcomer_gain = 1.0 if cfg.mode == MODE_S2G else cfg.theta
-        self._order_view = _view(self._order, np.int64)
-        self._weight_view = _view(self._weight, float)
-        self.freq = _view(self._freq, np.int64)
-        self.fitness = _view(self._fitness, np.int64)
-        self.conn = _view(self._conn, float)
-        self.in_events = _view(self._in, np.int64)
-        self.out_events = _view(self._out, np.int64)
+        self._weight_view = np.frombuffer(self._weight, dtype=float)
+        self._weight_view.flags.writeable = False
         self.size = 0
         self.fittest = -1
-        self.edges: dict[tuple[int, int], list] = {}
+        self.edges: dict[tuple[int, int], GraphEdge] = {}
 
     def order_array(self) -> np.ndarray:
-        """Insertion order so far, as a read-only view."""
-        return self._order_view[: self.size]
+        """Insertion order so far."""
+        return _frozen(self._order, np.int64)
+
+    @property
+    def freq(self) -> np.ndarray:
+        """Local frequency of each literal code in [0, 2n) over the added
+        clauses."""
+        return _frozen(np.bincount(self.codes[self._order].ravel(),
+                                   minlength=2 * self.formula.n), np.int64)
+
+    @property
+    def fitness(self) -> np.ndarray:
+        return _frozen(self._fitness, np.int64)
+
+    @property
+    def conn(self) -> np.ndarray:
+        return _frozen(self._conn, float)
+
+    @property
+    def in_events(self) -> np.ndarray:
+        return _frozen(self._in, np.int64)
+
+    @property
+    def out_events(self) -> np.ndarray:
+        return _frozen(self._out, np.int64)
 
     def add_clause(self, clause: int):
         """Move a clause into the network and update local frequencies,
@@ -147,19 +163,19 @@ class BuildState:
         if added[clause]:
             raise ValueError(f"clause {clause} already added")
         position = self.size
-        self._order[position] = clause
+        self._order.append(clause)
         self._position[clause] = position
         self.size = position + 1
         added[clause] = 1
         unadded = self._unadded
         del unadded[bisect_left(unadded, clause)]
         freq = self._freq
-        codes = self._code_rows[clause]
-        for code in codes:
-            freq[code] += 1
+        literals = self._rows[clause]
+        for literal in literals:
+            freq[literal] += 1
         fit = 0
-        for code in codes:
-            fit += freq[code]
+        for literal in literals:
+            fit += freq[literal]
         fitness = self._fitness
         fitness[clause] = fit  # its weight stays 0 until it links
         conn = self._conn
@@ -167,15 +183,15 @@ class BuildState:
         where = self._position
         joined = self._joined
         best, leader = -1, clause
-        for code in codes:
-            for other in joined[code]:
+        for literal in literals:
+            for other in joined[literal]:
                 fit_other = fitness[other] + 1
                 fitness[other] = fit_other
                 weight[where[other]] = conn[other] * fit_other
                 if fit_other > best or (fit_other == best and other < leader):
                     best, leader = fit_other, other
-        for code in codes:
-            joined[code].append(clause)
+        for literal in literals:
+            joined[literal].append(clause)
         if fit > best or (fit == best and clause < leader):
             best, leader = fit, clause
         if self.fittest < 0:
@@ -190,11 +206,11 @@ class BuildState:
         The clause distance is k minus that size, and k for every clause
         absent here."""
         added = self._added
-        row = self._code_rows[t]
+        row = self._rows[t]
         matched: dict[int, int] = {}
-        for code in set(row):
-            a = row.count(code)
-            for other, b in self._holders[code]:
+        for literal in set(row):
+            a = row.count(literal)
+            for other, b in self._holders[literal]:
                 if not added[other]:
                     matched[other] = matched.get(other, 0) + (a if a < b else b)
         return matched
@@ -202,11 +218,11 @@ class BuildState:
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
         key = (newcomer, target) if newcomer < target else (target, newcomer)
-        entry = self.edges.get(key)
-        if entry is None:
-            self.edges[key] = [float(weight), 1]
+        edge = self.edges.get(key)
+        if edge is None:
+            self.edges[key] = GraphEdge(*key, float(weight))
         else:
-            entry[1] += 1  # repeated pair: keep first weight, bump multiplicity
+            edge.multiplicity += 1  # repeated pair: keep the first weight
         self._out[newcomer] += 1
         self._in[target] += 1
         # s2g gains 1 on both ends, so conn stays the plain degree there
@@ -220,10 +236,11 @@ class BuildState:
         self._weight[where[target]] = conn[target] * fitness[target]
 
 
-def _view(buffer, dtype) -> np.ndarray:
-    view = np.frombuffer(buffer, dtype=dtype)
-    view.flags.writeable = False
-    return view
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only array copy of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def select_first_clause(state: BuildState) -> int:
@@ -262,45 +279,23 @@ def find_closest_clause(state: BuildState, t: int) -> int:
     return ties[rng.integers(len(ties))]
 
 
-def attachment_probabilities(state: BuildState) -> np.ndarray:
-    """Per existing node, connectivity x fitness normalized to sum 1.
-
-    Aligned with the insertion order.  Undefined until at least one link
-    exists (the forced first edge guarantees that from step two on).
-    """
-    weights = state._weight_view[: state.size]
-    total = np.add.reduce(weights)
-    if not total > 0:
-        raise RuntimeError("attachment probabilities undefined before the first edge")
-    return weights / total
-
-
-def preferential_draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample x in (0, 1] and return the first index whose cumulative
-    probability reaches x."""
-    x = 1.0 - rng.random()
-    return min(int(cumulative.searchsorted(x)), len(cumulative) - 1)
-
-
 def _freeze(state: BuildState) -> ClauseGraph:
     cfg = state.cfg
     header = vars(cfg)
     if cfg.mode == MODE_S2G:  # s2g graphs carry no theta or rho
         header = {**header, "theta": None, "rho": None}
-    order = state.order_array()
-    fits = state.fitness[order]
-    columns = (fits, *fitness_columns(fits, cfg.temperature), state.conn[order],
-               state.in_events[order], state.out_events[order])
+    order = state._order
+    pick = itemgetter(*order)  # m >= 2, so each pick is a tuple
+    fits = pick(state._fitness)
+    normalized, energy = fitness_columns(np.array(fits), cfg.temperature)
     return ClauseGraph(
         **header,
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
-        nodes=list(map(GraphNode, order.tolist(), *(c.tolist() for c in columns))),
-        edges={
-            (u, v): GraphEdge(u, v, weight, multiplicity)
-            for (u, v), (weight, multiplicity) in state.edges.items()
-        },
+        nodes=list(map(GraphNode, order, fits, normalized.tolist(), energy.tolist(),
+                       pick(state._conn), pick(state._in), pick(state._out))),
+        edges=state.edges,
     )
 
 
@@ -309,8 +304,8 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
 
     ``iteration_hook(state, pi)``, when given, runs after each step from the
     second clause on, with the attachment probabilities that step used.  Each
-    step hands it a new ``pi`` array, so the hook may keep it; the state's
-    arrays are read-only views that later steps keep writing.
+    step hands it a new ``pi`` array, and the state's arrays are read-only
+    copies made when read, so the hook may keep any of them.
     """
     if formula.m < 2:
         raise ValueError("need at least 2 clauses to build a network")
@@ -330,20 +325,39 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
 
     m = formula.m
     s2g = cfg.mode == MODE_S2G
-    add_clause, link, random = state.add_clause, state.link, rng.random
-    existing = state._order
-    while state.size < m:
-        newcomer = find_closest_clause(state, state.fittest)
-        pi = attachment_probabilities(state)
+    draws = range(cfg.rho)
+    add_clause, link, random, integers = state.add_clause, state.link, rng.random, rng.integers
+    existing, unadded, weights = state._order, state._unadded, state._weight_view
+    size = state.size
+    while size < m:
+        # the joiner; an exhausted target's is a uniform unadded clause
+        t = state.fittest
+        if t == state._exhausted:
+            newcomer = unadded[integers(len(unadded))]
+        else:
+            newcomer = find_closest_clause(state, t)
+        # attachment probabilities over the existing nodes, in insertion
+        # order: connectivity x fitness, normalized
+        current = weights[:size]
+        total = np.add.reduce(current)
+        if not total > 0:
+            raise RuntimeError("attachment probabilities undefined before the first edge")
+        pi = current / total
         add_clause(newcomer)
         if s2g:
-            for j in (random(len(pi)) < pi).nonzero()[0].tolist():
+            for j in (random(size) < pi).nonzero()[0].tolist():
                 link(newcomer, existing[j], pi.item(j))
         else:
-            cumulative = pi.cumsum()
-            for _ in range(cfg.rho):
-                j = preferential_draw(cumulative, rng)
+            # x in (0, 1] lands on the first node whose cumulative
+            # probability reaches it; rounding short of 1 means the last
+            cumulative = np.add.accumulate(pi)
+            last = size - 1
+            for _ in draws:
+                j = int(cumulative.searchsorted(1.0 - random()))
+                if j > last:
+                    j = last
                 link(newcomer, existing[j], pi.item(j))
+        size += 1
         if iteration_hook is not None:
             iteration_hook(state, pi)
     return _freeze(state)

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +48,29 @@ def is_real(value) -> bool:
     return (type(value) is int or isinstance(value, float)) and -big <= value <= big
 
 
+class LiteralTables(NamedTuple):
+    """What every network build of one formula reads, read-only.
+
+    ``codes`` is the (m, k) int64 array of dense literal codes in [0, 2n):
+    x -> 2(x-1) and -x -> 2(x-1)+1, not writeable.  Each distinct literal of
+    the formula also has an id, its rank among the codes that occur; ``rows``
+    holds each clause's ids, one per slot, and ``holders[id]`` every clause
+    holding that literal with how many times it does, in index order.
+    """
+
+    codes: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
+    holders: tuple[tuple[tuple[int, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
     length k >= 1, whose literals are nonzero ints in [-n, n].
 
-    Its ``formula_sha256`` digest and ``duplicate_vars`` are computed on
-    first use and cached on the instance: not fields, and dropped when the
-    formula is pickled.
+    Its ``formula_sha256`` digest, ``duplicate_vars`` and ``literal_tables``
+    are computed on first use and cached on the instance: not fields, and
+    dropped when the formula is pickled.
     """
 
     n: int
@@ -96,6 +112,26 @@ class Formula:
         """Whether some clause repeats a variable, with either sign; parsed
         formulas may, generated formulas never do."""
         return any(len(set(map(abs, clause))) < len(clause) for clause in self.clauses)
+
+    @cached_property
+    def literal_tables(self) -> LiteralTables:
+        """The literal codes, rows and holders the builder reads; computed
+        once, so every build of this formula shares them."""
+        m, k = self.m, self.k
+        signed = np.fromiter(chain.from_iterable(self.clauses), np.int64, m * k).reshape(m, k)
+        codes = 2 * (np.abs(signed) - 1) + (signed < 0)
+        codes.flags.writeable = False
+        distinct, ids = np.unique(codes, return_inverse=True)
+        rows = tuple(map(tuple, ids.reshape(m, k).tolist()))
+        holders = [[] for _ in distinct]
+        for clause, row in enumerate(rows):
+            for literal in row:
+                held = holders[literal]
+                if held and held[-1][0] == clause:  # the clause repeats it
+                    held[-1] = (clause, held[-1][1] + 1)
+                else:
+                    held.append((clause, 1))
+        return LiteralTables(codes, rows, tuple(map(tuple, holders)))
 
     @cached_property
     def _sha256(self) -> str:
@@ -296,11 +332,3 @@ def evaluate(formula: Formula, values) -> tuple[int, list[int]]:
     true = {v if value else -v for v, value in enumerate(values, 1)}
     unsat = [i for i, clause in enumerate(formula.clauses) if true.isdisjoint(clause)]
     return formula.m - len(unsat), unsat
-
-
-def clause_code_array(formula: Formula) -> np.ndarray:
-    """(m, k) int array of dense literal codes in [0, 2n), used by the numeric
-    kernels: x -> 2(x-1) and -x -> 2(x-1)+1, read from the clauses' signed
-    ints."""
-    signed = np.array(formula.clauses, dtype=np.int64).reshape(formula.m, formula.k)
-    return 2 * (np.abs(signed) - 1) + (signed < 0)

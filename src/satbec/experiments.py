@@ -58,8 +58,10 @@ class SweepConfig:
         _check_grid(self, builds=True)
         if list(self.alphas) != sorted(self.alphas):
             raise ValueError("alphas must be ascending")
-        if not is_count(self.graphs_per_instance, 1):
-            raise ValueError("graphs_per_instance must be an int >= 1")
+        graphs = self.graphs_per_instance
+        if not (is_count(graphs, 1) and graphs <= MAX_COUNT):
+            raise ValueError(
+                f"graphs_per_instance must be an int >= 1 and <= {MAX_COUNT}, got {graphs!r}")
 
     def builder_config(self, seed: int) -> BuilderConfig:
         return _builder_config(self, self.mode, seed)
@@ -81,10 +83,10 @@ class SweepRecord:
 def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
     """The checks a sweep and a bench config share: n_values and alphas are
     tuples, so the frozen config hashes, n_values, k, instances and seed_root
-    are counts, the alphas positive reals, every (n, alpha) point can draw k
-    distinct variables per clause, at most ``MAX_COUNT`` clauses and, when
-    ``builds``, the 2 clauses a network needs, and the builder settings are
-    valid."""
+    are counts, n_values and instances at most ``MAX_COUNT``, the alphas
+    positive reals, every (n, alpha) point can draw k distinct variables per
+    clause, at most ``MAX_COUNT`` clauses and, when ``builds``, the 2 clauses
+    a network needs, and the builder settings are valid."""
     if type(cfg.n_values) is not tuple or type(cfg.alphas) is not tuple:
         raise ValueError("n_values and alphas must be tuples")
     if not cfg.n_values or not all(is_count(n, 1) and n <= MAX_COUNT for n in cfg.n_values):
@@ -99,8 +101,9 @@ def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
         raise ValueError(f"k must be an int in [1, {min(cfg.n_values)}], the smallest n")
     if builds and any(clause_count(n, a) < 2 for n in cfg.n_values for a in cfg.alphas):
         raise ValueError("every (n, alpha) point needs at least 2 clauses to build a network")
-    if not is_count(cfg.instances, 1):
-        raise ValueError("instances must be an int >= 1")
+    if not (is_count(cfg.instances, 1) and cfg.instances <= MAX_COUNT):
+        raise ValueError(
+            f"instances must be an int >= 1 and <= {MAX_COUNT}, got {cfg.instances!r}")
     if not is_count(cfg.seed_root):
         raise ValueError("seed_root must be a non-negative integer")
     cfg.builder_config(0)
@@ -246,8 +249,9 @@ class BenchConfig:
         if type(self.alphas) is tuple and not self.alphas:
             object.__setattr__(self, "alphas", default_alpha_grid(self.k))
         _check_grid(self, builds=any(s in solver.ORDERED_SOLVERS for s in self.solvers))
-        if not is_count(self.budget):
-            raise ValueError("budget must be a non-negative integer")
+        if not (is_count(self.budget) and self.budget <= MAX_COUNT):
+            raise ValueError(f"budget must be a non-negative integer <= {MAX_COUNT}, "
+                             f"got {self.budget!r}")
         solver.flip_probabilities(self.k, self.p1, self.p2)
 
     def builder_config(self, seed: int) -> BuilderConfig:

@@ -26,7 +26,7 @@ from operator import add, attrgetter, itemgetter, ne
 
 import numpy as np
 
-from .cnf import is_count, is_real
+from .cnf import MAX_COUNT, is_count, is_real
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -61,8 +61,8 @@ class BuilderConfig:
             raise ValueError("temperature must be positive and finite")
         if not (is_real(self.theta) and 0.0 < self.theta < 1.0):
             raise ValueError("theta must lie strictly between 0 and 1")
-        if not is_count(self.rho, 1):
-            raise ValueError("rho must be an integer >= 1")
+        if not (is_count(self.rho, 1) and self.rho <= MAX_COUNT):
+            raise ValueError(f"rho must be an int >= 1 and <= {MAX_COUNT}, got {self.rho!r}")
         if not is_count(self.seed):
             raise ValueError("seed must be a non-negative integer")
         if self.first_clause_rule not in FIRST_CLAUSE_RULES:
@@ -92,7 +92,7 @@ class GraphNode:
         return self.in_events + self.out_events
 
 
-@dataclass(frozen=True)
+@dataclass
 class GraphEdge:
     u: int
     v: int

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .cnf import Formula, evaluate, formula_sha256, is_count, is_real
+from .cnf import MAX_COUNT, Formula, evaluate, formula_sha256, is_count, is_real
 from .graph import ClauseGraph
 
 SOLVERS = ("chainsat", "lc", "nlc")
@@ -138,7 +138,9 @@ def solve(
     leaves or reaches 0, one occurrence at a time as the scan counts: a true
     literal held twice gives ``nt == 2``, no break, and a clause with x and
     -x passes through 0 between the two loops, its counts netting out as
-    the unsat list and the heap do.
+    the unsat list and the heap do.  So v's true occurrences hold exactly
+    ``breaks[v]`` critical clauses, and a chain step's uniform pick draws
+    r below that count before it scans, stopping at the r-th.
     """
     if algo not in SOLVERS:
         raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
@@ -148,8 +150,8 @@ def solve(
         order = None
     elif order is None:
         raise ValueError(f"solver {algo} needs a clause order")
-    if not is_count(budget):
-        raise ValueError("budget must be a non-negative integer")
+    if not (is_count(budget) and budget <= MAX_COUNT):
+        raise ValueError(f"budget must be a non-negative integer <= {MAX_COUNT}, got {budget!r}")
     digest = formula_sha256(formula)
     m = formula.m
     p1, p2 = flip_probabilities(formula.k, p1, p2)
@@ -284,28 +286,36 @@ def solve(
             if trajectory is not None:
                 trajectory.append(len(unsat))
         elif de > 0 and random_() < chain_p:
-            # the clauses v alone satisfies; de > 0 means there is one
-            critical = []
+            # the clauses v alone satisfies, breaks[v] >= 1 of them among
+            # v's true occurrences: the best-ranked unvisited one, else the
+            # r-th, found by a scan that stops there
+            occurrences = occ[v if assign[v] else -v]
             best = -1
-            best_rank = m + 1
-            for c in occ[v if assign[v] else -v]:
-                if nt[c] == 1:
-                    critical.append(c)
-                    if not sat_bits[c] and rank_pos[c] < best_rank:
+            if rank_pos is not None:
+                best_rank = m + 1
+                for c in occurrences:
+                    if nt[c] == 1 and not sat_bits[c] and rank_pos[c] < best_rank:
                         best_rank = rank_pos[c]
                         best = c
             if best >= 0:
                 sat_bits[best] = 1
                 c = best
             else:
-                size = len(critical)
-                if not size:  # the kept counts disagree with the clauses
-                    raise RuntimeError(f"variable {v} keeps breaks but no critical clause")
+                size = breaks[v]
                 bits = size.bit_length()
                 r = getrandbits(bits)
                 while r >= size:
                     r = getrandbits(bits)
-                c = critical[r]
+                left = r
+                for c in occurrences:
+                    if nt[c] == 1:
+                        if not left:
+                            break
+                        left -= 1
+                else:  # the kept counts disagree with the clauses
+                    raise RuntimeError(
+                        f"variable {v} keeps {size} breaks but no critical clause number {r + 1}"
+                    )
             key = c * n1 + v
             others = others_of.get(key)
             if others is None:

@@ -9,10 +9,11 @@ byte-identical graphs and the same per-step state.
 
 The oracle takes only the config type, the seeded generator, the graph
 types and the scalar ``clause_distance`` from the package: literal codes
-(``literal_code``, also the reference for ``clause_code_array``), the
+(``literal_code``, also the reference for ``Formula.literal_tables``), the
 distance matrix, attachment probabilities, the preferential draw and the
-frozen graph are computed here, so a fault in the package's versions shows
-up as a difference.  In particular the distances the package's search reads
+frozen graph are computed here, so a fault in the package's step loop,
+which computes the probabilities and the draw inline, shows up as a
+difference.  In particular the distances the package's search reads
 from its per-literal clause lists (``BuildState.matches``) are checked
 against ``clause_distance`` pair by pair whenever a clause repeats a
 variable.

@@ -5,6 +5,9 @@ clause).  SAMPLE_20 has 20 clauses over 20 variables (dense, several hubs).
 Both are used as hand-checkable oracles across the module tests.
 """
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from satbec.builder import BuilderConfig, BuildState
@@ -84,6 +87,27 @@ def degrees(graph):
         out[u] += 1
         out[v] += 1
     return out
+
+
+class StillRunning(Exception):
+    """A run outlived its ``deadline``."""
+
+
+@contextmanager
+def deadline(seconds=5):
+    """Raise ``StillRunning`` in the block once ``seconds`` have passed, so a
+    run that would not end fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def state_with(formula, added=(), **cfg):

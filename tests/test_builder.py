@@ -1,7 +1,10 @@
 """Network construction: config validation, attachment machinery, both modes."""
 
 import math
+import pickle
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +13,15 @@ from hypothesis import strategies as st
 
 from conftest import components, degrees, formula_from_signed, state_with
 from test_builder_oracle import formulas
+from satbec import builder
 from satbec.builder import (
     BuildState,
     BuilderConfig,
-    attachment_probabilities,
     build_graph,
     find_closest_clause,
-    preferential_draw,
     select_first_clause,
 )
-from satbec.cnf import generate_random
+from satbec.cnf import generate_random, parse_dimacs, serialize_dimacs
 from satbec.graph import (
     MODE_S2G,
     MODE_S2GPA,
@@ -191,44 +193,50 @@ def test_repeated_literal_adds_product_to_fitness_and_min_to_distance():
 
 
 def test_attachment_probabilities_proportional_to_conn_times_fitness():
-    # fitness 5, 3, 5; four links from clause 0 to clause 1 at theta 0.5 give
-    # connectivity 2, 4, 0, so the weights are 10, 12, 0
+    # the seed is clause 0 or 2 (fitness 5 each, clause 1 has 3), and the
+    # other joins it by the forced edge; both then have fitness 5 and
+    # connectivity 1 and 1 (s2g) or 1 and theta = 0.5 (s2gpa), in insertion
+    # order, so clause 1 sees weights 5, 5 or 5, 2.5
     f = formula_from_signed([(1, 2, 3), (4, 5, 6), (1, 2, 7)], 7)
-    state = state_with(f, [0, 1, 2], mode=MODE_S2GPA, theta=0.5)
-    for _ in range(4):
-        state.link(0, 1, 1.0)
-    assert state.fitness.tolist() == [5, 3, 5]
-    assert state.conn.tolist() == [2.0, 4.0, 0.0]
-    pi = attachment_probabilities(state)
-    assert pi == pytest.approx([10 / 22, 12 / 22, 0.0])
-    assert pi.sum() == pytest.approx(1.0)
+    for mode, expected in ((MODE_S2G, [1 / 2, 1 / 2]), (MODE_S2GPA, [2 / 3, 1 / 3])):
+        for seed in range(6):
+            seen = []
+            cfg = BuilderConfig(mode=mode, theta=0.5, first_clause_rule="fittest", seed=seed)
+            g = build_graph(f, cfg, iteration_hook=lambda state, pi: seen.append(pi))
+            assert g.insertion_order[2] == 1
+            assert seen[-1].tolist() == pytest.approx(expected, rel=1e-15)
 
 
-def test_attachment_probabilities_need_an_edge():
-    f = formula_from_signed([(1, 2, 3), (4, 5, 6)], 6)
-    state = BuildState(f, BuilderConfig())
-    state.add_clause(0)
-    with pytest.raises(RuntimeError):
-        attachment_probabilities(state)
+def numpy_with_add(**methods):
+    """numpy, but with the named methods of ``np.add`` replaced."""
+
+    class Shim:
+        add = SimpleNamespace(**{"reduce": np.add.reduce, "accumulate": np.add.accumulate,
+                                 **methods})
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    return Shim()
 
 
-def test_preferential_draw_frequencies():
-    cumulative = np.array([0.25, 1.0])
-    rng = np.random.Generator(np.random.PCG64(6))
-    draws = [preferential_draw(cumulative, rng) for _ in range(10_000)]
-    assert set(draws) == {0, 1}
-    second = sum(draws)
-    assert 7200 < second < 7800  # binomial(1e4, 0.75), +-3 sigma is ~130
-    # same seed, same stream
-    rng = np.random.Generator(np.random.PCG64(6))
-    assert [preferential_draw(cumulative, rng) for _ in range(10_000)] == draws
+def test_attachment_probabilities_need_an_edge(monkeypatch):
+    # the forced first edge makes every later total positive, so only a
+    # numpy whose sums read 0 reaches the guard
+    monkeypatch.setattr(builder, "np", numpy_with_add(reduce=lambda weights: 0.0))
+    with pytest.raises(RuntimeError, match="before the first edge"):
+        build_graph(generate_random(0, 3, 10, 5), BuilderConfig())
 
 
-def test_preferential_draw_rounds_into_last_bin():
-    # cumulative that falls short of 1.0 still lands in range
-    cumulative = np.array([0.3, 0.99])
-    rng = np.random.Generator(np.random.PCG64(7))
-    assert all(preferential_draw(cumulative, rng) in (0, 1) for _ in range(2000))
+def test_a_draw_past_the_cumulative_end_links_the_last_node(monkeypatch):
+    # rounding can leave the cumulative sum short of a draw, which then takes
+    # the last existing node; with every cumulative sum read as 0, each
+    # newcomer links to the node that joined just before it
+    monkeypatch.setattr(builder, "np", numpy_with_add(accumulate=np.zeros_like))
+    g = build_graph(generate_random(1, 3, 10, 30), BuilderConfig(mode=MODE_S2GPA, seed=2))
+    rank = {clause: r for r, clause in enumerate(g.insertion_order)}
+    pairs = sorted(sorted((rank[u], rank[v])) for u, v in g.edges)
+    assert pairs == [[r, r + 1] for r in range(29)]
 
 
 def hook_recorder():
@@ -376,6 +384,66 @@ def test_hook_probabilities_are_not_reused(mode):
     assert len(kept) == f.m - 1
     for pi, copy in zip(kept, copies):
         assert np.array_equal(pi, copy)
+
+
+@pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])
+def test_hook_arrays_keep_their_step_values(mode):
+    # each array a hook reads is its own read-only copy: a later step
+    # neither writes into it nor lets the hook write into the build
+    f = generate_random(19, 3, 15, 50)
+    kept, copies = [], []
+
+    def hook(state, pi):
+        arrays = (state.fitness, state.conn, state.in_events, state.out_events)
+        kept.append(arrays)
+        copies.append([np.array(a, copy=True) for a in arrays])
+
+    build_graph(f, BuilderConfig(mode=mode, rho=2, seed=26), iteration_hook=hook)
+    assert len(kept) == f.m - 1
+    for arrays, copy in zip(kept, copies):
+        for array, values in zip(arrays, copy):
+            assert np.array_equal(array, values)
+            with pytest.raises(ValueError):
+                array[0] = 1
+    assert not np.array_equal(kept[0][1], kept[-1][1])
+
+
+DUPVAR = Path(__file__).resolve().parent / "golden" / "dupvar.cnf"
+
+
+@pytest.mark.parametrize("text", [serialize_dimacs(generate_random(27, 3, 20, 90)),
+                                  DUPVAR.read_text(encoding="utf-8")], ids=["random", "dupvar"])
+def test_builds_sharing_a_formula_equal_builds_on_fresh_formulas(text):
+    # every build of one formula object reads its cached tables; no order
+    # of builds may change what a later build gives
+    configs = [
+        BuilderConfig(mode=mode, rho=rho, first_clause_rule=rule, seed=seed)
+        for mode in (MODE_S2G, MODE_S2GPA)
+        for rho in (1, 3)
+        for rule in ("random", "fittest")
+        for seed in (0, 7)
+    ]
+    shared = parse_dimacs(text)
+    forward = [graph_to_json(build_graph(shared, cfg)) for cfg in configs]
+    backward = [graph_to_json(build_graph(shared, cfg)) for cfg in reversed(configs)]
+    fresh = [graph_to_json(build_graph(parse_dimacs(text), cfg)) for cfg in configs]
+    assert forward == backward[::-1] == fresh
+
+
+def test_literal_tables_are_read_only_and_not_pickled():
+    f = parse_dimacs(DUPVAR.read_text(encoding="utf-8"))
+    cfg = BuilderConfig(mode=MODE_S2GPA, rho=3, seed=4)
+    built = graph_to_json(build_graph(f, cfg))
+    codes, rows, holders = f.literal_tables
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0, 0] = 1
+    assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
+    assert type(holders) is tuple and {type(held) for held in holders} == {tuple}
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f
+    assert set(vars(back)) == {"n", "clauses"}
+    assert graph_to_json(build_graph(back, cfg)) == built
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builder_oracle import OracleState, distance_matrix, oracle_build, update_fitness
+from builder_oracle import (
+    OracleState,
+    distance_matrix,
+    oracle_build,
+    preferential_draw,
+    update_fitness,
+)
 from conftest import formula_from_signed
 from satbec.builder import BuilderConfig, BuildState, build_graph
-from satbec.cnf import clause_code_array, generate_random, parse_dimacs
+from satbec.cnf import generate_random, parse_dimacs
 from satbec.graph import MODE_S2G, MODE_S2GPA, graph_to_json
 
 
@@ -88,7 +94,7 @@ def test_matches_give_dense_distance_matrix(formula):
         for other, count in state.matches(t).items():
             dense[t, other] = k - count
     assert np.all(np.diagonal(dense) == 0)
-    expected = distance_matrix(formula, clause_code_array(formula))
+    expected = distance_matrix(formula, formula.literal_tables.codes)
     off_diagonal = ~np.eye(m, dtype=bool)
     assert np.array_equal(dense[off_diagonal], expected[off_diagonal])
 
@@ -115,3 +121,22 @@ def test_update_fitness_incumbent_rule():
     assert state.fitness[list(state.order)].tolist() == [3, 6, 6]
     assert state.normalized[0] == pytest.approx(0.5)
     assert state.energy[1] == 0.0
+
+
+def test_preferential_draw_frequencies():
+    cumulative = np.array([0.25, 1.0])
+    rng = np.random.Generator(np.random.PCG64(6))
+    draws = [preferential_draw(cumulative, rng) for _ in range(10_000)]
+    assert set(draws) == {0, 1}
+    second = sum(draws)
+    assert 7200 < second < 7800  # binomial(1e4, 0.75), +-3 sigma is ~130
+    # same seed, same stream
+    rng = np.random.Generator(np.random.PCG64(6))
+    assert [preferential_draw(cumulative, rng) for _ in range(10_000)] == draws
+
+
+def test_preferential_draw_rounds_into_last_bin():
+    # cumulative that falls short of 1.0 still lands in range
+    cumulative = np.array([0.3, 0.99])
+    rng = np.random.Generator(np.random.PCG64(7))
+    assert all(preferential_draw(cumulative, rng) in (0, 1) for _ in range(2000))

@@ -16,6 +16,7 @@ from satbec import __version__, cli
 from satbec.cli import main
 from satbec.experiments import BenchConfig, BenchReport, SweepConfig
 from satbec.solver import DEFAULT_BUDGET, DESK_BUDGET, SOLVERS
+from conftest import deadline
 from test_graph import SETTINGS_TAMPERS, tamper_id
 
 
@@ -360,6 +361,41 @@ def test_bad_sweep_and_bench_settings_are_usage_errors(tmp_path, capsys, argv, i
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == ([config] if ini is not None else [])
+
+
+LARGE = str(2**70)  # above cnf.MAX_COUNT
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (("build", "--mode", "s2gpa", "--rho", LARGE), None),
+        (("solve", "--budget", LARGE), None),
+        (BENCH + ("--budget", LARGE), None),
+        (BENCH + ("--instances", LARGE), None),
+        (SWEEP + ("--graphs", LARGE), None),
+        (("sweep", "--jobs", "1"), SMALL_INI + f"[builder]\nmode = s2gpa\nrho = {LARGE}\n"),
+        (("sweep", "--jobs", "1"), SMALL_INI.replace("instances = 1", f"instances = {LARGE}")),
+        (("sweep", "--jobs", "1"), SMALL_INI.replace("graphs = 1", f"graphs = {LARGE}")),
+    ],
+    ids=["build-rho", "solve-budget", "bench-budget", "bench-instances", "sweep-graphs",
+         "sweep-ini-rho", "sweep-ini-instances", "sweep-ini-graphs"],
+)
+def test_a_work_count_above_the_cap_is_a_usage_error(tmp_path, cnf, capsys, argv, ini):
+    # each count is work to do, so one this large must be refused before
+    # any of it starts
+    if argv[0] in ("build", "solve"):
+        argv += ("--in", str(cnf))
+    if ini is not None:
+        config = tmp_path / "sweep.ini"
+        config.write_text(ini, encoding="utf-8")
+        argv += ("--config", str(config))
+    before = sorted(tmp_path.iterdir())
+    with deadline(5):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"<= 2147483647, got {LARGE}" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bench_tiny_grid(tmp_path):

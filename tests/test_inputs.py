@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from satbec.builder import BuilderConfig
 from satbec.cnf import Formula, generate_random
 from satbec.experiments import BenchConfig, SweepConfig, benchmark, sweep
 from satbec.seeding import derive_seed
 from satbec.solver import ClauseOrder, flip_probabilities, solve
 
-# a valid seed or budget this large would start real work, so it is never
-# drawn for one
+# a valid seed this large would start real work, so it is never drawn for
+# one; a budget this large is above cnf.MAX_COUNT and refused
 LARGE = 2**70
 HOSTILE = (0, -1, LARGE, 1e308, math.nan, math.inf, -math.inf, "", "x", None, True, 1.5,
            np.int64(3), np.float32(0.5))
-WORK = {"seed", "seed_root", "budget", "root"}
+WORK = {"seed", "seed_root", "root"}
 
 FORMULA = generate_random(1, 3, 10, 20)
 ORDER = ClauseOrder(rank=tuple(range(FORMULA.m)))
@@ -61,7 +62,8 @@ def test_a_hostile_value_is_returned_or_refused_with_a_value_error(call, data):
         [v for v in HOSTILE if not (field in WORK and v is LARGE)]), label="value")
     kwargs = {**valid, field: (value,) if field in tuples else value}
     try:
-        fn(**kwargs)
+        with deadline(5):
+            fn(**kwargs)
     except ValueError:
         pass
 
