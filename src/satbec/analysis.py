@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -29,19 +28,20 @@ class PhaseLabel:
 def winner(graph: ClauseGraph) -> int:
     """Clause index of the node with maximal connectivity; ties go to the
     earliest-inserted node."""
-    if not graph.nodes:
+    connectivity = graph.nodes.connectivity
+    if not connectivity:
         raise ValueError("graph has no nodes")
-    # max keeps the first of equal maxima
-    return max(graph.nodes, key=attrgetter("connectivity")).clause
+    return graph.nodes.clause[connectivity.index(max(connectivity))]
 
 
 def fraction_winner(graph: ClauseGraph) -> float:
     """Share of simple edges incident to the winner node."""
-    if not graph.edges:
+    edges = graph.edges
+    if not edges.u:
         raise ValueError("graph has no edges")
     w = winner(graph)
-    incident = sum(1 for (u, v) in graph.edges if w in (u, v))
-    return incident / len(graph.edges)
+    # an edge joins two distinct nodes, so no edge is counted twice
+    return (edges.u.count(w) + edges.v.count(w)) / len(edges.u)
 
 
 def label_for_fraction(fraction: float) -> Phase:
@@ -66,12 +66,11 @@ def nonwinner_stats(graph: ClauseGraph) -> tuple[float, float]:
     A constant population short-circuits to deviation exactly 0.0, which
     floating-point summation would not always deliver.
     """
-    if len(graph.nodes) < 2:
+    nodes = graph.nodes
+    if len(nodes.clause) < 2:
         raise ValueError("need at least 2 nodes for non-winner statistics")
-    w = winner(graph)
-    values = np.array(
-        [node.connectivity for node in graph.nodes if node.clause != w], dtype=float
-    )
+    w = nodes.clause.index(winner(graph))
+    values = np.array(nodes.connectivity[:w] + nodes.connectivity[w + 1:], dtype=float)
     if np.all(values == values[0]):
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std())

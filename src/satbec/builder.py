@@ -43,9 +43,9 @@ uniform draw per existing node).  The counters are Python lists; only the
 weights, which numpy reads, are an ``array.array``.  At n=100, m=800
 (s2gpa, 2-core shared Xeon, Python 3.11, numpy 2.4) a formula's tables cost
 about 1.2 ms once.  The traced ``sweep_dense`` benchmark (ten builds per
-formula) reads medians of 0.19 ms for a build's set-up before the first
-link, 16 us for a step and 0.7 ms for freezing the graph, about half of it
-for the node records.  A copy of the loop with timers around each part
+formula) reads medians of 0.22 ms for a build's set-up before the first
+link, 18 us for a step and 1.1 ms for freezing the graph, a fifth of it for
+sorting the edge pairs.  A copy of the loop with timers around each part
 (100 builds of 20 formulas) splits a step as 5 us for the fitness update, 3
 us for the search (11 us in the 6 % of searches that read the holders), 6
 us for ``pi`` and its cumulative sum and 4 us for the draw and its link.
@@ -69,8 +69,8 @@ from .graph import (
     MODE_S2G,
     BuilderConfig,
     ClauseGraph,
-    GraphEdge,
-    GraphNode,
+    EdgeColumns,
+    NodeColumns,
     fitness_columns,
 )
 
@@ -120,7 +120,8 @@ class BuildState:
         self._weight_view.flags.writeable = False
         self.size = 0
         self.fittest = -1
-        self.edges: dict[tuple[int, int], GraphEdge] = {}
+        # (u, v) with u < v -> [weight of the first event, multiplicity]
+        self.edges: dict[tuple[int, int], list] = {}
 
     def order_array(self) -> np.ndarray:
         """Insertion order so far."""
@@ -218,11 +219,7 @@ class BuildState:
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
         key = (newcomer, target) if newcomer < target else (target, newcomer)
-        edge = self.edges.get(key)
-        if edge is None:
-            self.edges[key] = GraphEdge(*key, float(weight))
-        else:
-            edge.multiplicity += 1  # repeated pair: keep the first weight
+        self.edges.setdefault(key, [float(weight), 0])[1] += 1  # a repeat keeps the first weight
         self._out[newcomer] += 1
         self._in[target] += 1
         # s2g gains 1 on both ends, so conn stays the plain degree there
@@ -288,14 +285,15 @@ def _freeze(state: BuildState) -> ClauseGraph:
     pick = itemgetter(*order)  # m >= 2, so each pick is a tuple
     fits = pick(state._fitness)
     normalized, energy = fitness_columns(np.array(fits), cfg.temperature)
+    pairs = sorted(state.edges)  # the forced first edge makes this non-empty
     return ClauseGraph(
         **header,
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
-        nodes=list(map(GraphNode, order, fits, normalized.tolist(), energy.tolist(),
-                       pick(state._conn), pick(state._in), pick(state._out))),
-        edges=state.edges,
+        nodes=NodeColumns(tuple(order), fits, tuple(normalized.tolist()), tuple(energy.tolist()),
+                          *map(pick, (state._conn, state._in, state._out))),
+        edges=EdgeColumns(*zip(*pairs), *zip(*map(state.edges.__getitem__, pairs))),
     )
 
 
@@ -310,7 +308,6 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
     if formula.m < 2:
         raise ValueError("need at least 2 clauses to build a network")
     state = BuildState(formula, cfg)
-    rng = state.rng
 
     first = select_first_clause(state)
     state.add_clause(first)
@@ -326,16 +323,11 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
     m = formula.m
     s2g = cfg.mode == MODE_S2G
     draws = range(cfg.rho)
-    add_clause, link, random, integers = state.add_clause, state.link, rng.random, rng.integers
-    existing, unadded, weights = state._order, state._unadded, state._weight_view
+    add_clause, link, random = state.add_clause, state.link, state.rng.random
+    existing, weights = state._order, state._weight_view
     size = state.size
     while size < m:
-        # the joiner; an exhausted target's is a uniform unadded clause
-        t = state.fittest
-        if t == state._exhausted:
-            newcomer = unadded[integers(len(unadded))]
-        else:
-            newcomer = find_closest_clause(state, t)
+        newcomer = find_closest_clause(state, state.fittest)
         # attachment probabilities over the existing nodes, in insertion
         # order: connectivity x fitness, normalized
         current = weights[:size]

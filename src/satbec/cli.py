@@ -282,7 +282,7 @@ def _cmd_build(args):
         graph = build_graph(formula, cfg)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    if not all(is_real(node.energy) for node in graph.nodes):
+    if not all(map(is_real, graph.nodes.energy)):
         raise DataError(f"temperature {cfg.temperature!r} gives an energy too large for a float")
     _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
 

@@ -1,17 +1,18 @@
 """Clause network model, its build settings, and its particle-spectrum view.
 
-Nodes are clauses of one formula, added in a recorded insertion order.  Each
-node is one flat record: the clause's final raw fitness, normalized fitness
-eta and energy -T ln eta, as in the Bianconi-Barabasi fitness model, plus a
-real-valued connectivity and its link events.  Edges are simple; repeated
-link events between the same pair raise a multiplicity counter and keep the
-weight of the first event.  Every link event deposits one particle on each
-endpoint, so a node's particle count is its total number of endpoint events
-and the graph conserves 2 x (link events) particles overall.
+Nodes are clauses of one formula, added in a recorded insertion order.  A
+graph is one frozen record of node and edge columns: per node the clause's
+final raw fitness, normalized fitness eta and energy -T ln eta, as in the
+Bianconi-Barabasi fitness model, plus a real-valued connectivity and its
+link events.  Edges are simple; repeated link events between the same pair
+raise a multiplicity counter and keep the weight of the first event.  Every
+link event deposits one particle on each endpoint, so a node's particle
+count is its total number of endpoint events and the graph conserves 2 x
+(link events) particles overall.
 
-The fields of ``GraphNode``, ``GraphEdge`` and ``ClauseGraph`` are the graph
-JSON keys, and ``BuilderConfig`` is the one check of the build settings a
-graph header records.
+The fields of ``NodeColumns``, ``EdgeColumns`` and ``ClauseGraph`` are the
+graph JSON keys, and ``BuilderConfig`` is the one check of the build settings
+a graph header records.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, itemgetter, ne
+from operator import add, itemgetter, ne
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,30 +79,28 @@ def fitness_columns(raw: np.ndarray, temperature: float) -> tuple[np.ndarray, np
         return normalized, -temperature * np.log(normalized) + 0.0
 
 
-@dataclass
-class GraphNode:
-    clause: int
-    raw_fitness: int
-    normalized_fitness: float
-    energy: float
-    connectivity: float
-    in_events: int = 0
-    out_events: int = 0
+class NodeColumns(NamedTuple):
+    """One tuple per node field, each in insertion order."""
 
-    @property
-    def particles(self) -> int:
-        return self.in_events + self.out_events
+    clause: tuple[int, ...]
+    raw_fitness: tuple[int, ...]
+    normalized_fitness: tuple[float, ...]
+    energy: tuple[float, ...]
+    connectivity: tuple[float, ...]
+    in_events: tuple[int, ...]
+    out_events: tuple[int, ...]
 
 
-@dataclass
-class GraphEdge:
-    u: int
-    v: int
-    weight: float
-    multiplicity: int = 1
+class EdgeColumns(NamedTuple):
+    """One tuple per edge field, each sorted by the pair ``(u, v)``."""
+
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    weight: tuple[float, ...]
+    multiplicity: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClauseGraph:
     mode: str
     temperature: float
@@ -111,24 +111,29 @@ class ClauseGraph:
     n: int
     k: int
     formula_sha256: str
-    nodes: list[GraphNode] = field(default_factory=list)
-    edges: dict[tuple[int, int], GraphEdge] = field(default_factory=dict)
+    nodes: NodeColumns
+    edges: EdgeColumns
 
     @property
     def m(self) -> int:
-        return len(self.nodes)
+        return len(self.nodes.clause)
 
     @property
     def insertion_order(self) -> list[int]:
-        return [node.clause for node in self.nodes]
+        return list(self.nodes.clause)
 
     @property
     def link_events(self) -> int:
-        return sum(edge.multiplicity for edge in self.edges.values())
+        return sum(self.edges.multiplicity)
 
     @property
     def total_particles(self) -> int:
-        return sum(node.particles for node in self.nodes)
+        return sum(self.nodes.in_events) + sum(self.nodes.out_events)
+
+
+def _transpose(rows, width: int) -> tuple[tuple, ...]:
+    """The ``width`` columns of ``rows``, each a tuple; empty ones for no rows."""
+    return tuple(zip(*rows)) or ((),) * width
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,16 @@ def particle_spectrum(graph: ClauseGraph) -> EnergySpectrum:
     run from the highest fitness (the lowest energy) down at every
     temperature.  A level's states are its nodes sorted by clause, and its
     energy is the least of theirs."""
-    nodes = sorted(graph.nodes, key=lambda node: (-node.raw_fitness, node.clause))
+    nodes = graph.nodes
+    raw, clause, energy = nodes.raw_fitness, nodes.clause, nodes.energy
+    particles = list(map(add, nodes.in_events, nodes.out_events))
+    order = sorted(range(len(clause)), key=lambda i: (-raw[i], clause[i]))
     levels = []
-    for _, members in groupby(nodes, key=attrgetter("raw_fitness")):
+    for _, members in groupby(order, key=raw.__getitem__):
         members = list(members)
-        states = tuple(EnergyState(clause=node.clause, particles=node.particles) for node in members)
-        levels.append(EnergyLevel(energy=min(node.energy for node in members), states=states))
+        # from a list: tuples grown from generators kept a long run's peak memory rising
+        states = tuple([EnergyState(clause[i], particles[i]) for i in members])
+        levels.append(EnergyLevel(energy=min(map(energy.__getitem__, members)), states=states))
     return EnergySpectrum(levels=tuple(levels))
 
 
@@ -178,14 +187,11 @@ def export_dot(graph: ClauseGraph) -> str:
     """Undirected DOT text; node labels carry clause index and energy, edge
     labels carry the establishing weight."""
     lines = ["graph clause_network {"]
-    for node in graph.nodes:
-        lines.append(f'  c{node.clause} [label="C{node.clause} E={node.energy!r}"];')
-    for key in sorted(graph.edges):
-        edge = graph.edges[key]
-        label = f"{edge.weight!r}"
-        if edge.multiplicity > 1:
-            label += f" x{edge.multiplicity}"
-        lines.append(f'  c{edge.u} -- c{edge.v} [label="{label}"];')
+    for clause, energy in zip(graph.nodes.clause, graph.nodes.energy):
+        lines.append(f'  c{clause} [label="C{clause} E={energy!r}"];')
+    for u, v, weight, multiplicity in zip(*graph.edges):
+        repeats = f" x{multiplicity}" if multiplicity > 1 else ""
+        lines.append(f'  c{u} -- c{v} [label="{weight!r}{repeats}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -284,21 +290,26 @@ def graph_to_json(graph: ClauseGraph) -> str:
 
     The text is ``json_text`` of the payload, the layout of every JSON
     artifact and manifest the CLI writes."""
+    nodes = graph.nodes
+    particles = map(add, nodes.in_events, nodes.out_events)
     payload = {
         **vars(graph),
         "m": graph.m,
         "insertion_order": graph.insertion_order,
-        "nodes": [{**vars(node), "particles": node.particles} for node in graph.nodes],
-        "edges": [vars(graph.edges[key]) for key in sorted(graph.edges)],
+        "nodes": [dict(zip(_NODE_KEYS, row)) for row in zip(*nodes, particles)],
+        "edges": [dict(zip(_EDGE_KEYS, row)) for row in zip(*graph.edges)],
     }
     return json_text(payload)
 
 
 # the graph JSON keys: a header of every graph field but the two tables, and
-# in the tables every node field plus its particles, and every edge field
-_HEADER_KEYS = tuple(f.name for f in fields(ClauseGraph) if f.default_factory is MISSING)
-_NODE_KEYS = tuple(f.name for f in fields(GraphNode)) + ("particles",)
-_EDGE_KEYS = tuple(f.name for f in fields(GraphEdge))
+# in the tables every node column plus its particles, and every edge column
+_HEADER_KEYS = tuple(f.name for f in fields(ClauseGraph))[:-2]
+_NODE_KEYS = NodeColumns._fields + ("particles",)
+_EDGE_KEYS = EdgeColumns._fields
+# the table keys that hold floats (the rest hold ints), and each bounded key's least value
+_FLOAT_KEYS = {"normalized_fitness", "energy", "connectivity", "weight"}
+_LEAST = {"raw_fitness": 1, "in_events": 0, "out_events": 0, "multiplicity": 1}
 
 
 def _check_numbers(key: str, values, integer: bool = False, minimum=None):
@@ -316,25 +327,21 @@ def _check_numbers(key: str, values, integer: bool = False, minimum=None):
         raise ValueError(f"graph JSON field {key!r} holds a value below {minimum}")
 
 
-def _columns(record, rows, keys) -> dict[str, tuple]:
-    """The columns of ``rows`` by key, each field of ``record`` checked: an
-    ``int`` field holds ints, a ``float`` field finite numbers, and a count,
-    which starts at its default and only grows, no value below that default."""
-    columns = dict(zip(keys, zip(*rows) if rows else [()] * len(keys)))
-    for f in fields(record):
-        minimum = None if f.default is MISSING else f.default
-        _check_numbers(f.name, columns[f.name], integer=f.type == "int", minimum=minimum)
+def _columns(rows, keys) -> dict[str, tuple]:
+    """The columns of ``rows`` by key, each checked: a float key holds finite
+    numbers, any other ints, and no key a value below its least."""
+    columns = dict(zip(keys, _transpose(rows, len(keys))))
+    for key, values in columns.items():
+        _check_numbers(key, values, integer=key not in _FLOAT_KEYS, minimum=_LEAST.get(key))
     return columns
 
 
 def _check_fitness(raw, normalized, energy, temperature):
-    """Raise ValueError unless raw fitness is at least 1 and gives the other two
-    columns by ``fitness_columns``: the normalized fitness exactly, the energy
-    within a relative 1e-12, as ``np.log`` may differ by an ulp between machines."""
+    """Raise ValueError unless raw fitness gives the other two columns by
+    ``fitness_columns``: the normalized fitness exactly, the energy within a
+    relative 1e-12, as ``np.log`` may differ by an ulp between machines."""
     if not raw:
         return
-    if min(raw) < 1:
-        raise ValueError("graph JSON field 'raw_fitness' holds a value below 1")
     try:
         want_normalized, want_energy = fitness_columns(np.array(raw, np.int64), temperature)
     except OverflowError:
@@ -380,14 +387,13 @@ def graph_from_json(text: str) -> ClauseGraph:
     digest = header["formula_sha256"]
     if type(digest) is not str or not _SHA256.fullmatch(digest):
         raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
-    columns = _columns(GraphNode, nodes, _NODE_KEYS)
+    columns = _columns(nodes, _NODE_KEYS)
     particles = columns.pop("particles")
-    _check_numbers("particles", particles, integer=True)
     if any(map(ne, particles, map(add, columns["in_events"], columns["out_events"]))):
         raise ValueError("graph JSON node particles differ from in_events + out_events")
-    _columns(GraphEdge, edges, _EDGE_KEYS)
-    graph = ClauseGraph(**header, nodes=list(map(GraphNode, *columns.values())))
-    if declared_m != graph.m or declared_order != graph.insertion_order:
+    _columns(edges, _EDGE_KEYS)
+    m = len(nodes)
+    if declared_m != m or declared_order != list(columns["clause"]):
         raise ValueError("graph JSON is inconsistent with its node list")
     _check_numbers("m", (declared_m,), integer=True)
     _check_numbers("insertion_order", declared_order, integer=True)
@@ -395,16 +401,20 @@ def graph_from_json(text: str) -> ClauseGraph:
                    header["temperature"])
     # each node's link events, summed from its edges' multiplicities
     events = dict.fromkeys(columns["clause"], 0)
-    if len(events) != graph.m or (events and (min(events) < 0 or max(events) >= graph.m)):
-        raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {graph.m})")
-    for a, b, w, mult in edges:
+    if len(events) != m or (events and (min(events) < 0 or max(events) >= m)):
+        raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {m})")
+    pairs = set()
+    for a, b, _, mult in edges:
         if a == b or a not in events or b not in events:
             raise ValueError(f"graph JSON edge ({a}, {b}) does not join two known nodes")
-        if (a, b) in graph.edges or (b, a) in graph.edges:
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
             raise ValueError(f"graph JSON lists edge ({a}, {b}) twice")
-        graph.edges[(a, b)] = GraphEdge(a, b, w, mult)
+        pairs.add(pair)
         events[a] += mult
         events[b] += mult
     if events != dict(zip(columns["clause"], particles)):
         raise ValueError("graph JSON node particles differ from the link events of its edges")
-    return graph
+    edges.sort()  # the pairs are distinct, so only they are compared
+    return ClauseGraph(**header, nodes=NodeColumns(**columns),
+                       edges=EdgeColumns(*_transpose(edges, len(_EDGE_KEYS))))

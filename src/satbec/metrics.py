@@ -4,8 +4,8 @@ Distance between equal-length clauses counts how many literal slots cannot
 be matched across the two multisets of signed literals; a variable ``x`` and
 its negation ``-x`` are distinct literals.  It is computed on the clause
 tuples themselves, with one exact multiset path for every pair.  A node's
-fitness and energy are fields of ``graph.GraphNode``, and its energy level is
-its raw fitness (see ``graph.particle_spectrum``).
+fitness and energy are columns of ``graph.NodeColumns``, and its energy level
+is its raw fitness (see ``graph.particle_spectrum``).
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import itemgetter, neg
 
 from .cnf import MAX_COUNT, Formula, evaluate, formula_sha256, is_count, is_real
 from .graph import ClauseGraph
@@ -86,16 +87,13 @@ def clause_order(formula: Formula, graph: ClauseGraph, seed: int) -> ClauseOrder
         raise ValueError("graph was not built from this formula")
     if graph.m != formula.m:
         raise ValueError("graph node count does not match formula")
-    m = formula.m
-    fitness = [0] * m
-    conn = [0.0] * m
-    for node in graph.nodes:
-        fitness[node.clause] = node.raw_fitness
-        conn[node.clause] = node.connectivity
     rng = random.Random(seed)
-    tie = [rng.random() for _ in range(m)]
-    rank = sorted(range(m), key=lambda c: (-fitness[c], -conn[c], tie[c]))
-    return ClauseOrder(rank=tuple(rank))
+    tie = [rng.random() for _ in range(formula.m)]
+    nodes = graph.nodes
+    # one key per node; equal tie draws fall to the lower clause
+    keys = sorted(zip(map(neg, nodes.raw_fitness), map(neg, nodes.connectivity),
+                      map(tie.__getitem__, nodes.clause), nodes.clause))
+    return ClauseOrder(rank=tuple(map(itemgetter(3), keys)))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import hand_graph
 from satbec.builder import FIRST_RANDOM, BuilderConfig
 from satbec.cnf import Formula, formula_sha256
-from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
+from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph
 from satbec.metrics import clause_distance
 
 
@@ -184,10 +185,25 @@ def preferential_draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def freeze(state: OracleState) -> ClauseGraph:
-    """The finished state as a graph, one node at a time in insertion order."""
+    """The finished state as a graph, one node row at a time in insertion order."""
     cfg = state.cfg
     preferential = cfg.mode == MODE_S2GPA
-    graph = ClauseGraph(
+    nodes = [
+        (
+            clause,
+            int(state.fitness[clause]),
+            float(state.normalized[clause]),
+            float(state.energy[clause]),
+            float(state.conn[clause]),
+            int(state.in_events[clause]),
+            int(state.out_events[clause]),
+        )
+        for clause in state.order
+    ]
+    edges = [(u, v, weight, multiplicity) for (u, v), (weight, multiplicity) in state.edges.items()]
+    return hand_graph(
+        nodes,
+        edges,
         mode=cfg.mode,
         temperature=cfg.temperature,
         theta=cfg.theta if preferential else None,
@@ -198,21 +214,6 @@ def freeze(state: OracleState) -> ClauseGraph:
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
     )
-    for clause in state.order:
-        graph.nodes.append(
-            GraphNode(
-                clause=clause,
-                raw_fitness=int(state.fitness[clause]),
-                normalized_fitness=float(state.normalized[clause]),
-                energy=float(state.energy[clause]),
-                connectivity=float(state.conn[clause]),
-                in_events=int(state.in_events[clause]),
-                out_events=int(state.out_events[clause]),
-            )
-        )
-    for (u, v), (weight, multiplicity) in state.edges.items():
-        graph.edges[(u, v)] = GraphEdge(u=u, v=v, weight=weight, multiplicity=multiplicity)
-    return graph
 
 
 def oracle_build(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> ClauseGraph:

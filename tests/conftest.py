@@ -12,6 +12,7 @@ import pytest
 
 from satbec.builder import BuilderConfig, BuildState
 from satbec.cnf import Formula
+from satbec.graph import MODE_S2G, ClauseGraph, EdgeColumns, NodeColumns
 
 SAMPLE_10 = (
     (59, -55, 52),
@@ -54,11 +55,26 @@ def formula_from_signed(signed_clauses, n):
     return Formula(n=n, clauses=tuple(map(tuple, signed_clauses)))
 
 
+# the header of a hand-built graph, unless a test gives its own values
+HAND_HEADER = dict(mode=MODE_S2G, temperature=1.0, theta=None, rho=None, seed=0,
+                   first_clause_rule="random", n=12, k=3, formula_sha256="0" * 64)
+
+
+def hand_graph(node_rows=(), edge_rows=(), **header):
+    """A graph from rows: node rows in ``NodeColumns`` field order and in
+    insertion order, edge rows in ``EdgeColumns`` field order, sorted here by
+    pair.  ``header`` replaces fields of ``HAND_HEADER``."""
+    nodes = tuple(zip(*node_rows)) or ((),) * len(NodeColumns._fields)
+    edges = tuple(zip(*sorted(edge_rows))) or ((),) * len(EdgeColumns._fields)
+    return ClauseGraph(**{**HAND_HEADER, **header}, nodes=NodeColumns(*nodes),
+                       edges=EdgeColumns(*edges))
+
+
 def components(graph):
     """Connected components of ``graph`` read off its edges: sorted clause
     lists, in the insertion order of their first node."""
-    adjacency = {node.clause: [] for node in graph.nodes}
-    for u, v in graph.edges:
+    adjacency = {clause: [] for clause in graph.nodes.clause}
+    for u, v in zip(graph.edges.u, graph.edges.v):
         adjacency[u].append(v)
         adjacency[v].append(u)
     seen = set()
@@ -82,8 +98,8 @@ def components(graph):
 
 def degrees(graph):
     """Simple degree of each clause of ``graph``, counted over its edges."""
-    out = {node.clause: 0 for node in graph.nodes}
-    for u, v in graph.edges:
+    out = dict.fromkeys(graph.nodes.clause, 0)
+    for u, v in zip(graph.edges.u, graph.edges.v):
         out[u] += 1
         out[v] += 1
     return out

@@ -175,11 +175,11 @@ def test_criterion_03_connectivity_bookkeeping():
         )
         insertion = {c: r for r, c in enumerate(graph.insertion_order)}
         out_neighbors = {c: set() for c in insertion}
-        for e in graph.edges.values():
-            junior = e.u if insertion[e.u] > insertion[e.v] else e.v
-            out_neighbors[junior].add(e.u if junior == e.v else e.v)
-        for node in graph.nodes[1:]:
-            if not 1 <= len(out_neighbors[node.clause]) <= 1:
+        for u, v in zip(graph.edges.u, graph.edges.v):
+            junior = u if insertion[u] > insertion[v] else v
+            out_neighbors[junior].add(u if junior == v else v)
+        for clause in graph.nodes.clause[1:]:
+            if not 1 <= len(out_neighbors[clause]) <= 1:
                 degree_violations += 1
         if len(components(graph)) != 1:
             component_violations += 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import hand_graph
 from satbec.analysis import (
     FULL_BEC_THRESHOLD,
     PARTIAL_BEC_THRESHOLD,
@@ -17,37 +18,18 @@ from satbec.analysis import (
 )
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
-from satbec.graph import MODE_S2G, MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode
+from satbec.graph import MODE_S2G, MODE_S2GPA
+
+
+def node_rows(connectivities, order):
+    """Nodes of raw fitness 1 with the given connectivities, in ``order``."""
+    return [(clause, 1, 1.0, 0.0, c, 0, 0) for clause, c in zip(order, connectivities)]
 
 
 def graph_with(connectivities, edges, order=None):
-    g = ClauseGraph(
-        mode=MODE_S2G,
-        temperature=1.0,
-        theta=None,
-        rho=None,
-        seed=0,
-        first_clause_rule="random",
-        n=30,
-        k=3,
-        formula_sha256="0" * 64,
-    )
     order = list(order) if order is not None else list(range(len(connectivities)))
-    by_clause = dict(zip(order, connectivities))
-    for clause in order:
-        g.nodes.append(
-            GraphNode(
-                clause=clause,
-                raw_fitness=1,
-                normalized_fitness=1.0,
-                energy=0.0,
-                connectivity=by_clause[clause],
-            )
-        )
-    for u, v in edges:
-        key = (u, v) if u < v else (v, u)
-        g.edges[key] = GraphEdge(u=key[0], v=key[1], weight=0.5)
-    return g
+    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+    return hand_graph(node_rows(connectivities, order), [(*pair, 0.5, 1) for pair in pairs], n=30)
 
 
 def test_winner_takes_max_connectivity():
@@ -63,8 +45,9 @@ def test_winner_ties_break_by_insertion():
 def test_winner_matches_linear_scan_oracle():
     for seed in range(10):
         g = build_graph(generate_random(seed, 3, 20, 60), BuilderConfig(mode=MODE_S2GPA, seed=seed))
-        best = max(node.connectivity for node in g.nodes)
-        candidates = [node.clause for node in g.nodes if node.connectivity == best]
+        best = max(g.nodes.connectivity)
+        candidates = [clause for clause, c in zip(g.nodes.clause, g.nodes.connectivity)
+                      if c == best]
         assert winner(g) == candidates[0]
 
 
@@ -91,8 +74,7 @@ def test_fraction_winner_star_and_triangle():
 
 def test_fraction_winner_counts_simple_edges():
     # multiplicity does not change the simple-edge count
-    g = graph_with([4.0, 1.0, 1.0], [(0, 1), (0, 2)])
-    g.edges[(0, 1)] = GraphEdge(u=0, v=1, weight=0.5, multiplicity=5)
+    g = hand_graph(node_rows([4.0, 1.0, 1.0], range(3)), [(0, 1, 0.5, 5), (0, 2, 0.5, 1)], n=30)
     assert fraction_winner(g) == 1.0
 
 

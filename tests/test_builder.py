@@ -3,6 +3,7 @@
 import math
 import pickle
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,17 +73,17 @@ def test_two_clause_build_is_one_forced_edge():
     f = generate_random(1, 3, 10, 2)
     g = build_graph(f, BuilderConfig(mode=MODE_S2G, seed=0))
     assert g.m == 2
-    (edge,) = g.edges.values()
-    assert edge.weight == 1.0
-    assert edge.multiplicity == 1
-    assert sorted(n.connectivity for n in g.nodes) == [1.0, 1.0]
+    (weight,) = g.edges.weight
+    assert weight == 1.0
+    assert g.edges.multiplicity == (1,)
+    assert sorted(g.nodes.connectivity) == [1.0, 1.0]
 
     g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, theta=0.33, seed=0))
-    first, second = g.nodes
-    assert (first.in_events, first.out_events) == (1, 0)
-    assert (second.in_events, second.out_events) == (0, 1)
-    assert first.connectivity == 1.0
-    assert second.connectivity == pytest.approx(0.33)
+    assert g.nodes.in_events == (1, 0)
+    assert g.nodes.out_events == (0, 1)
+    first, second = g.nodes.connectivity
+    assert first == 1.0
+    assert second == pytest.approx(0.33)
 
 
 def test_select_first_clause_fittest_rule(sample10):
@@ -235,7 +236,7 @@ def test_a_draw_past_the_cumulative_end_links_the_last_node(monkeypatch):
     monkeypatch.setattr(builder, "np", numpy_with_add(accumulate=np.zeros_like))
     g = build_graph(generate_random(1, 3, 10, 30), BuilderConfig(mode=MODE_S2GPA, seed=2))
     rank = {clause: r for r, clause in enumerate(g.insertion_order)}
-    pairs = sorted(sorted((rank[u], rank[v])) for u, v in g.edges)
+    pairs = sorted(sorted((rank[u], rank[v])) for u, v in zip(g.edges.u, g.edges.v))
     assert pairs == [[r, r + 1] for r in range(29)]
 
 
@@ -263,42 +264,47 @@ def test_s2g_probabilities_normalize_and_degrees_integral():
     assert len(calls) == f.m - 1  # forced step plus one per later joiner
     assert all(abs(c["pi_sum"] - 1.0) < 1e-9 for c in calls)
     degree = degrees(g)
-    for node in g.nodes:
-        assert node.connectivity == node.in_events + node.out_events
-        assert node.connectivity == float(degree[node.clause])
-    for edge in g.edges.values():
-        assert 0.0 < edge.weight <= 1.0
-        assert edge.multiplicity == 1
+    nodes = g.nodes
+    for clause, connectivity, in_events, out_events in zip(
+        nodes.clause, nodes.connectivity, nodes.in_events, nodes.out_events
+    ):
+        assert connectivity == in_events + out_events
+        assert connectivity == float(degree[clause])
+    for weight, multiplicity in zip(g.edges.weight, g.edges.multiplicity):
+        assert 0.0 < weight <= 1.0
+        assert multiplicity == 1
 
 
 def test_s2g_pa_is_a_tree_at_rho_one():
     f = generate_random(10, 3, 25, 75)
     g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, theta=0.33, rho=1, seed=11))
-    assert len(g.edges) == f.m - 1
+    assert len(g.edges.u) == f.m - 1
     assert len(components(g)) == 1
-    first = g.nodes[0].clause
-    for node in g.nodes:
-        expected = 0 if node.clause == first else 1
-        assert node.out_events == expected
+    nodes = g.nodes
+    first = nodes.clause[0]
+    for clause, out_events in zip(nodes.clause, nodes.out_events):
+        expected = 0 if clause == first else 1
+        assert out_events == expected
     # connectivity bookkeeping: k = theta * out + in, exactly
-    for node in g.nodes:
-        assert node.connectivity == pytest.approx(0.33 * node.out_events + node.in_events, abs=1e-12)
+    for connectivity, in_events, out_events in zip(
+        nodes.connectivity, nodes.in_events, nodes.out_events
+    ):
+        assert connectivity == pytest.approx(0.33 * out_events + in_events, abs=1e-12)
 
 
 def test_s2g_pa_rho_three_draw_counts():
     f = generate_random(12, 3, 15, 45)
     g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, theta=0.5, rho=3, seed=13))
-    first = g.nodes[0].clause
-    second = g.nodes[1].clause
-    for node in g.nodes:
-        if node.clause == first:
-            assert node.out_events == 0
-        elif node.clause == second:
-            assert node.out_events == 1  # forced edge only
+    first, second = g.nodes.clause[:2]
+    for clause, out_events in zip(g.nodes.clause, g.nodes.out_events):
+        if clause == first:
+            assert out_events == 0
+        elif clause == second:
+            assert out_events == 1  # forced edge only
         else:
-            assert node.out_events == 3
+            assert out_events == 3
     # multiplicities absorb repeated draws; total events still match
-    link_events = sum(e.multiplicity for e in g.edges.values())
+    link_events = sum(g.edges.multiplicity)
     assert link_events == 1 + 3 * (f.m - 2)
 
 
@@ -312,12 +318,12 @@ def test_s2g_pa_simple_out_degree_within_rho():
     assert all(abs(c["pi_sum"] - 1.0) < 1e-9 for c in calls)
     insertion = {clause: rank for rank, clause in enumerate(g.insertion_order)}
     out_neighbors = {clause: set() for clause in insertion}
-    for e in g.edges.values():
-        junior = e.u if insertion[e.u] > insertion[e.v] else e.v
-        senior = e.v if junior == e.u else e.u
+    for u, v in zip(g.edges.u, g.edges.v):
+        junior = u if insertion[u] > insertion[v] else v
+        senior = v if junior == u else u
         out_neighbors[junior].add(senior)
-    for node in g.nodes[1:]:
-        assert 1 <= len(out_neighbors[node.clause]) <= max(rho, 1)
+    for clause in g.nodes.clause[1:]:
+        assert 1 <= len(out_neighbors[clause]) <= max(rho, 1)
 
 
 def test_builds_are_seed_deterministic():
@@ -356,8 +362,8 @@ def test_temperature_only_rescales_energies(mode):
         assert clause_order(f, hot, 5) == clause_order(f, cold, 5)
         assert [[s.clause for s in level.states]
                 for level in particle_spectrum(hot).levels] == levels
-        for a, b in zip(hot.nodes, cold.nodes):
-            assert a.energy == pytest.approx(temperature * b.energy)
+        for a, b in zip(hot.nodes.energy, cold.nodes.energy):
+            assert a == pytest.approx(temperature * b)
 
 
 def test_energy_too_large_for_a_float_is_inf_without_a_warning():
@@ -366,7 +372,7 @@ def test_energy_too_large_for_a_float_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, temperature=1e308, seed=1))
-    assert sorted(node.energy for node in g.nodes) == [0.0] * 10 + [math.inf]
+    assert sorted(g.nodes.energy) == [0.0] * 10 + [math.inf]
 
 
 @pytest.mark.parametrize("mode", [MODE_S2G, MODE_S2GPA])
@@ -458,12 +464,42 @@ def test_built_graph_invariants(formula, mode, theta, rho, seed):
     g = build_graph(formula, BuilderConfig(mode=mode, theta=theta, rho=rho, seed=seed))
     assert sorted(g.insertion_order) == list(range(formula.m))
     assert g.total_particles == 2 * g.link_events
-    for node in g.nodes:
+    nodes = g.nodes
+    for connectivity, in_events, out_events in zip(
+        nodes.connectivity, nodes.in_events, nodes.out_events
+    ):
         if mode == MODE_S2G:
-            assert node.connectivity == node.in_events + node.out_events
+            assert connectivity == in_events + out_events
         else:
-            expected = theta * node.out_events + node.in_events
-            assert node.connectivity == pytest.approx(expected, abs=1e-12)
+            expected = theta * out_events + in_events
+            assert connectivity == pytest.approx(expected, abs=1e-12)
     if mode == MODE_S2GPA:
-        assert [node.out_events for node in g.nodes[:2]] == [0, 1]
-        assert all(node.out_events == rho for node in g.nodes[2:])
+        assert list(nodes.out_events[:2]) == [0, 1]
+        assert all(out_events == rho for out_events in nodes.out_events[2:])
+
+
+# both modes and both first-clause rules, and in s2gpa rho 1 and 3
+RENAMING_CONFIGS = [(MODE_S2G, rule, 1) for rule in ("random", "fittest")] + [
+    (MODE_S2GPA, rule, rho) for rule in ("random", "fittest") for rho in (1, 3)
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(formulas(), st.integers(0, 2**31 - 1), st.data())
+def test_renaming_variables_leaves_the_graph_unchanged(formula, seed, data):
+    # ties break by clause index and the draws read only counts, so no
+    # literal name reaches the stream: permuting the variables and flipping
+    # each one's sign everywhere changes nothing but the formula digest
+    names = data.draw(st.permutations(range(1, formula.n + 1)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=formula.n, max_size=formula.n))
+
+    def rename(literal):
+        v = abs(literal) - 1
+        return names[v] * signs[v] * (1 if literal > 0 else -1)
+
+    renamed = formula_from_signed([map(rename, clause) for clause in formula.clauses], formula.n)
+    for mode, rule, rho in RENAMING_CONFIGS:
+        cfg = BuilderConfig(mode=mode, first_clause_rule=rule, rho=rho, seed=seed)
+        g = build_graph(formula, cfg)
+        h = build_graph(renamed, cfg)
+        assert graph_to_json(replace(h, formula_sha256=g.formula_sha256)) == graph_to_json(g)

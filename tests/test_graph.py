@@ -3,26 +3,25 @@
 import json
 import math
 import re
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import components, degrees
+from conftest import components, degrees, hand_graph
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import generate_random
+from satbec.cnf import generate_random, parse_dimacs
 from satbec.graph import (
     FIRST_CLAUSE_RULES,
     MODE_S2G,
     MODE_S2GPA,
     MODES,
-    ClauseGraph,
     EnergyLevel,
     EnergySpectrum,
     EnergyState,
-    GraphEdge,
-    GraphNode,
     export_dot,
     graph_from_json,
     graph_to_json,
@@ -31,45 +30,30 @@ from satbec.graph import (
 )
 
 
-def make_node(clause, raw, max_raw, connectivity, in_events=0, out_events=0):
+def node_row(clause, raw, max_raw, connectivity, in_events=0, out_events=0):
     normalized = raw / max_raw
-    return GraphNode(
-        clause=clause,
-        raw_fitness=raw,
-        normalized_fitness=normalized,
-        energy=-math.log(normalized) + 0.0,
-        connectivity=connectivity,
-        in_events=in_events,
-        out_events=out_events,
-    )
+    return (clause, raw, normalized, -math.log(normalized) + 0.0, connectivity, in_events,
+            out_events)
+
+
+def unlinked_rows(raw_fitness=()):
+    """Node rows of a graph with no edges whose node for clause c has raw
+    fitness ``raw_fitness[c]``."""
+    return [node_row(c, raw, max(raw_fitness), 0.0) for c, raw in enumerate(raw_fitness)]
 
 
 def unlinked_graph(raw_fitness=()):
-    """A graph with no edges whose node for clause c has raw fitness
-    ``raw_fitness[c]``."""
-    g = ClauseGraph(
-        mode=MODE_S2G,
-        temperature=1.0,
-        theta=None,
-        rho=None,
-        seed=0,
-        first_clause_rule="random",
-        n=12,
-        k=3,
-        formula_sha256="0" * 64,
-    )
-    g.nodes += [make_node(c, raw, max(raw_fitness), 0.0) for c, raw in enumerate(raw_fitness)]
-    return g
+    return hand_graph(unlinked_rows(raw_fitness))
 
 
-def star_graph():
-    # hub 0 with three spokes, insertion order 0,1,2,3
-    g = unlinked_graph()
-    g.nodes.append(make_node(0, 4, 4, 3.0, in_events=3))
-    for spoke in (1, 2, 3):
-        g.nodes.append(make_node(spoke, 2, 4, 1.0, out_events=1))
-        g.edges[(0, spoke)] = GraphEdge(u=0, v=spoke, weight=0.5)
-    return g
+# hub 0 with three spokes, insertion order 0,1,2,3
+STAR_NODES = [node_row(0, 4, 4, 3.0, in_events=3)] + [
+    node_row(spoke, 2, 4, 1.0, out_events=1) for spoke in (1, 2, 3)]
+STAR_EDGES = [(0, spoke, 0.5, 1) for spoke in (1, 2, 3)]
+
+
+def star_graph(extra_nodes=()):
+    return hand_graph(STAR_NODES + list(extra_nodes), STAR_EDGES)
 
 
 def test_modes_tuple():
@@ -80,15 +64,14 @@ def test_graph_accessors():
     g = star_graph()
     assert g.m == 4
     assert g.insertion_order == [0, 1, 2, 3]
-    assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3)]
+    assert sorted(zip(g.edges.u, g.edges.v)) == [(0, 1), (0, 2), (0, 3)]
     assert degrees(g) == {0: 3, 1: 1, 2: 1, 3: 1}
     assert g.total_particles == 6
     assert components(g) == [[0, 1, 2, 3]]
 
 
 def test_connected_components_splits():
-    g = star_graph()
-    g.nodes.append(make_node(4, 1, 4, 0.0))
+    g = star_graph([node_row(4, 1, 4, 0.0)])
     assert components(g) == [[0, 1, 2, 3], [4]]
 
 
@@ -96,7 +79,7 @@ def test_particle_conservation_on_built_graphs():
     f = generate_random(2, 3, 30, 90)
     for mode in MODES:
         g = build_graph(f, BuilderConfig(mode=mode, seed=5))
-        link_events = sum(e.multiplicity for e in g.edges.values())
+        link_events = sum(g.edges.multiplicity)
         assert g.total_particles == 2 * link_events
 
 
@@ -108,6 +91,27 @@ def test_json_round_trip():
         back = graph_from_json(text)
         assert back == g
         assert graph_to_json(back) == text
+
+
+DUPVAR = Path(__file__).resolve().parent / "golden" / "dupvar.cnf"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("source", ["random", "dupvar"])
+def test_graphs_are_values(source, mode):
+    if source == "dupvar":
+        f = parse_dimacs(DUPVAR.read_text(encoding="utf-8"))
+    else:
+        f = generate_random(9, 3, 25, 80)
+    built = build_graph(f, BuilderConfig(mode=mode, rho=2, seed=1))
+    loaded = graph_from_json(graph_to_json(built))
+    for g in (built, loaded):
+        assert graph_from_json(graph_to_json(g)) == g
+        assert hash(g) == hash(loaded)
+        assert all(type(column) is tuple for column in (*g.nodes, *g.edges))
+        for field in fields(g):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, field.name, getattr(g, field.name))
 
 
 @st.composite
@@ -318,7 +322,7 @@ def test_json_accepts_an_energy_a_few_ulps_off():
     payload = json.loads(graph_to_json(star_graph()))
     for node in payload["nodes"][1:]:
         node["energy"] = float(np.nextafter(np.nextafter(node["energy"], 1.0), 1.0))
-    assert [node.energy for node in graph_from_json(json.dumps(payload)).nodes[1:]] == [
+    assert list(graph_from_json(json.dumps(payload)).nodes.energy[1:]) == [
         node["energy"] for node in payload["nodes"][1:]
     ]
 
@@ -418,12 +422,12 @@ def repeated_pair_graph():
 def test_export_dot_labels_a_repeated_pair_with_its_multiplicity():
     g = repeated_pair_graph()
     labels = dict(re.findall(r'^  (c\d+ -- c\d+) \[label="(.*)"\];$', export_dot(g), re.M))
-    assert len(labels) == len(g.edges) == 134
-    repeated = [edge for edge in g.edges.values() if edge.multiplicity > 1]
+    assert len(labels) == len(g.edges.u) == 134
+    repeated = [multiplicity for multiplicity in g.edges.multiplicity if multiplicity > 1]
     assert len(repeated) == 32
-    for edge in g.edges.values():
-        suffix = f" x{edge.multiplicity}" if edge.multiplicity > 1 else ""
-        assert labels[f"c{edge.u} -- c{edge.v}"] == f"{edge.weight!r}{suffix}"
+    for u, v, weight, multiplicity in zip(*g.edges):
+        suffix = f" x{multiplicity}" if multiplicity > 1 else ""
+        assert labels[f"c{u} -- c{v}"] == f"{weight!r}{suffix}"
 
 
 @pytest.mark.parametrize("edit", ["drop", "empty"])
@@ -457,9 +461,10 @@ def test_spectrum_of_sparse_sample(sample10):
 def test_spectrum_level_is_one_raw_fitness_in_ascending_energy():
     # nodes listed against clause order; clauses 0 and 4 share the lowest
     # fitness, 2 and 3 the middle one, and each level lists its clauses sorted
-    g = unlinked_graph([2, 9, 5, 5, 2])
-    g.nodes.reverse()
-    g.nodes[0].energy = math.nextafter(g.nodes[0].energy, 0.0)  # clause 4, an ulp low
+    rows = unlinked_rows([2, 9, 5, 5, 2])[::-1]
+    clause, raw, normalized, energy, *rest = rows[0]  # clause 4, an ulp low
+    rows[0] = (clause, raw, normalized, math.nextafter(energy, 0.0), *rest)
+    g = hand_graph(rows)
     spectrum = particle_spectrum(g)
     assert [[s.clause for s in level.states] for level in spectrum.levels] == [[1], [2, 3], [0, 4]]
     # a level's energy is the least of its states'

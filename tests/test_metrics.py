@@ -16,15 +16,15 @@ from satbec.graph import MODES, particle_spectrum
 from satbec.metrics import clause_distance
 
 
-def built_nodes(formula, **cfg):
-    """Nodes by clause index of a network built from ``formula``.
+def built_columns(formula, **cfg):
+    """The node columns by name of a network built from ``formula``, each a
+    list indexed by clause.
 
     Once every clause has joined, the local literal frequencies are those of
     the whole formula, so raw fitness is whole-formula fitness."""
-    nodes = [None] * formula.m
-    for node in build_graph(formula, BuilderConfig(seed=3, **cfg)).nodes:
-        nodes[node.clause] = node
-    return nodes
+    nodes = build_graph(formula, BuilderConfig(seed=3, **cfg)).nodes
+    by_clause = sorted(range(formula.m), key=nodes.clause.__getitem__)
+    return {name: [column[i] for i in by_clause] for name, column in nodes._asdict().items()}
 
 
 def test_literal_frequency_counts_signed_occurrences(sample10):
@@ -43,7 +43,7 @@ def test_clause_fitness_matches_counter_oracle(sample10):
     expected = [sum(counts[x] for x in c) for c in SAMPLE_10]
     assert expected == [5, 3, 3, 4, 3, 4, 4, 3, 4, 3]
     for mode in MODES:
-        assert [node.raw_fitness for node in built_nodes(sample10, mode=mode)] == expected
+        assert built_columns(sample10, mode=mode)["raw_fitness"] == expected
 
 
 def test_fitness_respects_table_scope(sample10):
@@ -109,10 +109,10 @@ def test_energy_values():
     # fitness 3, 6, 6: normalized 0.5, 1, 1
     f = formula_from_signed([(1, 2, 3), (4, 5, 6), (4, 5, 6)], 6)
     for temperature in (1.0, 2.0):
-        nodes = built_nodes(f, temperature=temperature)
-        assert nodes[0].energy == pytest.approx(temperature * math.log(2))
-        assert nodes[1].energy == 0.0
-        assert math.copysign(1.0, nodes[1].energy) == 1.0  # never -0.0
+        energy = built_columns(f, temperature=temperature)["energy"]
+        assert energy[0] == pytest.approx(temperature * math.log(2))
+        assert energy[1] == 0.0
+        assert math.copysign(1.0, energy[1]) == 1.0  # never -0.0
 
 
 def test_energy_rejects_bad_temperature():
@@ -125,17 +125,18 @@ def test_energy_rejects_bad_temperature():
 
 def test_fitness_record_from_raw(sample20):
     # every node's fitness and energy follow from its raw fitness and the maximum
-    nodes = built_nodes(sample20, temperature=2.0)
-    top = max(node.raw_fitness for node in nodes)
-    for node in nodes:
-        assert node.normalized_fitness == node.raw_fitness / top
-        assert node.energy == pytest.approx(2.0 * math.log(top / node.raw_fitness), abs=1e-12)
+    columns = built_columns(sample20, temperature=2.0)
+    top = max(columns["raw_fitness"])
+    for raw, normalized, energy in zip(
+        columns["raw_fitness"], columns["normalized_fitness"], columns["energy"]
+    ):
+        assert normalized == raw / top
+        assert energy == pytest.approx(2.0 * math.log(top / raw), abs=1e-12)
 
 
 def test_sample20_level_structure(sample20):
     # densest instance: three clauses tie at the maximal fitness
-    nodes = built_nodes(sample20)
-    fits = [node.raw_fitness for node in nodes]
+    fits = built_columns(sample20)["raw_fitness"]
     assert max(fits) == 9
     assert [i for i, v in enumerate(fits) if v == 9] == [13, 14, 15]
     ground = particle_spectrum(build_graph(sample20, BuilderConfig(seed=3))).levels[0]

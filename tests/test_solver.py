@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import hand_graph
 from satbec import solver
 
 from satbec.builder import BuilderConfig, build_graph
@@ -19,7 +20,7 @@ from satbec.cnf import (
     generate_random,
     parse_dimacs,
 )
-from satbec.graph import MODE_S2GPA, ClauseGraph, GraphEdge, GraphNode, fitness_columns
+from satbec.graph import MODE_S2GPA, fitness_columns
 from satbec.solver import (
     DEFAULT_BUDGET,
     DESK_BUDGET,
@@ -42,31 +43,14 @@ from satbec.solver import (
 
 
 def order_graph(formula, raw_fitness, connectivities):
-    g = ClauseGraph(
-        mode=MODE_S2GPA,
-        temperature=1.0,
-        theta=0.33,
-        rho=1,
-        seed=0,
-        first_clause_rule="random",
-        n=formula.n,
-        k=formula.k,
-        formula_sha256=formula_sha256(formula),
-    )
-    normalized, energies = fitness_columns(np.array(raw_fitness), g.temperature)
-    for clause, (raw, c) in enumerate(zip(raw_fitness, connectivities)):
-        g.nodes.append(
-            GraphNode(
-                clause=clause,
-                raw_fitness=raw,
-                normalized_fitness=float(normalized[clause]),
-                energy=float(energies[clause]),
-                connectivity=c,
-            )
-        )
-    for clause in range(1, len(raw_fitness)):
-        g.edges[(clause - 1, clause)] = GraphEdge(u=clause - 1, v=clause, weight=0.5)
-    return g
+    """An s2gpa graph of ``formula`` whose clause c, inserted c-th, has the
+    given raw fitness and connectivity, on a chain of edges."""
+    normalized, energies = fitness_columns(np.array(raw_fitness), 1.0)
+    nodes = [(clause, raw, float(normalized[clause]), float(energies[clause]), c, 0, 0)
+             for clause, (raw, c) in enumerate(zip(raw_fitness, connectivities))]
+    edges = [(clause - 1, clause, 0.5, 1) for clause in range(1, len(raw_fitness))]
+    return hand_graph(nodes, edges, mode=MODE_S2GPA, theta=0.33, rho=1, n=formula.n,
+                      k=formula.k, formula_sha256=formula_sha256(formula))
 
 
 def small_formula(m, seed=0, n=9):
