@@ -285,7 +285,10 @@ def _freeze(state: BuildState) -> ClauseGraph:
     pick = itemgetter(*order)  # m >= 2, so each pick is a tuple
     fits = pick(state._fitness)
     normalized, energy = fitness_columns(np.array(fits), cfg.temperature)
-    pairs = sorted(state.edges)  # the forced first edge makes this non-empty
+    # u < v < m, so the int key u * m + v sorts the pairs as the tuples do, at less
+    # cost; the forced first edge makes the list non-empty
+    m = state.formula.m
+    pairs = sorted(state.edges, key=lambda pair: pair[0] * m + pair[1])
     return ClauseGraph(
         **header,
         n=state.formula.n,

@@ -204,10 +204,9 @@ def parse_dimacs(text: str) -> Formula:
 
 def serialize_dimacs(formula: Formula) -> str:
     """Canonical DIMACS text: header line, one clause per line, no comments."""
-    lines = [f"p cnf {formula.n} {formula.m}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    # literals are exact ints, so %d writes each as str does
+    body = ("%d " * formula.k + "0\n") * formula.m % tuple(chain.from_iterable(formula.clauses))
+    return f"p cnf {formula.n} {formula.m}\n" + body
 
 
 def formula_sha256(formula: Formula) -> str:

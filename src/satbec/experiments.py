@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -192,6 +191,9 @@ def _run_tasks(fn, cfg: SweepConfig | BenchConfig, jobs: int) -> list:
     if workers == 1:
         results = list(map(fn, *tasks))
     else:
+        # imported here: the pool's modules cost every other process 2 MiB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, *tasks))
     return [((cfg.n_values[i], cfg.alphas[j]), r) for (i, j), r in zip(points, results)]

@@ -218,15 +218,24 @@ def _scalar_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _record_rows(rows: list, newline: str) -> list[str] | None:
-    """The JSON texts of ``rows``, dicts that share one non-empty key set and
-    hold only exact ints and finite floats, whose repr is their JSON text,
-    each written by one %r template; None for any other list of dicts."""
-    keys = rows[0].keys()
-    if not keys or not all(map(keys.__eq__, map(dict.keys, rows))):
-        return None
-    keys = sorted(keys)
-    columns = [list(map(itemgetter(key), rows)) for key in keys]
+class _Table:
+    """Records held as columns: ``keys`` and one sequence of values per key,
+    all of one length.  ``json_text`` writes it as the list of its row dicts.
+    It is not a tuple, so it is never taken for a JSON array of its columns."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys, self.columns = keys, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def _record_rows(keys, columns, newline: str) -> list[str] | None:
+    """The JSON texts of the records whose sorted ``keys`` hold ``columns``,
+    each written by one %r template, when every column holds only exact ints
+    and finite floats, whose repr is their JSON text; None otherwise."""
     try:
         if not all(set(map(type, c)) <= {int, float} and all(map(math.isfinite, c))
                    for c in columns):
@@ -242,7 +251,7 @@ def _record_rows(rows: list, newline: str) -> list[str] | None:
 def _write(value, out: list, newline: str):
     """Append the JSON text of ``value`` to ``out``; ``newline`` starts the
     line on which ``value`` opens.  A key that is not a str is a TypeError."""
-    if not isinstance(value, (list, tuple, dict)):
+    if not isinstance(value, (list, tuple, dict, _Table)):
         out.append(_scalar_text(value))
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
@@ -256,10 +265,21 @@ def _write(value, out: list, newline: str):
         out.append(newline + "}")
     else:
         inner = newline + "  "
-        types = set(map(type, value))
-        texts = _record_rows(value, inner) if types == {dict} else None
-        if texts is None and not any(issubclass(t, (list, tuple, dict)) for t in types):
-            texts = list(map(_scalar_text, value))
+        texts = None
+        if isinstance(value, _Table):
+            keys, columns = zip(*sorted(zip(value.keys, value.columns), key=itemgetter(0)))
+            texts = _record_rows(keys, columns, inner)
+            if texts is None:
+                value = [dict(zip(value.keys, row)) for row in zip(*value.columns)]
+        else:
+            types = set(map(type, value))
+            keys = value[0].keys() if types == {dict} else None
+            if keys and all(map(keys.__eq__, map(dict.keys, value))):
+                keys = sorted(keys)
+                texts = _record_rows(keys, [list(map(itemgetter(key), value)) for key in keys],
+                                     inner)
+            if texts is None and not any(issubclass(t, (list, tuple, dict)) for t in types):
+                texts = list(map(_scalar_text, value))
         if texts is None:
             separator = "[" + inner
             for item in value:
@@ -276,9 +296,14 @@ def json_text(payload) -> str:
     ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, for a payload
     whose dict keys are all str (any other key is a TypeError).
 
+    The payload may also hold a ``_Table``, a list of records given as
+    columns, which is written as the list of its row dicts.
+
     json writes an indented dump with its pure-Python encoder; this writer
-    does the per-value work in C instead, by ``%r`` templates for lists of
-    numeric records and one join for lists of scalars."""
+    does the per-value work in C instead, by ``%r`` templates for numeric
+    records, in a ``_Table`` or a list of dicts, and one join for lists of
+    scalars.  Records with a non-finite float or an int too large for a
+    float are written one value at a time, as json does."""
     out: list[str] = []
     _write(payload, out, "\n")
     out.append("\n")
@@ -291,13 +316,13 @@ def graph_to_json(graph: ClauseGraph) -> str:
     The text is ``json_text`` of the payload, the layout of every JSON
     artifact and manifest the CLI writes."""
     nodes = graph.nodes
-    particles = map(add, nodes.in_events, nodes.out_events)
+    particles = list(map(add, nodes.in_events, nodes.out_events))
     payload = {
         **vars(graph),
         "m": graph.m,
         "insertion_order": graph.insertion_order,
-        "nodes": [dict(zip(_NODE_KEYS, row)) for row in zip(*nodes, particles)],
-        "edges": [dict(zip(_EDGE_KEYS, row)) for row in zip(*graph.edges)],
+        "nodes": _Table(_NODE_KEYS, (*nodes, particles)),
+        "edges": _Table(_EDGE_KEYS, graph.edges),
     }
     return json_text(payload)
 

@@ -1,13 +1,16 @@
 """Experiment harness: grids, aggregation, benchmark."""
 
+import concurrent.futures
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from satbec import experiments
 from satbec.experiments import (
     BENCH_CSV_COLUMNS,
     SAT_THRESHOLD,
@@ -284,10 +287,22 @@ class RecordingPool:
 def test_sweep_and_benchmark_ask_for_the_capped_pool(monkeypatch):
     sizes = []
     monkeypatch.setattr(
-        experiments, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(sizes, max_workers)
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = SweepConfig(n_values=(12,), alphas=(1.0, 2.0, 3.0), instances=1, graphs_per_instance=1)
     assert sweep(cfg, jobs=10**6) == sweep(cfg, jobs=1)
     assert benchmark(tiny_bench_config(), jobs=10**6) == benchmark(tiny_bench_config(), jobs=1)
     assert sizes == [3, 2]
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    # only a run with more than one worker pays for the pool's modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import sys, satbec.cli; print(sorted(name for name in sys.modules"
+              " if name.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import FrozenInstanceError, fields
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import components, degrees, hand_graph
+from conftest import components, degrees, formula_from_signed, hand_graph
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random, parse_dimacs
 from satbec.graph import (
@@ -19,9 +20,11 @@ from satbec.graph import (
     MODE_S2G,
     MODE_S2GPA,
     MODES,
+    EdgeColumns,
     EnergyLevel,
     EnergySpectrum,
     EnergyState,
+    NodeColumns,
     export_dot,
     graph_from_json,
     graph_to_json,
@@ -112,6 +115,38 @@ def test_graphs_are_values(source, mode):
         for field in fields(g):
             with pytest.raises(FrozenInstanceError):
                 setattr(g, field.name, getattr(g, field.name))
+
+
+def row_payload(g):
+    """The graph JSON payload of ``g`` with its tables as lists of row dicts."""
+    particles = map(add, g.nodes.in_events, g.nodes.out_events)
+    return {
+        **vars(g),
+        "m": g.m,
+        "insertion_order": g.insertion_order,
+        "nodes": [dict(zip((*NodeColumns._fields, "particles"), row))
+                  for row in zip(*g.nodes, particles)],
+        "edges": [dict(zip(EdgeColumns._fields, row)) for row in zip(*g.edges)],
+    }
+
+
+@pytest.mark.parametrize("case", ["infinite-energy", "no-edges", "dupvar"])
+def test_graph_json_is_json_dumps_of_its_rows(case):
+    # tables are written from the columns; the text must still be json's for
+    # the rows, also where the writer falls back to dict rows: an energy that
+    # overflows to inf (written as Infinity), or a table with no rows
+    if case == "infinite-energy":
+        f = formula_from_signed([(1, 2, 3)] * 10 + [(4, 5, 6)], 6)
+        g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, temperature=1e308, seed=1))
+        assert math.inf in g.nodes.energy
+    elif case == "no-edges":
+        g = unlinked_graph([3, 1, 2])
+    else:
+        f = parse_dimacs(DUPVAR.read_text(encoding="utf-8"))
+        g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, rho=2, seed=1))
+    text = graph_to_json(g)
+    assert text == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
+    assert ("Infinity" in text) == (case == "infinite-energy")
 
 
 @st.composite
