@@ -265,10 +265,9 @@ class BenchConfig:
 
 def default_alpha_grid(k: int) -> tuple[float, ...]:
     """Evenly spaced alphas spanning [threshold - 2, threshold + 1]."""
-    try:
-        threshold = SAT_THRESHOLD[k]
-    except KeyError:
-        raise ValueError(f"no accepted threshold for k={k}; pass alphas explicitly") from None
+    if not (is_count(k) and k in SAT_THRESHOLD):
+        raise ValueError(f"no accepted threshold for k={k!r}; pass alphas explicitly")
+    threshold = SAT_THRESHOLD[k]
     return tuple(float(a) for a in np.linspace(threshold - 2.0, threshold + 1.0, 8))
 
 

@@ -12,7 +12,9 @@ count is its total number of endpoint events and the graph conserves 2 x
 
 The fields of ``NodeColumns``, ``EdgeColumns`` and ``ClauseGraph`` are the
 graph JSON keys, and ``BuilderConfig`` is the one check of the build settings
-a graph header records.
+a graph header records.  ``json_text`` is the layout of every JSON artifact,
+``json.dumps`` with sorted keys and a two-space indent; ``graph_to_json``
+writes the same layout with one template per node and edge row.
 """
 
 from __future__ import annotations
@@ -196,42 +198,6 @@ def export_dot(graph: ClauseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scalar_text(value) -> str:
-    """JSON text of a value that is not a container, dispatched as json's
-    Python encoder does (an int or float subclass is written as its base)."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-class _Table:
-    """Records held as columns: ``keys`` and one sequence of values per key,
-    all of one length.  ``json_text`` writes it as the list of its row dicts.
-    It is not a tuple, so it is never taken for a JSON array of its columns."""
-
-    __slots__ = ("keys", "columns")
-
-    def __init__(self, keys, columns):
-        self.keys, self.columns = keys, columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-
 def _record_rows(keys, columns, newline: str) -> list[str] | None:
     """The JSON texts of the records whose sorted ``keys`` hold ``columns``,
     each written by one %r template, when every column holds only exact ints
@@ -248,83 +214,50 @@ def _record_rows(keys, columns, newline: str) -> list[str] | None:
     return list(map(("{" + template + newline + "}").__mod__, zip(*columns)))
 
 
-def _write(value, out: list, newline: str):
-    """Append the JSON text of ``value`` to ``out``; ``newline`` starts the
-    line on which ``value`` opens.  A key that is not a str is a TypeError."""
-    if not isinstance(value, (list, tuple, dict, _Table)):
-        out.append(_scalar_text(value))
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write(item, out, inner)
-            separator = "," + inner
-        out.append(newline + "}")
-    else:
-        inner = newline + "  "
-        texts = None
-        if isinstance(value, _Table):
-            keys, columns = zip(*sorted(zip(value.keys, value.columns), key=itemgetter(0)))
-            texts = _record_rows(keys, columns, inner)
-            if texts is None:
-                value = [dict(zip(value.keys, row)) for row in zip(*value.columns)]
-        else:
-            types = set(map(type, value))
-            keys = value[0].keys() if types == {dict} else None
-            if keys and all(map(keys.__eq__, map(dict.keys, value))):
-                keys = sorted(keys)
-                texts = _record_rows(keys, [list(map(itemgetter(key), value)) for key in keys],
-                                     inner)
-            if texts is None and not any(issubclass(t, (list, tuple, dict)) for t in types):
-                texts = list(map(_scalar_text, value))
-        if texts is None:
-            separator = "[" + inner
-            for item in value:
-                out.append(separator)
-                _write(item, out, inner)
-                separator = "," + inner
-        else:
-            out.append("[" + inner + ("," + inner).join(texts))
-        out.append(newline + "]")
-
-
 def json_text(payload) -> str:
-    """The JSON artifact text of ``payload``: exactly
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, for a payload
-    whose dict keys are all str (any other key is a TypeError).
+    """The JSON artifact text of ``payload``: sorted keys, two-space indent,
+    ASCII-only, one final newline; the layout of every JSON artifact and
+    manifest."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    The payload may also hold a ``_Table``, a list of records given as
-    columns, which is written as the list of its row dicts.
 
-    json writes an indented dump with its pure-Python encoder; this writer
-    does the per-value work in C instead, by ``%r`` templates for numeric
-    records, in a ``_Table`` or a list of dicts, and one join for lists of
-    scalars.  Records with a non-finite float or an int too large for a
-    float are written one value at a time, as json does."""
-    out: list[str] = []
-    _write(payload, out, "\n")
-    out.append("\n")
-    return "".join(out)
+def _nested_text(value) -> str:
+    """``json.dumps(value, indent=2)`` indented one level, the text of a
+    value under a top-level key."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _table_text(table: dict) -> str:
+    """The nested JSON text of the list of row dicts whose columns ``table``
+    holds by key: one %r template per row, or ``json.dumps`` of the rows when
+    ``_record_rows`` cannot write them or there are none."""
+    keys, columns = zip(*sorted(table.items()))
+    rows = _record_rows(keys, columns, "\n    ")
+    if rows:
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    return _nested_text([dict(zip(keys, row)) for row in zip(*columns)])
 
 
 def graph_to_json(graph: ClauseGraph) -> str:
     """Stable-order JSON dump; identical graphs serialize byte-identically.
 
-    The text is ``json_text`` of the payload, the layout of every JSON
-    artifact and manifest the CLI writes."""
+    The text is ``json_text`` of the header with ``m`` and the
+    ``insertion_order``, and of the node and edge tables as lists of row
+    dicts.  It is written key by key, each table row by one template, with
+    no dict per node or edge."""
     nodes = graph.nodes
     particles = list(map(add, nodes.in_events, nodes.out_events))
     payload = {
         **vars(graph),
         "m": graph.m,
         "insertion_order": graph.insertion_order,
-        "nodes": _Table(_NODE_KEYS, (*nodes, particles)),
-        "edges": _Table(_EDGE_KEYS, graph.edges),
+        "nodes": {**nodes._asdict(), "particles": particles},
+        "edges": graph.edges._asdict(),
     }
-    return json_text(payload)
+    items = (f"\n  {json.dumps(key)}: "
+             + (_table_text(value) if key in ("nodes", "edges") else _nested_text(value))
+             for key, value in sorted(payload.items()))
+    return "{" + ",".join(items) + "\n}\n"
 
 
 # the graph JSON keys: a header of every graph field but the two tables, and

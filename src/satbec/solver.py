@@ -52,6 +52,8 @@ def flip_probabilities(
     """``p1`` and ``p2``, each None filled from the per-k table; both must
     be reals in [0, 1].  k = 0 is a formula with no clause: it runs no walk,
     so only explicit values are checked and a None stays None."""
+    if not is_count(k):
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if not all(p is None or (is_real(p) and 0.0 <= p <= 1.0) for p in (p1, p2)):
         raise ValueError("p1 and p2 must be real numbers in [0, 1]")
     if k and (p1 is None or p2 is None):

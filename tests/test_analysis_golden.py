@@ -2,10 +2,11 @@
 particle-spectrum JSON of the builds in ``test_golden``.
 
 The digests in ``golden/analysis_sha256.json`` pin, for each golden build,
-the JSON that ``satbec classify`` and ``satbec spectrum`` print for it, both
-as this file's own ``json.dumps`` lays it out and as ``satbec.graph.json_text``
-does.  A
-change that alters them changes what the package produces and must say so.
+the JSON that ``satbec classify`` and ``satbec spectrum`` print for it.  The
+payloads are rebuilt here and laid out twice: by this file's own
+``json.dumps`` line, and by ``satbec.graph.json_text``, the package's writer
+of every JSON artifact.  A change that alters them changes what the package
+produces and must say so.
 To print the digests of the current code, run
 
     PYTHONPATH=src python tests/test_analysis_golden.py

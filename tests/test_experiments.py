@@ -206,8 +206,9 @@ def test_default_alpha_grid_spans_threshold_window():
     assert grid[0] == pytest.approx(4.256 - 2.0)
     assert grid[-1] == pytest.approx(4.256 + 1.0)
     assert list(grid) == sorted(grid)
-    with pytest.raises(ValueError):
-        default_alpha_grid(6)
+    for k in (6, [3], {}, 3.0):
+        with pytest.raises(ValueError):
+            default_alpha_grid(k)
 
 
 def tiny_bench_config(**overrides):

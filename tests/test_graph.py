@@ -28,7 +28,6 @@ from satbec.graph import (
     export_dot,
     graph_from_json,
     graph_to_json,
-    json_text,
     particle_spectrum,
 )
 
@@ -204,56 +203,39 @@ def test_json_is_stable_and_readable():
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
 
 
-# keys and strings with non-ASCII, control, quote, bracket and % characters
+# header strings with quote, backslash, %, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('ab%"\\/[]{}\x00\x1f\n\té€\u2028😀'), max_size=6)
-NUMBERS = st.one_of(
-    st.integers(-(2**200), 2**200),
-    st.floats(),
-    st.sampled_from((-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)),
-    st.floats(allow_nan=False).map(np.float64),
+# exact ints and finite floats, which the row templates write
+PLAIN = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e16)),
 )
-SCALARS = st.one_of(TEXT, st.none(), st.booleans(), NUMBERS)
+# values that send a table to json.dumps: numpy and non-finite floats
+NUMPY = st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+NOT_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
 @st.composite
-def record_lists(draw):
-    """Lists of dicts over one key set (the graph tables and the spectrum
-    states), some rows with an extra key, some values a bool or not finite."""
-    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    value = st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))
-    if draw(st.booleans()):
-        value |= SCALARS
-    extra = draw(TEXT.filter(lambda key: key not in keys))
-    row = st.fixed_dictionaries(dict.fromkeys(keys, value), optional={extra: value})
-    return draw(st.lists(row, max_size=4))
+def any_graphs(draw):
+    """Graphs of 0-4 nodes and 0-4 edges whose columns hold any numbers
+    json writes and whose header holds any strings and numbers."""
+    value = draw(st.sampled_from((PLAIN, PLAIN | NUMPY, PLAIN | NOT_FINITE)))
+    nodes = draw(st.lists(st.tuples(*[value] * len(NodeColumns._fields)), max_size=4))
+    edges = draw(st.lists(st.tuples(*[value] * len(EdgeColumns._fields)), max_size=4))
+    header = {key: draw(TEXT) for key in ("mode", "first_clause_rule", "formula_sha256")}
+    header |= {key: draw(value) for key in ("temperature", "theta", "rho", "seed", "n", "k")}
+    return hand_graph(nodes, edges, **header)
 
 
-def containers(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(TEXT, children, max_size=4),
-    )
-
-
-PAYLOADS = st.recursive(SCALARS | record_lists(), containers, max_leaves=24)
-
-
-@settings(max_examples=400, deadline=None)
-@given(PAYLOADS)
-@example([{"clause": 1, "energy": 0.25}, {"energy": -0.0, "clause": 2**80}])
-@example([{"u": 0, "v": 1}, {"u": 0, "w": 1}])
-@example({"nodes": [{"a": 1, "b": True}, {"a": 2, "b": 0.5}],
-          "edges": [{"w": 1.0}, {"w": math.inf}], "states": [{"e": math.nan}]})
-def test_json_text_matches_json_dumps(payload):
-    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def test_json_text_refuses_non_str_keys():
-    with pytest.raises(TypeError):
-        json_text({1: 2})
-    with pytest.raises(TypeError):
-        json_text([{"a": 1}, {1: 2}])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(any_graphs())
+@example(hand_graph())  # both tables empty
+@example(unlinked_graph([3, 1, 2]))  # no edges
+@example(hand_graph(STAR_NODES, [(0, 1, math.nan, 1), (0, 2, -math.inf, 1)]))  # not finite
+@example(hand_graph([(0, 2**1024, 1.0, 0.0, 0.0, 0, 0)], mode='%r "\\ é'))  # above float max
+def test_graph_json_is_json_dumps_of_any_rows(g):
+    assert graph_to_json(g) == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from satbec.solver import ClauseOrder, flip_probabilities, solve
 # one; a budget this large is above cnf.MAX_COUNT and refused
 LARGE = 2**70
 HOSTILE = (0, -1, LARGE, 1e308, math.nan, math.inf, -math.inf, "", "x", None, True, 1.5,
-           np.int64(3), np.float32(0.5))
+           np.int64(3), np.float32(0.5), [3], {})
 WORK = {"seed", "seed_root", "root"}
 
 FORMULA = generate_random(1, 3, 10, 20)

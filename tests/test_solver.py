@@ -74,6 +74,11 @@ def test_flip_probabilities():
     for p1, p2 in [(None, None), (0.1, None), (None, 0.1)]:
         with pytest.raises(ValueError, match="k=6"):
             flip_probabilities(6, p1, p2)
+    # k = 0, a formula with no clause, needs no table entry; k is checked first
+    assert flip_probabilities(0) == (None, None)
+    for k in ([3], {}, -1, 3.0, True):
+        with pytest.raises(ValueError, match="k must be"):
+            flip_probabilities(k, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("algo", SOLVERS)

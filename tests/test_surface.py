@@ -112,10 +112,28 @@ def checks_finiteness(node) -> bool:
 
 
 def test_the_real_number_rule_is_written_once():
-    """``cnf.is_real`` is the one test of a finite real; only the JSON
-    writer's dispatch, which picks a text per value, tests finiteness too."""
-    assert sorted(functions_where(checks_finiteness)) == [
-        "cnf.py:is_real", "graph.py:_record_rows", "graph.py:_scalar_text"]
+    """``cnf.is_real`` is the one test of a finite real; only the graph
+    tables' row templates, which json writes otherwise, test finiteness too."""
+    assert sorted(functions_where(checks_finiteness)) == ["cnf.py:is_real",
+                                                          "graph.py:_record_rows"]
+
+
+def names_json_dumps(node) -> bool:
+    """Whether ``node`` names ``json.dumps`` or ``json.dump``, or imports
+    one of them by name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "json" and node.attr in ("dumps", "dump")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(a.name in ("dumps", "dump") for a in node.names)
+    return False
+
+
+def test_the_json_layout_is_decided_in_one_module():
+    """Only ``satbec.graph`` lays out JSON: every artifact and manifest goes
+    through its ``json_text`` or ``graph_to_json``."""
+    found = functions_where(names_json_dumps)
+    assert "graph.py:json_text" in found
+    assert sorted({name.split(":")[0] for name in found}) == ["graph.py"]
 
 
 OUTPUT = {("sys", "stdout"), ("os", "replace")}
