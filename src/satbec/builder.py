@@ -40,15 +40,16 @@ The rest of a step is a fixed handful of numpy calls on the attachment
 weights: the sum and division that give ``pi`` and, in preferential mode,
 its cumulative sum and one ``searchsorted`` per draw (in plain mode, one
 uniform draw per existing node).  The counters are Python lists; only the
-weights, which numpy reads, are an ``array.array``.  At n=100, m=800
-(s2gpa, 2-core shared Xeon, Python 3.11, numpy 2.4) a formula's tables cost
-about 1.2 ms once.  The traced ``sweep_dense`` benchmark (ten builds per
-formula) reads medians of 0.22 ms for a build's set-up before the first
-link, 18 us for a step and 1.1 ms for freezing the graph, a fifth of it for
-sorting the edge pairs.  A copy of the loop with timers around each part
-(100 builds of 20 formulas) splits a step as 5 us for the fitness update, 3
-us for the search (11 us in the 6 % of searches that read the holders), 6
-us for ``pi`` and its cumulative sum and 4 us for the draw and its link.
+weights, which numpy reads, are an ``array.array``, and each edge is kept
+under the int key u * m + v.  At n=100, m=800 (s2gpa, 2-core shared Xeon,
+Python 3.11, numpy 2.4) a formula's tables cost about 1.2 ms once.  The
+traced ``sweep_dense`` benchmark (ten builds per formula) reads medians of
+0.31 ms for a build's set-up before the first link, 25 us for a step and
+1.1 ms for freezing the graph.  A copy of the loop with timers around each
+part (100 builds of 20 formulas, on a run whose steps took 18 us) splits a
+step as 5 us for the fitness update, 3 us for the search (11 us in the 6 %
+of searches that read the holders), 6 us for ``pi`` and its cumulative sum
+and 4 us for the draw and its link.
 The numpy calls are O(m), so a build is still O(m^2).  Normalized fitness
 and energies are computed once, from the final fitness, when the graph is
 frozen.  The temperature only scales those energies; it changes no edge, no
@@ -59,6 +60,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -78,16 +81,16 @@ from .graph import (
 class BuildState:
     """Mutable construction state; counters are indexed by clause index.
 
-    The step keeps its counters in Python lists and only the attachment
-    weights, which numpy reads, in an ``array.array``.  ``freq``,
-    ``fitness``, ``conn``, ``in_events`` and ``out_events`` are read-only
-    numpy arrays made when read, so an ``iteration_hook`` may keep one: it
-    holds the values of the step that read it.
+    The counters are the Python lists the step updates in place: ``order``,
+    ``fitness``, ``conn``, ``in_events``, ``out_events``, and ``freq``, the
+    local frequency of each literal id over the added clauses.  An
+    ``iteration_hook`` reads them live, so it copies what it keeps.  Only the
+    attachment weights, which numpy reads, are an ``array.array``.
 
     ``add_clause`` keeps the local frequencies, fitness and fittest index
-    current; ``link`` keeps connectivity and link events current.  Both keep
-    each added clause's attachment weight, connectivity x fitness, at its
-    insertion position, so the step reads one contiguous vector.
+    current; ``link`` keeps connectivity, link events and the edges current.
+    Both keep each added clause's attachment weight, connectivity x fitness,
+    at its insertion position, so the step reads one contiguous vector.
     """
 
     def __init__(self, formula: Formula, cfg: BuilderConfig):
@@ -96,59 +99,31 @@ class BuildState:
         self.formula = formula
         self.cfg = cfg
         self.rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        # the formula's shared, read-only tables: literal codes, each
-        # clause's literal ids and each literal's holders
-        self.codes, self._rows, self._holders = formula.literal_tables
+        # the formula's shared, read-only tables: each clause's literal ids
+        # and each literal's holders
+        self._rows, self._holders = formula.literal_tables
         m = formula.m
         # per literal id: the added clauses holding it, one entry per slot,
         # in joining order
         self._joined: list[list[int]] = [[] for _ in self._holders]
-        self._order: list[int] = []
+        self.order: list[int] = []
         self._position = [0] * m
         self._added = bytearray(m)
         self._unadded = list(range(m))
         # an added clause that shares a literal with no unadded clause
         self._exhausted = -1
-        self._freq = [0] * len(self._holders)
-        self._fitness = [0] * m
-        self._conn = [0.0] * m
-        self._in = [0] * m
-        self._out = [0] * m
+        self.freq = [0] * len(self._holders)
+        self.fitness = [0] * m
+        self.conn = [0.0] * m
+        self.in_events = [0] * m
+        self.out_events = [0] * m
         self._weight = array("d", [0.0]) * m
         self._newcomer_gain = 1.0 if cfg.mode == MODE_S2G else cfg.theta
-        self._weight_view = np.frombuffer(self._weight, dtype=float)
-        self._weight_view.flags.writeable = False
-        self.size = 0
         self.fittest = -1
-        # (u, v) with u < v -> [weight of the first event, multiplicity]
-        self.edges: dict[tuple[int, int], list] = {}
-
-    def order_array(self) -> np.ndarray:
-        """Insertion order so far."""
-        return _frozen(self._order, np.int64)
-
-    @property
-    def freq(self) -> np.ndarray:
-        """Local frequency of each literal code in [0, 2n) over the added
-        clauses."""
-        return _frozen(np.bincount(self.codes[self._order].ravel(),
-                                   minlength=2 * self.formula.n), np.int64)
-
-    @property
-    def fitness(self) -> np.ndarray:
-        return _frozen(self._fitness, np.int64)
-
-    @property
-    def conn(self) -> np.ndarray:
-        return _frozen(self._conn, float)
-
-    @property
-    def in_events(self) -> np.ndarray:
-        return _frozen(self._in, np.int64)
-
-    @property
-    def out_events(self) -> np.ndarray:
-        return _frozen(self._out, np.int64)
+        # each edge u < v under the key u * m + v: the weight of its first
+        # link event, and its link events
+        self.edge_weight: dict[int, float] = {}
+        self.multiplicity: dict[int, int] = {}
 
     def add_clause(self, clause: int):
         """Move a clause into the network and update local frequencies,
@@ -163,23 +138,21 @@ class BuildState:
         added = self._added
         if added[clause]:
             raise ValueError(f"clause {clause} already added")
-        position = self.size
-        self._order.append(clause)
-        self._position[clause] = position
-        self.size = position + 1
+        self._position[clause] = len(self.order)
+        self.order.append(clause)
         added[clause] = 1
         unadded = self._unadded
         del unadded[bisect_left(unadded, clause)]
-        freq = self._freq
+        freq = self.freq
         literals = self._rows[clause]
         for literal in literals:
             freq[literal] += 1
         fit = 0
         for literal in literals:
             fit += freq[literal]
-        fitness = self._fitness
+        fitness = self.fitness
         fitness[clause] = fit  # its weight stays 0 until it links
-        conn = self._conn
+        conn = self.conn
         weight = self._weight
         where = self._position
         joined = self._joined
@@ -218,14 +191,16 @@ class BuildState:
 
     def link(self, newcomer: int, target: int, weight: float):
         """Record one link event from the newcomer to an existing node."""
-        key = (newcomer, target) if newcomer < target else (target, newcomer)
-        self.edges.setdefault(key, [float(weight), 0])[1] += 1  # a repeat keeps the first weight
-        self._out[newcomer] += 1
-        self._in[target] += 1
+        m = len(self.fitness)
+        key = newcomer * m + target if newcomer < target else target * m + newcomer
+        self.edge_weight.setdefault(key, float(weight))  # a repeat keeps the first weight
+        self.multiplicity[key] = self.multiplicity.get(key, 0) + 1
+        self.out_events[newcomer] += 1
+        self.in_events[target] += 1
         # s2g gains 1 on both ends, so conn stays the plain degree there
         # (repeated pairs cannot arise in s2g); s2gpa credits the newcomer theta
-        conn = self._conn
-        fitness = self._fitness
+        conn = self.conn
+        fitness = self.fitness
         where = self._position
         conn[newcomer] += self._newcomer_gain
         conn[target] += 1.0
@@ -233,22 +208,17 @@ class BuildState:
         self._weight[where[target]] = conn[target] * fitness[target]
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only array copy of ``values``."""
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 def select_first_clause(state: BuildState) -> int:
     """Seed clause: uniform, or uniform among the clauses of maximal
     whole-formula fitness under the ``fittest`` rule."""
-    codes = state.codes
+    clauses = state.formula.clauses
     if state.cfg.first_clause_rule == FIRST_RANDOM:
-        return int(state.rng.integers(len(codes)))
-    fits = np.bincount(codes.ravel())[codes].sum(axis=1)
-    ties = np.flatnonzero(fits == fits.max())
-    return int(ties[state.rng.integers(len(ties))])
+        return int(state.rng.integers(len(clauses)))
+    counts = Counter(chain.from_iterable(clauses))
+    fits = [sum(map(counts.__getitem__, clause)) for clause in clauses]
+    best = max(fits)
+    ties = [clause for clause, fit in enumerate(fits) if fit == best]
+    return ties[state.rng.integers(len(ties))]
 
 
 def find_closest_clause(state: BuildState, t: int) -> int:
@@ -281,22 +251,23 @@ def _freeze(state: BuildState) -> ClauseGraph:
     header = vars(cfg)
     if cfg.mode == MODE_S2G:  # s2g graphs carry no theta or rho
         header = {**header, "theta": None, "rho": None}
-    order = state._order
+    order = state.order
     pick = itemgetter(*order)  # m >= 2, so each pick is a tuple
-    fits = pick(state._fitness)
+    fits = pick(state.fitness)
     normalized, energy = fitness_columns(np.array(fits), cfg.temperature)
-    # u < v < m, so the int key u * m + v sorts the pairs as the tuples do, at less
-    # cost; the forced first edge makes the list non-empty
+    # u < v < m, so the keys u * m + v sort as the pairs (u, v) do
     m = state.formula.m
-    pairs = sorted(state.edges, key=lambda pair: pair[0] * m + pair[1])
+    keys = sorted(state.edge_weight)
     return ClauseGraph(
         **header,
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),
         nodes=NodeColumns(tuple(order), fits, tuple(normalized.tolist()), tuple(energy.tolist()),
-                          *map(pick, (state._conn, state._in, state._out))),
-        edges=EdgeColumns(*zip(*pairs), *zip(*map(state.edges.__getitem__, pairs))),
+                          *map(pick, (state.conn, state.in_events, state.out_events))),
+        edges=EdgeColumns(tuple([key // m for key in keys]), tuple([key % m for key in keys]),
+                          *(tuple(map(column.__getitem__, keys))
+                            for column in (state.edge_weight, state.multiplicity))),
     )
 
 
@@ -327,8 +298,8 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
     s2g = cfg.mode == MODE_S2G
     draws = range(cfg.rho)
     add_clause, link, random = state.add_clause, state.link, state.rng.random
-    existing, weights = state._order, state._weight_view
-    size = state.size
+    existing, weights = state.order, np.frombuffer(state._weight)
+    size = len(existing)
     while size < m:
         newcomer = find_closest_clause(state, state.fittest)
         # attachment probabilities over the existing nodes, in insertion

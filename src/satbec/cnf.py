@@ -51,14 +51,12 @@ def is_real(value) -> bool:
 class LiteralTables(NamedTuple):
     """What every network build of one formula reads, read-only.
 
-    ``codes`` is the (m, k) int64 array of dense literal codes in [0, 2n):
-    x -> 2(x-1) and -x -> 2(x-1)+1, not writeable.  Each distinct literal of
-    the formula also has an id, its rank among the codes that occur; ``rows``
-    holds each clause's ids, one per slot, and ``holders[id]`` every clause
-    holding that literal with how many times it does, in index order.
+    Each distinct literal of the formula has an id, its rank among the dense
+    codes that occur (x -> 2(x-1), -x -> 2(x-1)+1).  ``rows`` holds each
+    clause's ids, one per slot, and ``holders[id]`` every clause holding that
+    literal with how many times it does, in index order.
     """
 
-    codes: np.ndarray
     rows: tuple[tuple[int, ...], ...]
     holders: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -115,13 +113,11 @@ class Formula:
 
     @cached_property
     def literal_tables(self) -> LiteralTables:
-        """The literal codes, rows and holders the builder reads; computed
-        once, so every build of this formula shares them."""
+        """The literal rows and holders the builder reads; computed once, so
+        every build of this formula shares them."""
         m, k = self.m, self.k
-        signed = np.fromiter(chain.from_iterable(self.clauses), np.int64, m * k).reshape(m, k)
-        codes = 2 * (np.abs(signed) - 1) + (signed < 0)
-        codes.flags.writeable = False
-        distinct, ids = np.unique(codes, return_inverse=True)
+        signed = np.fromiter(chain.from_iterable(self.clauses), np.int64, m * k)
+        distinct, ids = np.unique(2 * (np.abs(signed) - 1) + (signed < 0), return_inverse=True)
         rows = tuple(map(tuple, ids.reshape(m, k).tolist()))
         holders = [[] for _ in distinct]
         for clause, row in enumerate(rows):
@@ -131,7 +127,7 @@ class Formula:
                     held[-1] = (clause, held[-1][1] + 1)
                 else:
                     held.append((clause, 1))
-        return LiteralTables(codes, rows, tuple(map(tuple, holders)))
+        return LiteralTables(rows, tuple(map(tuple, holders)))
 
     @cached_property
     def _sha256(self) -> str:

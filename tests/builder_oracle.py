@@ -37,6 +37,14 @@ def literal_code(literal: int) -> int:
     return 2 * (abs(literal) - 1) + (1 if literal < 0 else 0)
 
 
+def frequency_by_code(state) -> dict[int, int]:
+    """The local literal frequencies of a package ``BuildState``, which keeps
+    them by literal id, keyed by literal code: the ids rank the codes that
+    occur in the formula."""
+    clauses = state.formula.clauses
+    return dict(zip(sorted({literal_code(x) for clause in clauses for x in clause}), state.freq))
+
+
 def clause_codes(formula: Formula) -> np.ndarray:
     """(m, k) int64 literal codes, one scalar ``literal_code`` call each."""
     return np.array(

@@ -162,9 +162,10 @@ def test_criterion_03_connectivity_bookkeeping():
 
     def hook(state, pi):
         nonlocal worst
-        order = state.order_array()
-        expected = THETA * state.out_events[order] + state.in_events[order]
-        worst = max(worst, float(np.max(np.abs(state.conn[order] - expected))))
+        order = state.order
+        conn, in_events, out_events = (np.array(column)[order] for column in
+                                       (state.conn, state.in_events, state.out_events))
+        worst = max(worst, float(np.max(np.abs(conn - (THETA * out_events + in_events)))))
 
     for i in range(100):
         formula = generate_random(derive_seed(3, TAG_GENERATE, i), 3, 50, m)

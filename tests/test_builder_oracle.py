@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from builder_oracle import (
     OracleState,
+    clause_codes,
     distance_matrix,
     oracle_build,
     preferential_draw,
@@ -56,12 +57,12 @@ def step_recorder():
     def hook(state, pi):
         steps.append(
             (
-                state.order_array().tolist(),
-                state.fitness.tolist(),
+                list(state.order),
+                np.asarray(state.fitness).tolist(),
                 state.fittest,
-                state.conn.tolist(),
-                state.in_events.tolist(),
-                state.out_events.tolist(),
+                np.asarray(state.conn).tolist(),
+                np.asarray(state.in_events).tolist(),
+                np.asarray(state.out_events).tolist(),
                 np.asarray(pi).tolist(),
             )
         )
@@ -94,7 +95,7 @@ def test_matches_give_dense_distance_matrix(formula):
         for other, count in state.matches(t).items():
             dense[t, other] = k - count
     assert np.all(np.diagonal(dense) == 0)
-    expected = distance_matrix(formula, formula.literal_tables.codes)
+    expected = distance_matrix(formula, clause_codes(formula))
     off_diagonal = ~np.eye(m, dtype=bool)
     assert np.array_equal(dense[off_diagonal], expected[off_diagonal])
 

@@ -309,9 +309,11 @@ def test_literal_codes_are_dense():
     assert literal_code(1) == 0
     assert literal_code(-1) == 1
     assert literal_code(3) == 4
-    codes = generate_random(0, 3, 8, 15).literal_tables.codes
-    assert codes.shape == (15, 3)
-    assert codes.min() >= 0 and codes.max() < 16
+    rows, holders = generate_random(0, 3, 8, 15).literal_tables
+    assert len(rows) == 15 and {len(row) for row in rows} == {3}
+    # one id per literal that occurs, of at most 2n codes
+    assert sorted({i for row in rows for i in row}) == list(range(len(holders)))
+    assert len(holders) <= 16
 
 
 @st.composite
@@ -330,25 +332,18 @@ def repeating_formulas(draw):
 
 
 @given(repeating_formulas())
-def test_clause_code_array_matches_literal_code(formula):
-    codes = formula.literal_tables.codes
-    expected = [[literal_code(lit) for lit in clause] for clause in formula.clauses]
-    assert codes.dtype == np.int64
-    assert codes.shape == (formula.m, formula.k)
-    assert codes.tolist() == expected
-
-
-@given(repeating_formulas())
 def test_literal_rows_and_holders_follow_the_codes(formula):
-    codes, rows, holders = formula.literal_tables
+    rows, holders = formula.literal_tables
+    codes = [[literal_code(lit) for lit in clause] for clause in formula.clauses]
+    assert len(rows) == formula.m
     # one id per distinct code, ranked by code
     code_of = {}
-    for row, code_row in zip(rows, codes.tolist()):
+    for row, code_row in zip(rows, codes):
         assert len(row) == len(code_row)
         for literal, code in zip(row, code_row):
             assert code_of.setdefault(literal, code) == code
     assert sorted(code_of) == list(range(len(holders)))
-    assert [code_of[i] for i in range(len(holders))] == sorted(set(codes.ravel().tolist()))
+    assert [code_of[i] for i in range(len(holders))] == sorted({c for row in codes for c in row})
     for literal, held in enumerate(holders):
         assert held == tuple((c, row.count(literal)) for c, row in enumerate(rows)
                              if literal in row)

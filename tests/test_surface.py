@@ -1,10 +1,12 @@
 """The package ships only what its callers run: every public top-level
-function, class and constant of ``src/satbec`` is named somewhere in the
-package or in ``perfbench/`` besides its own definition.  Code only the
-tests use belongs in the tests.  ``__init__`` binds only dunder names, so
-each public name has one import path: its module."""
+function, class and constant of ``src/satbec``, and every public method and
+property of a public class, is named somewhere in the package or in
+``perfbench/`` besides its own definition.  Code only the tests use belongs
+in the tests.  ``__init__`` binds only dunder names, so each public name has
+one import path: its module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +46,30 @@ def test_every_public_name_has_a_caller():
             used |= set(named(statement)) - own
     assert PACKAGE and CALLERS
     assert [f"{module}:{name}" for module, name in public if name not in used] == []
+
+
+def attributes(tree):
+    """Every name ``tree`` looks up as an attribute."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_every_public_member_has_a_caller():
+    """A method or property is reached as an attribute, so a local variable
+    of the same name does not count as a caller."""
+    members, used = [], Counter()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(attributes(tree))
+        if path not in PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                members += [(f"{path.name}:{cls.name}.{node.name}", node) for node in cls.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not node.name.startswith("_")]
+    assert members
+    assert [label for label, node in members
+            if used[node.name] == Counter(attributes(node))[node.name]] == []
 
 
 def test_init_binds_only_dunder_names():
