@@ -276,8 +276,8 @@ def build_graph(formula: Formula, cfg: BuilderConfig, iteration_hook=None) -> Cl
 
     ``iteration_hook(state, pi)``, when given, runs after each step from the
     second clause on, with the attachment probabilities that step used.  Each
-    step hands it a new ``pi`` array, and the state's arrays are read-only
-    copies made when read, so the hook may keep any of them.
+    step hands it a new ``pi`` array, but the state's counters are the live
+    lists the steps update, so the hook copies what it keeps of them.
     """
     if formula.m < 2:
         raise ValueError("need at least 2 clauses to build a network")

@@ -221,10 +221,12 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     same bounds replays them, and the clauses are decoded from its output:
 
     - n <= 10,000 or k <= n // 50: Floyd's sampling (Bentley and Floyd,
-      CACM 30(9), 1987) with bounds n-k, ..., n-1, then a shuffle of the k
-      picks with bounds k-1, ..., 1;
-    - otherwise: a tail shuffle of range(n) with bounds n-1, ...,
-      max(n-k, 1), whose last k positions are the picks;
+      CACM 30(9), 1987), whose step t draws from [0, n-k+t] and takes n-k+t
+      when an earlier pick of the clause equals the draw; then numpy swaps
+      pick i with a draw from [0, i] for i = k-1, ..., 1;
+    - otherwise: a tail shuffle of range(n), swapping position i with a draw
+      from [0, i] for i = n-1, ..., max(n-k, 1); the last k positions are
+      the picks;
     - then k 64-bit words, a literal being negative iff its word is below
       2^63, which is ``random() < 0.5``.
 
@@ -262,61 +264,30 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
 
 
 def _floyd(draws: np.ndarray, k: int, n: int) -> np.ndarray:
-    """The k distinct values in [0, n) of each row's Floyd draws (its first k
-    columns), shuffled by the other k - 1 columns."""
-    m = len(draws)
-    rows = np.arange(m)
-    # column-major: step t of every row is one run of m values
-    picks = draws[:, :k].T.copy()
-    # step t draws d from [0, n-k+t] and takes n-k+t, never picked yet, when
-    # d already is: when d repeats an earlier draw of its row (the later of
-    # two equal keys in a stable sort), or when d = n-k+u for an earlier
-    # step u that took n-k+u itself
-    keys = (picks + n * rows).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    taken = np.zeros(m * k, dtype=bool)
-    taken[order[1:]] = ranked[1:] == ranked[:-1]
-    u = picks - (n - k)
-    linked = np.flatnonzero(u.view(np.uint64) < np.arange(k, dtype=np.uint64)[:, None])
-    linked = linked[~taken[linked]]
-    # link each such step to its step u and follow the links (always to an
-    # earlier step, so at most k - 1 deep) by pointer jumping: it takes
-    # n-k+t iff the step its links end at repeated a draw
-    link = np.arange(m * k)
-    link[linked] = u.ravel()[linked] * m + linked % m
-    for _ in range((k - 1).bit_length()):
-        link[linked] = link[link[linked]]
-    taken[linked] = taken[link[linked]]
-    np.copyto(picks, (n - k + np.arange(k))[:, None], where=taken.reshape(k, m))
-    flat = picks.ravel()
-    partners = draws[:, k:].T * m + rows
-    for i, where in zip(range(k - 1, 0, -1), partners):
-        swapped = flat[where]
-        flat[where] = picks[i]
-        picks[i] = swapped
-    return picks.T
+    """Each row's k Floyd picks from its first k draws, shuffled by the other
+    k - 1: step t keeps its draw unless an earlier pick equals it, else takes
+    n-k+t; then pick i = k-1, ..., 1 swaps with the pick its draw names."""
+    picks = draws[:, :k].copy()
+    for t in range(1, k):
+        picks[(picks[:, :t] == picks[:, t : t + 1]).any(axis=1), t] = n - k + t
+    rows = np.arange(len(picks))
+    for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
+    return picks
 
 
 def _tail_shuffle(draws: np.ndarray, k: int, n: int) -> np.ndarray:
     """The last k entries of range(n) after each row's swaps of position
-    n-1-t with position ``draws[:, t]``.
-
-    Only touched positions are kept: the k output positions n-k, ..., n-1
-    are columns 0, ..., k-1 of a row, and each distinct swap partner below
-    n-k gets a slot of its own after all rows."""
-    m, swaps = draws.shape
-    base = n - k
-    rows = np.arange(m)[:, None]
-    low = draws < base
-    partners, slot = np.unique((rows * n + draws)[low], return_inverse=True)
-    state = np.r_[np.tile(np.arange(base, n), m), partners % n]
-    where = rows * k + draws - base
-    where[low] = m * k + slot
-    for t in range(swaps):
-        i, j = rows[:, 0] * k + k - 1 - t, where[:, t]
-        state[i], state[j] = state[j], state[i]
-    return state[: m * k].reshape(m, k)
+    n-1-t with position ``draws[:, t]``, by a sparse Fisher-Yates: a dict
+    holds the positions the row has swapped, and any other i still holds i."""
+    tails = []
+    for row in draws.tolist():
+        held = {}
+        for t, j in enumerate(row):
+            i = n - 1 - t
+            held[i], held[j] = held.get(j, j), held.get(i, i)
+        tails.append([held.get(i, i) for i in range(n - k, n)])
+    return np.array(tails, dtype=np.int64).reshape(len(draws), k)
 
 
 def evaluate(formula: Formula, values) -> tuple[int, list[int]]:

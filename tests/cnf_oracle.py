@@ -36,3 +36,13 @@ def reference_floyd(draws, k: int, n: int) -> list[int]:
     for i, j in zip(range(k - 1, 0, -1), draws[k:]):
         picks[i], picks[j] = picks[j], picks[i]
     return picks
+
+
+def reference_tail_shuffle(row, k: int, n: int) -> list[int]:
+    """One row of ``satbec.cnf._tail_shuffle`` on the whole range: numpy's
+    tail shuffle swaps position n-1-t of ``list(range(n))`` with ``row[t]``;
+    its last k positions are the picks."""
+    values = list(range(n))
+    for t, j in enumerate(row):
+        values[n - 1 - t], values[j] = values[j], values[n - 1 - t]
+    return values[n - k :]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builder_oracle import literal_code
-from cnf_oracle import reference_floyd, reference_generate
+from cnf_oracle import reference_floyd, reference_generate, reference_tail_shuffle
 from conftest import SAMPLE_10, SAMPLE_20, formula_from_signed
 from satbec import cnf
 from satbec.cnf import (
@@ -266,6 +266,51 @@ def test_floyd_follows_the_longest_collision_chain(k):
     rows = [[0, 0, *range(1, k - 1)] + shuffle, floyd + shuffle, floyd + [0] * (k - 1)]
     expected = [reference_floyd(row, k, k) for row in rows]
     assert cnf._floyd(np.array(rows, dtype=np.int64), k, k).tolist() == expected
+
+
+@st.composite
+def floyd_rows(draw):
+    """(rows, k, n) with k up to 40 and n from k to 2k: each row holds k Floyd
+    draws, step t's in [0, n-k+t], then k - 1 shuffle draws, the one for
+    pick i in [0, i]; with n near k, collisions and chains of them abound."""
+    k = draw(st.integers(1, 40))
+    n = draw(st.integers(k, 2 * k))
+    bounds = [*range(n - k, n), *range(k - 1, 0, -1)]
+    row = st.tuples(*(st.integers(0, b) for b in bounds))
+    return draw(st.lists(row, min_size=1, max_size=6)), k, n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(floyd_rows())
+@example(([(0,) * 79, (*range(40), *range(39, 0, -1))], 40, 40))
+def test_floyd_matches_the_step_by_step_reference(case):
+    rows, k, n = case
+    expected = [reference_floyd(row, k, n) for row in rows]
+    assert cnf._floyd(np.array(rows, dtype=np.int64), k, n).tolist() == expected
+
+
+@st.composite
+def tail_rows(draw):
+    """(rows, k, n) with 1 <= k <= n <= 30: each row holds the swap draws of
+    positions n-1, ..., max(n-k, 1), the one for position i in [0, i]; a
+    small pool of partners per row makes repeated partners common."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    positions = range(n - 1, max(n - k, 1) - 1, -1)
+    pool = draw(st.integers(0, n - 1))
+    row = st.tuples(*(st.integers(0, min(i, pool)) for i in positions))
+    return draw(st.lists(row, min_size=0, max_size=6)), k, n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(tail_rows())
+@example(([(0,) * 29, (1,) * 29], 30, 30))
+@example(([()], 1, 1))
+def test_tail_shuffle_matches_the_whole_range_reference(case):
+    rows, k, n = case
+    draws = np.array(rows, dtype=np.int64).reshape(len(rows), min(k, n - 1))
+    expected = [reference_tail_shuffle(row, k, n) for row in rows]
+    assert cnf._tail_shuffle(draws, k, n).tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """The package ships only what its callers run: every public top-level
 function, class and constant of ``src/satbec``, and every public method and
 property of a public class, is named somewhere in the package or in
-``perfbench/`` besides its own definition.  Code only the tests use belongs
-in the tests.  ``__init__`` binds only dunder names, so each public name has
-one import path: its module."""
+``perfbench/`` besides its own definition, and every private top-level name
+is named in the package itself.  Code only the tests use belongs in the
+tests.  ``__init__`` binds only dunder names, so each public name has one
+import path: its module."""
 
 import ast
 from collections import Counter
@@ -36,16 +37,31 @@ def named(statement):
             yield node.name
 
 
-def test_every_public_name_has_a_caller():
-    public, used = [], set()
-    for path in CALLERS:
+def uncalled(callers, wanted) -> list[str]:
+    """``module.py:name`` for each top-level package name for which
+    ``wanted(name)`` is true and that no top-level statement of ``callers``
+    names besides the one defining it."""
+    names, used = [], set()
+    for path in callers:
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             own = defined(statement)
             if path in PACKAGE:
-                public += [(path.name, name) for name in sorted(own) if not name.startswith("_")]
+                names += [(path.name, name) for name in sorted(own) if wanted(name)]
             used |= set(named(statement)) - own
+    return [f"{module}:{name}" for module, name in names if name not in used]
+
+
+def test_every_public_name_has_a_caller():
     assert PACKAGE and CALLERS
-    assert [f"{module}:{name}" for module, name in public if name not in used] == []
+    assert uncalled(CALLERS, lambda name: not name.startswith("_")) == []
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    """A private helper is named by package code besides its definition; the
+    tests and ``perfbench/`` do not count, so a helper a rewrite leaves
+    behind fails here."""
+    assert uncalled(PACKAGE, lambda name: name.startswith("_")
+                    and not name.endswith("__")) == []
 
 
 def attributes(tree):
