@@ -97,6 +97,9 @@ def _stage(path: str, text: str) -> str:
         raise UsageError(f"cannot write to {path!r}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            mask = os.umask(0o777)  # read the umask: there is no getter
+            os.umask(mask)
+            os.chmod(tmp, 0o666 & ~mask)  # mkstemp's file is private
             fh.write(text)
     except OSError as exc:
         os.unlink(tmp)
@@ -104,10 +107,10 @@ def _stage(path: str, text: str) -> str:
     return tmp
 
 
-def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outputs: list) -> str:
+def _manifest_text(args: argparse.Namespace, inputs: dict, outputs: list) -> str:
     arguments = {key: value for key, value in sorted(vars(args).items()) if not callable(value)}
     payload = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "version": __version__,
         "arguments": arguments,
         "inputs": inputs,
@@ -116,7 +119,7 @@ def _manifest_text(subcommand: str, args: argparse.Namespace, inputs: dict, outp
     return json_text(payload)
 
 
-def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: list):
+def _emit(args: argparse.Namespace, inputs: dict, artifacts: list):
     """Write artifacts ([(path, text)]) plus a manifest per artifact, then
     print each artifact whose path is None (an omitted ``--out``).
 
@@ -127,7 +130,7 @@ def _emit(subcommand: str, args: argparse.Namespace, inputs: dict, artifacts: li
     renamed before it.
     """
     written = [(path, text) for path, text in artifacts if path is not None]
-    manifest = _manifest_text(subcommand, args, inputs, [path for path, _ in written])
+    manifest = _manifest_text(args, inputs, [path for path, _ in written])
     files = []
     for path, text in written:
         files += [(path, text), (path + ".manifest.json", manifest)]
@@ -159,7 +162,7 @@ def _cmd_gen(args):
         formula = generate_random(args.seed, args.k, args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit("gen", args, {}, [(args.out, serialize_dimacs(formula))])
+    _emit(args, {}, [(args.out, serialize_dimacs(formula))])
 
 
 class _List(NamedTuple):
@@ -284,7 +287,7 @@ def _cmd_build(args):
         raise DataError(str(exc)) from None
     if not all(map(is_real, graph.nodes.energy)):
         raise DataError(f"temperature {cfg.temperature!r} gives an energy too large for a float")
-    _emit("build", args, {"in": record}, [(args.out, graph_to_json(graph))])
+    _emit(args, {"in": record}, [(args.out, graph_to_json(graph))])
 
 
 def _cmd_classify(args):
@@ -293,7 +296,7 @@ def _cmd_classify(args):
         payload = classification(graph)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    _emit("classify", args, {"in": record}, [(args.out, json_text(payload))])
+    _emit(args, {"in": record}, [(args.out, json_text(payload))])
 
 
 def _cmd_spectrum(args):
@@ -308,7 +311,7 @@ def _cmd_spectrum(args):
         ],
     }
     dot = [] if args.dot is None else [(args.dot, export_dot(graph))]
-    _emit("spectrum", args, {"in": record}, [(args.out, json_text(payload)), *dot])
+    _emit(args, {"in": record}, [(args.out, json_text(payload)), *dot])
 
 
 # the SolverResult fields a result entry holds, each with the test its JSON
@@ -346,7 +349,7 @@ def _cmd_solve(args):
         raise UsageError(str(exc)) from None
     entry = {name: getattr(result, name) for name in _RESULT_FIELDS}
     entry.update(algo=args.algo, budget=args.budget, p1=args.p1, p2=args.p2, seed=args.seed)
-    _emit("solve", args, inputs, [(args.out, json_text({"results": [entry]}))])
+    _emit(args, inputs, [(args.out, json_text({"results": [entry]}))])
 
 
 def _results(text: str) -> list:
@@ -373,7 +376,7 @@ def _cmd_compare(args):
         verdict = solver_mod.compare(results_a, results_b)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    _emit("compare", args, {"a": record_a, "b": record_b},
+    _emit(args, {"a": record_a, "b": record_b},
           [(args.out, json_text({"verdict": verdict}))])
 
 
@@ -405,13 +408,13 @@ def _cmd_sweep(args):
         inputs["config"], ini = _load(args.config, _ini_settings)
     cfg = _config(SweepConfig, _SWEEP_SETTINGS, args, ini)
     records = sweep(cfg, jobs=_effective_jobs(args.jobs))
-    _emit("sweep", args, inputs, [(args.out, sweep_records_to_csv(records))])
+    _emit(args, inputs, [(args.out, sweep_records_to_csv(records))])
 
 
 def _cmd_bench(args):
     cfg = _config(BenchConfig, _BENCH_SETTINGS, args)
     report = benchmark(cfg, jobs=_effective_jobs(args.jobs))
-    _emit("bench", args, {}, [(args.out, bench_report_to_csv(report))])
+    _emit(args, {}, [(args.out, bench_report_to_csv(report))])
 
 
 def _effective_jobs(jobs: int) -> int:

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,19 +47,6 @@ def is_real(value) -> bool:
     return (type(value) is int or isinstance(value, float)) and -big <= value <= big
 
 
-class LiteralTables(NamedTuple):
-    """What every network build of one formula reads, read-only.
-
-    Each distinct literal of the formula has an id, its rank among the dense
-    codes that occur (x -> 2(x-1), -x -> 2(x-1)+1).  ``rows`` holds each
-    clause's ids, one per slot, and ``holders[id]`` every clause holding that
-    literal with how many times it does, in index order.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    holders: tuple[tuple[tuple[int, int], ...], ...]
-
-
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: n >= 0 variables and a tuple of clause tuples of one
@@ -68,7 +54,9 @@ class Formula:
 
     Its ``formula_sha256`` digest, ``duplicate_vars`` and ``literal_tables``
     are computed on first use and cached on the instance: not fields, and
-    dropped when the formula is pickled.
+    dropped when the formula is pickled.  The tables give each distinct
+    signed literal an id, the number of distinct literals before its first
+    occurrence, scanning the clauses in order.
     """
 
     n: int
@@ -112,14 +100,13 @@ class Formula:
         return any(len(set(map(abs, clause))) < len(clause) for clause in self.clauses)
 
     @cached_property
-    def literal_tables(self) -> LiteralTables:
-        """The literal rows and holders the builder reads; computed once, so
-        every build of this formula shares them."""
-        m, k = self.m, self.k
-        signed = np.fromiter(chain.from_iterable(self.clauses), np.int64, m * k)
-        distinct, ids = np.unique(2 * (np.abs(signed) - 1) + (signed < 0), return_inverse=True)
-        rows = tuple(map(tuple, ids.reshape(m, k).tolist()))
-        holders = [[] for _ in distinct]
+    def literal_tables(self) -> tuple[tuple, tuple]:
+        """Each clause's literal ids, one per slot, and per id every clause
+        holding that literal with how many times it does, in index order:
+        the rows and holders that every build of this formula reads."""
+        ids: dict[int, int] = {}
+        rows = tuple([tuple([ids.setdefault(x, len(ids)) for x in c]) for c in self.clauses])
+        holders = [[] for _ in ids]
         for clause, row in enumerate(rows):
             for literal in row:
                 held = holders[literal]
@@ -127,7 +114,7 @@ class Formula:
                     held[-1] = (clause, held[-1][1] + 1)
                 else:
                     held.append((clause, 1))
-        return LiteralTables(rows, tuple(map(tuple, holders)))
+        return rows, tuple(map(tuple, holders))
 
     @cached_property
     def _sha256(self) -> str:

@@ -198,7 +198,10 @@ def export_dot(graph: ClauseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_rows(keys, columns, newline: str) -> list[str] | None:
+_ROW_BREAK = "\n    "  # a table row's line break and indent in the text
+
+
+def _record_rows(keys, columns) -> list[str] | None:
     """The JSON texts of the records whose sorted ``keys`` hold ``columns``,
     each written by one %r template, when every column holds only exact ints
     and finite floats, whose repr is their JSON text; None otherwise."""
@@ -208,10 +211,10 @@ def _record_rows(keys, columns, newline: str) -> list[str] | None:
             return None
     except OverflowError:  # an int too large for a float
         return None
-    pad = newline + "  "
+    pad = _ROW_BREAK + "  "
     template = ",".join(pad + encode_basestring_ascii(key).replace("%", "%%") + ": %r"
                         for key in keys)
-    return list(map(("{" + template + newline + "}").__mod__, zip(*columns)))
+    return list(map(("{" + template + _ROW_BREAK + "}").__mod__, zip(*columns)))
 
 
 def json_text(payload) -> str:
@@ -232,9 +235,9 @@ def _table_text(table: dict) -> str:
     holds by key: one %r template per row, or ``json.dumps`` of the rows when
     ``_record_rows`` cannot write them or there are none."""
     keys, columns = zip(*sorted(table.items()))
-    rows = _record_rows(keys, columns, "\n    ")
+    rows = _record_rows(keys, columns)
     if rows:
-        return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+        return "[" + _ROW_BREAK + ("," + _ROW_BREAK).join(rows) + "\n  ]"
     return _nested_text([dict(zip(keys, row)) for row in zip(*columns)])
 
 

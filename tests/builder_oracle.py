@@ -9,8 +9,9 @@ byte-identical graphs and the same per-step state.
 
 The oracle takes only the config type, the seeded generator, the graph
 types and the scalar ``clause_distance`` from the package: literal codes
-(``literal_code``, also the reference for ``Formula.literal_tables``), the
-distance matrix, attachment probabilities, the preferential draw and the
+(``literal_code``, a dense numbering by variable and sign, where the
+package's ``Formula.literal_tables`` numbers literals by first occurrence),
+the distance matrix, attachment probabilities, the preferential draw and the
 frozen graph are computed here, so a fault in the package's step loop,
 which computes the probabilities and the draw inline, shows up as a
 difference.  In particular the distances the package's search reads
@@ -37,12 +38,12 @@ def literal_code(literal: int) -> int:
     return 2 * (abs(literal) - 1) + (1 if literal < 0 else 0)
 
 
-def frequency_by_code(state) -> dict[int, int]:
+def frequency_by_literal(state) -> dict[int, int]:
     """The local literal frequencies of a package ``BuildState``, which keeps
-    them by literal id, keyed by literal code: the ids rank the codes that
-    occur in the formula."""
-    clauses = state.formula.clauses
-    return dict(zip(sorted({literal_code(x) for clause in clauses for x in clause}), state.freq))
+    them by literal id, keyed by signed literal: the ids number the distinct
+    literals in order of first occurrence, scanning the clauses in order."""
+    first = dict.fromkeys(x for clause in state.formula.clauses for x in clause)
+    return dict(zip(first, state.freq))
 
 
 def clause_codes(formula: Formula) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builder_oracle
-from builder_oracle import frequency_by_code, literal_code
+from builder_oracle import frequency_by_literal
 from conftest import components, degrees, formula_from_signed, state_with
 from test_builder_oracle import formulas
 from satbec import builder
@@ -197,7 +197,7 @@ def test_add_clause_keeps_order_and_frequencies():
         state.add_clause(clause)
     assert state.order == [2, 0, 1]
     # literal 1 occurs four times, twice in clause 2
-    assert frequency_by_code(state)[literal_code(1)] == 4
+    assert frequency_by_literal(state)[1] == 4
     assert state.fitness == [4 + 1 + 1, 4 + 1 + 1, 4 + 4 + 1]
     with pytest.raises(ValueError):
         state.add_clause(0)

@@ -65,6 +65,19 @@ def test_gen_rerun_is_byte_identical(tmp_path):
     assert read(tmp_path / "f.cnf.manifest.json") == first_manifest
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    out = tmp_path / "f.cnf"
+    previous = os.umask(umask)
+    try:
+        assert run_cli("gen", "--n", "10", "--m", "5", "--out", str(out)) == 0
+    finally:
+        os.umask(previous)
+    for path in (out, tmp_path / "f.cnf.manifest.json"):
+        assert path.stat().st_mode & 0o777 == mode
+
+
 def test_manifest_contents(tmp_path, cnf, graph):
     manifest = json.loads(read(tmp_path / "g.json.manifest.json"))
     assert manifest["subcommand"] == "build"

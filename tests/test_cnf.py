@@ -356,8 +356,8 @@ def test_literal_codes_are_dense():
     assert literal_code(3) == 4
     rows, holders = generate_random(0, 3, 8, 15).literal_tables
     assert len(rows) == 15 and {len(row) for row in rows} == {3}
-    # one id per literal that occurs, of at most 2n codes
-    assert sorted({i for row in rows for i in row}) == list(range(len(holders)))
+    # one id per literal that occurs, of at most 2n, numbered as first met
+    assert list(dict.fromkeys(i for row in rows for i in row)) == list(range(len(holders)))
     assert len(holders) <= 16
 
 
@@ -377,18 +377,19 @@ def repeating_formulas(draw):
 
 
 @given(repeating_formulas())
-def test_literal_rows_and_holders_follow_the_codes(formula):
+@example(Formula(n=2, clauses=((2, -2), (-1, 2), (1, -1))))
+def test_literal_ids_follow_first_occurrence(formula):
     rows, holders = formula.literal_tables
-    codes = [[literal_code(lit) for lit in clause] for clause in formula.clauses]
     assert len(rows) == formula.m
-    # one id per distinct code, ranked by code
-    code_of = {}
-    for row, code_row in zip(rows, codes):
-        assert len(row) == len(code_row)
-        for literal, code in zip(row, code_row):
-            assert code_of.setdefault(literal, code) == code
-    assert sorted(code_of) == list(range(len(holders)))
-    assert [code_of[i] for i in range(len(holders))] == sorted({c for row in codes for c in row})
+    # each id names one signed literal, x and -x apart
+    literal_of = {}
+    for row, clause in zip(rows, formula.clauses):
+        assert len(row) == len(clause)
+        for literal, signed in zip(row, clause):
+            assert literal_of.setdefault(literal, signed) == signed
+    assert len(set(literal_of.values())) == len(literal_of)
+    # the ids run 0..d-1 as the literals are first met, clause by clause
+    assert list(dict.fromkeys(i for row in rows for i in row)) == list(range(len(holders)))
     for literal, held in enumerate(holders):
         assert held == tuple((c, row.count(literal)) for c, row in enumerate(rows)
                              if literal in row)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builder_oracle import frequency_by_code, literal_code
+from builder_oracle import frequency_by_literal
 from conftest import SAMPLE_10, formula_from_signed, state_with
 from satbec.builder import BuilderConfig, build_graph
 from satbec.cnf import generate_random
@@ -29,8 +29,8 @@ def built_columns(formula, **cfg):
 
 def test_literal_frequency_counts_signed_occurrences(sample10):
     state = state_with(sample10, range(10))
-    freq = frequency_by_code(state)
-    count = lambda signed: freq.get(literal_code(signed), 0)
+    freq = frequency_by_literal(state)
+    count = lambda signed: freq.get(signed, 0)
     assert sum(state.freq) == 30
     assert count(52) == 2  # appears in clauses 0 and 5
     assert count(-55) == 2

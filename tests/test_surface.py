@@ -2,9 +2,10 @@
 function, class and constant of ``src/satbec``, and every public method and
 property of a public class, is named somewhere in the package or in
 ``perfbench/`` besides its own definition, and every private top-level name
-is named in the package itself.  Code only the tests use belongs in the
-tests.  ``__init__`` binds only dunder names, so each public name has one
-import path: its module."""
+is named in the package itself, and every NamedTuple or dataclass has a
+field read by name.  Code only the tests use belongs in the tests.
+``__init__`` binds only dunder names, so each public name has one import
+path: its module."""
 
 import ast
 from collections import Counter
@@ -201,3 +202,27 @@ def test_cli_files_have_one_way_in_and_one_way_out():
     one writer of an artifact, to a file or to stdout."""
     assert sorted(functions_where(calls_open)) == ["cli.py:_load"]
     assert sorted(functions_where(writes_output)) == ["cli.py:_emit"]
+
+
+def is_record(cls) -> bool:
+    """Whether a class statement defines a NamedTuple or a dataclass."""
+    bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return "NamedTuple" in bases or any(isinstance(d, ast.Name) and d.id == "dataclass"
+                                        for d in decorators)
+
+
+def test_every_record_has_a_field_read_by_name():
+    """A NamedTuple or dataclass earns its field names only when package
+    code or ``perfbench/`` reads one of them as an attribute; a record that
+    is only unpacked is a plain tuple."""
+    records, read = [], set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        records += [(f"{path.name}:{cls.name}", {field.target.id for field in cls.body
+                                                 if isinstance(field, ast.AnnAssign)})
+                    for cls in tree.body if isinstance(cls, ast.ClassDef) and is_record(cls)]
+    assert len(records) >= 10
+    assert [label for label, fields in records if not fields & read] == []
