@@ -73,6 +73,7 @@ from .graph import (
     EdgeColumns,
     NodeColumns,
     fitness_columns,
+    graph_header,
 )
 
 
@@ -245,9 +246,6 @@ def find_closest_clause(state: BuildState, t: int) -> int:
 
 def _freeze(state: BuildState) -> ClauseGraph:
     cfg = state.cfg
-    header = vars(cfg)
-    if cfg.mode == MODE_S2G:  # s2g graphs carry no theta or rho
-        header = {**header, "theta": None, "rho": None}
     order = state.order
     pick = itemgetter(*order)  # m >= 2, so each pick is a tuple
     fits = pick(state.fitness)
@@ -256,7 +254,7 @@ def _freeze(state: BuildState) -> ClauseGraph:
     m = state.formula.m
     keys = sorted(state.edge_weight)
     return ClauseGraph(
-        **header,
+        **graph_header(cfg),
         n=state.formula.n,
         k=state.formula.k,
         formula_sha256=formula_sha256(state.formula),

@@ -27,7 +27,7 @@ from . import __version__
 from . import solver as solver_mod
 from .analysis import classification
 from .builder import BuilderConfig, build_graph
-from .cnf import generate_random, is_count, is_real, parse_dimacs, serialize_dimacs
+from .cnf import generate_random, is_count, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
     SweepConfig,
@@ -88,6 +88,8 @@ def _load(path: str, parse: Callable) -> tuple[dict, object]:
 
 def _stage(path: str, text: str) -> str:
     """Write ``text`` to a temporary file beside ``path``; return its name."""
+    if not path:
+        raise UsageError("cannot write to '': the path is empty")
     if os.path.isdir(path):
         raise UsageError(f"cannot write to {path!r}: is a directory")
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -282,12 +284,10 @@ def _cmd_build(args):
     record, formula = _load(getattr(args, "in"), parse_dimacs)
     cfg = _config(BuilderConfig, _BUILD_SETTINGS, args)
     try:
-        graph = build_graph(formula, cfg)
+        text = graph_to_json(build_graph(formula, cfg))
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    if not all(map(is_real, graph.nodes.energy)):
-        raise DataError(f"temperature {cfg.temperature!r} gives an energy too large for a float")
-    _emit(args, {"in": record}, [(args.out, graph_to_json(graph))])
+    _emit(args, {"in": record}, [(args.out, text)])
 
 
 def _cmd_classify(args):

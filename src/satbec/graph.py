@@ -14,17 +14,18 @@ The fields of ``NodeColumns``, ``EdgeColumns`` and ``ClauseGraph`` are the
 graph JSON keys, and ``BuilderConfig`` is the one check of the build settings
 a graph header records.  ``json_text`` is the layout of every JSON artifact,
 ``json.dumps`` with sorted keys and a two-space indent; ``graph_to_json``
-writes the same layout with one template per node and edge row.
+writes the same layout with one template per node and edge row, and refuses
+a table column that ``graph_from_json`` would refuse, so the tables hold only
+exact ints and finite floats.  ``graph_header`` is the one statement of the
+settings a header records, theta and rho null in mode s2g.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, fields
 from itertools import groupby
-from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, ne
 from typing import NamedTuple
 
@@ -71,6 +72,15 @@ class BuilderConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.first_clause_rule not in FIRST_CLAUSE_RULES:
             raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
+
+
+def graph_header(cfg: BuilderConfig) -> dict:
+    """The build settings a graph header records: the fields of ``cfg``, with
+    theta and rho null in mode s2g, whose graphs carry neither."""
+    header = dict(vars(cfg))
+    if cfg.mode == MODE_S2G:
+        header.update(theta=None, rho=None)
+    return header
 
 
 def fitness_columns(raw: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,22 +211,6 @@ def export_dot(graph: ClauseGraph) -> str:
 _ROW_BREAK = "\n    "  # a table row's line break and indent in the text
 
 
-def _record_rows(keys, columns) -> list[str] | None:
-    """The JSON texts of the records whose sorted ``keys`` hold ``columns``,
-    each written by one %r template, when every column holds only exact ints
-    and finite floats, whose repr is their JSON text; None otherwise."""
-    try:
-        if not all(set(map(type, c)) <= {int, float} and all(map(math.isfinite, c))
-                   for c in columns):
-            return None
-    except OverflowError:  # an int too large for a float
-        return None
-    pad = _ROW_BREAK + "  "
-    template = ",".join(pad + encode_basestring_ascii(key).replace("%", "%%") + ": %r"
-                        for key in keys)
-    return list(map(("{" + template + _ROW_BREAK + "}").__mod__, zip(*columns)))
-
-
 def json_text(payload) -> str:
     """The JSON artifact text of ``payload``: sorted keys, two-space indent,
     ASCII-only, one final newline; the layout of every JSON artifact and
@@ -232,13 +226,19 @@ def _nested_text(value) -> str:
 
 def _table_text(table: dict) -> str:
     """The nested JSON text of the list of row dicts whose columns ``table``
-    holds by key: one %r template per row, or ``json.dumps`` of the rows when
-    ``_record_rows`` cannot write them or there are none."""
+    holds by key, each row written by one %r template.  Each column must
+    pass the loader's number rule, exact ints in an int column and exact
+    ints or finite floats in a float column, whose repr is their JSON text;
+    ValueError names a column that does not."""
     keys, columns = zip(*sorted(table.items()))
-    rows = _record_rows(keys, columns)
-    if rows:
-        return "[" + _ROW_BREAK + ("," + _ROW_BREAK).join(rows) + "\n  ]"
-    return _nested_text([dict(zip(keys, row)) for row in zip(*columns)])
+    for key, column in zip(keys, columns):
+        _check_numbers(key, column, integer=key not in _FLOAT_KEYS)
+    if not columns[0]:
+        return "[]"
+    pad = _ROW_BREAK + "  "
+    template = "{" + ",".join(f"{pad}{json.dumps(key)}: %r" for key in keys) + _ROW_BREAK + "}"
+    rows = map(template.__mod__, zip(*columns))
+    return "[" + _ROW_BREAK + ("," + _ROW_BREAK).join(rows) + "\n  ]"
 
 
 def graph_to_json(graph: ClauseGraph) -> str:
@@ -247,7 +247,9 @@ def graph_to_json(graph: ClauseGraph) -> str:
     The text is ``json_text`` of the header with ``m`` and the
     ``insertion_order``, and of the node and edge tables as lists of row
     dicts.  It is written key by key, each table row by one template, with
-    no dict per node or edge."""
+    no dict per node or edge.  A table column that the loader's number rule
+    refuses, such as an energy that overflowed to inf, raises ValueError
+    naming the column, so no node or edge table holds ``Infinity`` or ``NaN``."""
     nodes = graph.nodes
     particles = list(map(add, nodes.in_events, nodes.out_events))
     payload = {
@@ -275,14 +277,14 @@ _LEAST = {"raw_fitness": 1, "in_events": 0, "out_events": 0, "multiplicity": 1}
 
 def _check_numbers(key: str, values, integer: bool = False, minimum=None):
     """Raise ValueError unless every value is a finite number (an int when
-    ``integer``) of at least ``minimum``.  Whole columns are checked at once
-    so that loading stays cheap."""
+    ``integer``) of at least ``minimum``.  Whole columns are checked at once,
+    and each distinct number once, so that loading and writing stay cheap."""
     allowed = {int} if integer else {int, float}
     if not set(map(type, values)) <= allowed:
         bad = next(v for v in values if type(v) not in allowed)
         kind = "an integer" if integer else "a number"
         raise ValueError(f"graph JSON field {key!r} is not {kind}: {bad!r}")
-    if not (integer or all(map(is_real, values))):
+    if not (integer or all(map(is_real, set(values)))):  # equal numbers share a verdict
         raise ValueError(f"graph JSON field {key!r} holds a number that is not finite")
     if minimum is not None and values and min(values) < minimum:
         raise ValueError(f"graph JSON field {key!r} holds a value below {minimum}")
@@ -315,8 +317,8 @@ def _check_fitness(raw, normalized, energy, temperature):
 
 def graph_from_json(text: str) -> ClauseGraph:
     """Parse graph JSON and check it against itself: numeric fields are
-    finite numbers, the header holds settings ``BuilderConfig`` accepts (with
-    a null theta and rho in mode s2g) and a sha256 digest, node clause
+    finite numbers, the header holds settings ``BuilderConfig`` accepts,
+    recorded as ``graph_header`` records them, and a sha256 digest, node clause
     indices are distinct and lie in [0, m), raw fitness is at least 1 and
     gives each node's normalized fitness and energy at the header
     temperature, each node's particles equal its in plus out events and the
@@ -337,14 +339,12 @@ def graph_from_json(text: str) -> ClauseGraph:
     _check_numbers("n", (header["n"],), integer=True, minimum=1)
     _check_numbers("k", (header["k"],), integer=True, minimum=1)
     settings = {f.name: header[f.name] for f in fields(BuilderConfig)}
-    if header["mode"] == MODE_S2G:  # s2g graphs carry no theta or rho
-        if header["theta"] is not None or header["rho"] is not None:
-            raise ValueError("graph JSON of mode 's2g' carries a theta or a rho")
-        del settings["theta"], settings["rho"]
     try:
-        BuilderConfig(**settings)
+        cfg = BuilderConfig(**{key: value for key, value in settings.items() if value is not None})
     except ValueError as exc:
         raise ValueError(f"graph JSON header holds settings no build writes: {exc}") from None
+    if graph_header(cfg) != settings:
+        raise ValueError("graph JSON header holds a null setting, or a theta or rho in mode 's2g'")
     digest = header["formula_sha256"]
     if type(digest) is not str or not _SHA256.fullmatch(digest):
         raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")

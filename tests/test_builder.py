@@ -24,7 +24,7 @@ from satbec.builder import (
     find_closest_clause,
     select_first_clause,
 )
-from satbec.cnf import generate_random, parse_dimacs, serialize_dimacs
+from satbec.cnf import Formula, generate_random, parse_dimacs, serialize_dimacs
 from satbec.graph import (
     MODE_S2G,
     MODE_S2GPA,
@@ -69,6 +69,11 @@ def test_config_accepts_numpy_float_temperature():
 def test_build_needs_two_clauses():
     with pytest.raises(ValueError):
         build_graph(generate_random(0, 3, 10, 1), BuilderConfig())
+
+
+def test_build_state_needs_a_clause():
+    with pytest.raises(ValueError, match="formula has no clauses"):
+        BuildState(Formula(3, ()), BuilderConfig())
 
 
 def test_two_clause_build_is_one_forced_edge():

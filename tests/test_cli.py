@@ -15,6 +15,7 @@ import pytest
 from satbec import __version__, cli
 from satbec.cli import main
 from satbec.experiments import BenchConfig, BenchReport, SweepConfig
+from satbec.graph import graph_from_json
 from satbec.solver import DEFAULT_BUDGET, DESK_BUDGET, SOLVERS
 from conftest import deadline
 from test_graph import SETTINGS_TAMPERS, tamper_id
@@ -492,6 +493,15 @@ def graph_with_no_link_events(tmp_path, cnf, graph):
     return ("classify", "--in", str(tmp_path / "bare.json"), "--out", str(tmp_path / "c.json"))
 
 
+def graph_with_no_nodes(tmp_path, cnf, graph):
+    payload = json.loads(read(graph))
+    payload.update(nodes=[], edges=[], m=0, insertion_order=[])
+    text = json.dumps(payload)
+    assert graph_from_json(text).m == 0  # the loader accepts it; classify refuses it
+    (tmp_path / "empty.json").write_text(text, encoding="utf-8")
+    return ("classify", "--in", str(tmp_path / "empty.json"), "--out", str(tmp_path / "c.json"))
+
+
 def result_file(tmp_path, cnf, edit):
     good = tmp_path / "good.json"
     assert run_cli("solve", "--budget", "500", "--in", str(cnf), "--out", str(good)) == 0
@@ -510,13 +520,14 @@ def without_flips(text):
     [
         (graph_of_another_formula, "not built from this formula"),
         (graph_with_no_link_events, "graph has no edges"),
+        (graph_with_no_nodes, "graph has no edges"),
         (lambda tmp_path, cnf, graph: result_file(tmp_path, cnf, lambda text: "not json"),
          "not a valid result file"),
         (lambda tmp_path, cnf, graph: result_file(tmp_path, cnf, without_flips),
          "not a valid result file: 'flips'"),
     ],
-    ids=["solve-graph-of-another-formula", "classify-no-edges", "compare-not-json",
-         "compare-no-flips"],
+    ids=["solve-graph-of-another-formula", "classify-no-edges", "classify-no-nodes",
+         "compare-not-json", "compare-no-flips"],
 )
 def test_inconsistent_inputs_are_data_errors_that_write_nothing(tmp_path, cnf, graph, capsys,
                                                                 setup, message):
@@ -537,9 +548,9 @@ def test_energy_too_large_for_a_float_is_data_error(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run_cli("build", "--mode", "s2gpa", "--seed", "1", "--temp", "1e308",
                        "--in", str(formula), "--out", str(tmp_path / "g.json")) == 2
-    assert capsys.readouterr().err == (
-        "error: temperature 1e+308 gives an energy too large for a float\n"
-    )
+    err = capsys.readouterr().err
+    # the graph writer refuses the column, as the loader would
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'energy'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cnf"]
 
 
@@ -750,6 +761,17 @@ def test_outputs_on_one_path_are_usage_errors(tmp_path, graph, monkeypatch, caps
     before = sorted(tmp_path.iterdir())
     assert run_cli("spectrum", "--in", str(graph), "--out", "s.json", "--dot", dot) == 1
     assert "are the same file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_an_empty_output_path_is_a_usage_error_that_writes_nothing(tmp_path, graph,
+                                                                    monkeypatch, capsys):
+    # the empty --dot path comes after --out, whose artifact and manifest
+    # must not be renamed into place before it is refused
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("spectrum", "--in", str(graph), "--out", "s.json", "--dot", "") == 1
+    assert capsys.readouterr().err == "error: cannot write to '': the path is empty\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -1,6 +1,7 @@
-"""The CLI's file contract, checked by a generator: a subcommand run on a
-mutated input file either exits 0 and writes a manifest beside every
-artifact, or exits 1 or 2 with an ``error:`` line and writes nothing."""
+"""The CLI's input contract, checked by generators: a subcommand run on a
+mutated input file, or with one flag value swapped for an extreme one,
+either exits 0 and writes a manifest beside every artifact, or exits 1 or 2
+with an ``error:`` line and writes nothing."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
@@ -37,16 +38,23 @@ RUNS = [
 ]
 
 
+def input_files(directory) -> dict:
+    """The bytes of ``directory``'s f.cnf and of the graph (g.json) and
+    solver result (r.json, and as q.json) built from it, by name."""
+    cnf, graph, result = (str(directory / name) for name in ("f.cnf", "g.json", "r.json"))
+    assert main(["build", "--seed", "1", "--in", cnf, "--out", graph]) == 0
+    assert main(["solve", "--budget", "100", "--in", cnf, "--out", result]) == 0
+    files = {name: (directory / name).read_bytes() for name in ("f.cnf", "g.json", "r.json")}
+    return {**files, "q.json": files["r.json"]}
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
     """The bytes of one valid input file of each kind, by name, at n = 12."""
     directory = tmp_path_factory.mktemp("valid")
-    cnf, graph, result = (str(directory / name) for name in ("f.cnf", "g.json", "r.json"))
-    assert main(["gen", "--seed", "7", "--n", "12", "--m", "30", "--out", cnf]) == 0
-    assert main(["build", "--seed", "1", "--in", cnf, "--out", graph]) == 0
-    assert main(["solve", "--budget", "100", "--in", cnf, "--out", result]) == 0
-    files = {name: (directory / name).read_bytes() for name in ("f.cnf", "g.json", "r.json")}
-    return {**files, "q.json": files["r.json"], "s.ini": SWEEP_INI.encode()}
+    assert main(["gen", "--seed", "7", "--n", "12", "--m", "30",
+                 "--out", str(directory / "f.cnf")]) == 0
+    return {**input_files(directory), "s.ini": SWEEP_INI.encode()}
 
 
 def mutate(data: bytes, draw) -> bytes:
@@ -64,14 +72,14 @@ def mutate(data: bytes, draw) -> bytes:
     return data[:token.start()] + draw(st.sampled_from(TOKENS)).encode() + data[token.end():]
 
 
-@settings(max_examples=600, derandomize=True, deadline=None)
-@given(st.sampled_from(RUNS), st.data())
-def test_a_mutated_input_file_yields_its_artifacts_or_an_error_and_nothing(valid, run, data):
-    name, argv = run
+def run_in(files: dict, argv) -> tuple[int, set, str]:
+    """Run ``argv`` under ``deadline(5)`` in a new directory holding ``files``
+    (name -> bytes): its exit code, the names it added and its stderr.  The
+    run must remove no file."""
     with tempfile.TemporaryDirectory() as directory:
-        for other, text in valid.items():
-            with open(os.path.join(directory, other), "wb") as fh:
-                fh.write(mutate(text, data.draw) if other == name else text)
+        for name, data in files.items():
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(data)
         before = set(os.listdir(directory))
         stderr = io.StringIO()
         cwd = os.getcwd()
@@ -81,13 +89,91 @@ def test_a_mutated_input_file_yields_its_artifacts_or_an_error_and_nothing(valid
                 code = main(list(argv))
         finally:
             os.chdir(cwd)
-        written = set(os.listdir(directory)) - before
-        assert set(os.listdir(directory)) >= before
+        after = set(os.listdir(directory))
+        assert after >= before
+    return code, after - before, stderr.getvalue()
+
+
+def assert_artifacts_with_manifests(written: set, stderr: str):
+    artifacts = {p for p in written if not p.endswith(".manifest.json")}
+    assert artifacts and written == artifacts | {p + ".manifest.json" for p in artifacts}
+    assert stderr == ""
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.sampled_from(RUNS), st.data())
+def test_a_mutated_input_file_yields_its_artifacts_or_an_error_and_nothing(valid, run, data):
+    name, argv = run
+    files = {other: mutate(text, data.draw) if other == name else text
+             for other, text in valid.items()}
+    code, written, stderr = run_in(files, argv)
     if code == 0:
-        artifacts = {p for p in written if not p.endswith(".manifest.json")}
-        assert artifacts and written == artifacts | {p + ".manifest.json" for p in artifacts}
-        assert stderr.getvalue() == ""
+        assert_artifacts_with_manifests(written, stderr)
     else:
         assert code in (1, 2)
-        assert stderr.getvalue().startswith("error: ") and "Traceback" not in stderr.getvalue()
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert written == set()
+
+
+# flag values swapped in one at a time: zero, negative, above every count
+# cap, above every float, not a number, infinite, empty and not ASCII
+VALUES = ("0", "-1", str(2**70), "1e308", "nan", "inf", "", "é€", "\u2028")
+
+# a small valid argv of each subcommand, setting every flag it takes but
+# --jobs, which stays 1 so that no worker pool starts; no swap takes n above
+# 20, the instances above 2 or a budget above 100
+ARGVS = [
+    ("gen", "--seed", "1", "--k", "3", "--n", "12", "--m", "30", "--out", "f2.cnf"),
+    ("build", "--mode", "s2gpa", "--theta", "0.5", "--rho", "2", "--temp", "1.0", "--first",
+     "fittest", "--seed", "1", "--in", "f.cnf", "--out", "g2.json"),
+    ("classify", "--in", "g.json", "--out", "c.json"),
+    ("spectrum", "--in", "g.json", "--out", "s.json", "--dot", "s.dot"),
+    ("solve", "--algo", "lc", "--p1", "0.1", "--p2", "0.2", "--budget", "100", "--seed", "1",
+     "--in", "f.cnf", "--graph", "g.json", "--out", "r2.json"),
+    ("compare", "q.json", "r.json", "--out", "v.json"),
+    ("sweep", "--n-values", "10", "--alphas", "2.0", "--instances", "2", "--graphs", "1", "--k",
+     "3", "--seed", "0", "--mode", "s2gpa", "--theta", "0.33", "--rho", "1", "--temp", "1.0",
+     "--first", "random", "--jobs", "1", "--out", "s.csv"),
+    ("bench", "--k", "3", "--grid", "2.0", "--solvers", "chainsat", "--n-values", "10",
+     "--instances", "1", "--budget", "100", "--p1", "0.1", "--p2", "0.2", "--mode", "s2g",
+     "--theta", "0.33", "--rho", "1", "--temp", "1.0", "--first", "random", "--seed", "0",
+     "--jobs", "1", "--out", "b.csv"),
+]
+
+
+def swap(argv, flag: str, value: str) -> list:
+    """``argv`` with the value of ``flag`` swapped for ``value``."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+@st.composite
+def swapped_argvs(draw) -> list:
+    argv = draw(st.sampled_from(ARGVS))
+    flags = [arg for arg in argv if arg.startswith("--") and arg != "--jobs"]
+    return swap(argv, draw(st.sampled_from(flags)), draw(st.sampled_from(VALUES)))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The input files the argvs read.  The last clause of f.cnf has a tenth
+    of the others' fitness, so at --temp 1e308 its energy overflows."""
+    directory = tmp_path_factory.mktemp("argv")
+    (directory / "f.cnf").write_bytes(b"p cnf 6 11\n" + b"1 2 3 0\n" * 10 + b"4 5 6 0\n")
+    return input_files(directory)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(swapped_argvs())
+@example(swap(ARGVS[1], "--temp", "1e308"))  # an energy too large for a float
+def test_a_swapped_flag_value_yields_its_artifacts_or_one_error_line_and_nothing(argv_files,
+                                                                                  argv):
+    code, written, stderr = run_in(argv_files, argv)
+    if code == 0:
+        assert_artifacts_with_manifests(written, stderr)
+    else:
+        assert code in (1, 2)
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
         assert written == set()

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from operator import add
 from pathlib import Path
 
@@ -132,20 +132,21 @@ def row_payload(g):
 @pytest.mark.parametrize("case", ["infinite-energy", "no-edges", "dupvar"])
 def test_graph_json_is_json_dumps_of_its_rows(case):
     # tables are written from the columns; the text must still be json's for
-    # the rows, also where the writer falls back to dict rows: an energy that
-    # overflows to inf (written as Infinity), or a table with no rows
+    # the rows, also for a table with no rows, and an energy that overflows
+    # to inf is refused, not written as Infinity
     if case == "infinite-energy":
         f = formula_from_signed([(1, 2, 3)] * 10 + [(4, 5, 6)], 6)
         g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, temperature=1e308, seed=1))
         assert math.inf in g.nodes.energy
-    elif case == "no-edges":
+        with pytest.raises(ValueError, match="'energy'"):
+            graph_to_json(g)
+        return
+    if case == "no-edges":
         g = unlinked_graph([3, 1, 2])
     else:
         f = parse_dimacs(DUPVAR.read_text(encoding="utf-8"))
         g = build_graph(f, BuilderConfig(mode=MODE_S2GPA, rho=2, seed=1))
-    text = graph_to_json(g)
-    assert text == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
-    assert ("Infinity" in text) == (case == "infinite-energy")
+    assert graph_to_json(g) == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
 
 
 @st.composite
@@ -205,26 +206,34 @@ def test_json_is_stable_and_readable():
 
 # header strings with quote, backslash, %, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('ab%"\\/[]{}\x00\x1f\n\té€\u2028😀'), max_size=6)
-# exact ints and finite floats, which the row templates write
-PLAIN = st.one_of(
-    st.integers(-(2**70), 2**70),
+# what the loader reads back: exact ints in an int column, exact ints or
+# finite floats in a float column, whose repr is their JSON text
+INT = st.integers(-(2**70), 2**70)
+FLOAT = st.one_of(
+    INT,
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from((-0.0, 5e-324, 1e16)),
 )
-# values that send a table to json.dumps: numpy and non-finite floats
+# what it refuses in any column: numpy floats, non-finite floats and bools
 NUMPY = st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
-NOT_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+REFUSED = st.one_of(NUMPY, st.sampled_from((math.nan, math.inf, -math.inf)), st.booleans())
+
+
+def rows(keys, min_size):
+    return st.lists(st.tuples(*[INT if key in INTEGER_FIELDS else FLOAT for key in keys]),
+                    min_size=min_size, max_size=4)
 
 
 @st.composite
-def any_graphs(draw):
-    """Graphs of 0-4 nodes and 0-4 edges whose columns hold any numbers
-    json writes and whose header holds any strings and numbers."""
-    value = draw(st.sampled_from((PLAIN, PLAIN | NUMPY, PLAIN | NOT_FINITE)))
-    nodes = draw(st.lists(st.tuples(*[value] * len(NodeColumns._fields)), max_size=4))
-    edges = draw(st.lists(st.tuples(*[value] * len(EdgeColumns._fields)), max_size=4))
+def any_graphs(draw, min_rows=0):
+    """Graphs of ``min_rows``-4 nodes and edges whose columns hold any
+    numbers the loader reads back and whose header holds any strings and
+    numbers json writes."""
+    nodes = draw(rows(NodeColumns._fields, min_rows))
+    edges = draw(rows(EdgeColumns._fields, min_rows))
     header = {key: draw(TEXT) for key in ("mode", "first_clause_rule", "formula_sha256")}
-    header |= {key: draw(value) for key in ("temperature", "theta", "rho", "seed", "n", "k")}
+    header |= {key: draw(FLOAT | REFUSED)
+               for key in ("temperature", "theta", "rho", "seed", "n", "k")}
     return hand_graph(nodes, edges, **header)
 
 
@@ -232,10 +241,24 @@ def any_graphs(draw):
 @given(any_graphs())
 @example(hand_graph())  # both tables empty
 @example(unlinked_graph([3, 1, 2]))  # no edges
-@example(hand_graph(STAR_NODES, [(0, 1, math.nan, 1), (0, 2, -math.inf, 1)]))  # not finite
 @example(hand_graph([(0, 2**1024, 1.0, 0.0, 0.0, 0, 0)], mode='%r "\\ é'))  # above float max
 def test_graph_json_is_json_dumps_of_any_rows(g):
     assert graph_to_json(g) == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(any_graphs(min_rows=1), st.data())
+def test_graph_json_refuses_a_column_the_loader_refuses(g, data):
+    table = data.draw(st.sampled_from(("nodes", "edges")))
+    columns = getattr(g, table)
+    key = data.draw(st.sampled_from(columns._fields))
+    column = list(getattr(columns, key))
+    # in an int column any float is refused, integral or not
+    column[data.draw(st.integers(0, len(column) - 1))] = data.draw(
+        REFUSED | st.floats() if key in INTEGER_FIELDS else REFUSED)
+    g = replace(g, **{table: columns._replace(**{key: tuple(column)})})
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        graph_to_json(g)
 
 
 @pytest.mark.parametrize(

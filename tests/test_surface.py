@@ -8,13 +8,16 @@ field read by name.  Code only the tests use belongs in the tests.
 path: its module."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "satbec").glob("*.py"))
 INIT = ROOT / "src" / "satbec" / "__init__.py"
-CALLERS = [p for p in PACKAGE if p != INIT] + sorted((ROOT / "perfbench").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = [p for p in PACKAGE if p != INIT] + PERFBENCH
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def defined(statement) -> set[str]:
@@ -155,10 +158,9 @@ def checks_finiteness(node) -> bool:
 
 
 def test_the_real_number_rule_is_written_once():
-    """``cnf.is_real`` is the one test of a finite real; only the graph
-    tables' row templates, which json writes otherwise, test finiteness too."""
-    assert sorted(functions_where(checks_finiteness)) == ["cnf.py:is_real",
-                                                          "graph.py:_record_rows"]
+    """``cnf.is_real`` is the one test of a finite real: the loader, the
+    graph writer and every config check finiteness only through it."""
+    assert sorted(functions_where(checks_finiteness)) == ["cnf.py:is_real"]
 
 
 def names_json_dumps(node) -> bool:
@@ -226,3 +228,25 @@ def test_every_record_has_a_field_read_by_name():
                     for cls in tree.body if isinstance(cls, ast.ClassDef) and is_record(cls)]
     assert len(records) >= 10
     assert [label for label, fields in records if not fields & read] == []
+
+
+def imported(path) -> set[str]:
+    """The top-level names of the modules ``path`` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_only_numpy_is_imported_beside_the_standard_library():
+    """numpy is the one runtime dependency.  The tests add pytest,
+    hypothesis, the package and their own modules, and ``perfbench/``'s,
+    which the contract test runs; scipy is installed but not declared, so
+    neither imports it."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert sorted(set().union(*map(imported, PACKAGE)) - allowed) == []
+    allowed |= {"pytest", "hypothesis", "satbec"} | {p.stem for p in TESTS + PERFBENCH}
+    assert sorted(set().union(*map(imported, TESTS)) - allowed) == []
