@@ -117,7 +117,7 @@ class BuildState:
         self.in_events = [0] * m
         self.out_events = [0] * m
         self._weight = array("d", [0.0]) * m
-        self._newcomer_gain = 1.0 if cfg.mode == MODE_S2G else cfg.theta
+        self._newcomer_gain = cfg.newcomer_gain
         self.fittest = -1
         # each edge u < v under the key u * m + v: the weight of its first
         # link event, and its link events

@@ -27,7 +27,7 @@ from . import __version__
 from . import solver as solver_mod
 from .analysis import classification
 from .builder import BuilderConfig, build_graph
-from .cnf import generate_random, is_count, parse_dimacs, serialize_dimacs
+from .cnf import check_count, generate_random, parse_dimacs, serialize_dimacs
 from .experiments import (
     BenchConfig,
     SweepConfig,
@@ -315,12 +315,12 @@ def _cmd_spectrum(args):
 
 
 # the SolverResult fields a result entry holds, each with the test its JSON
-# value must pass
+# value must pass, or None for a count, which ``check_count`` checks
 _RESULT_FIELDS = {
     "solved": (lambda v: type(v) is bool, "a boolean"),
-    "satisfied_clauses": (is_count, "a non-negative integer"),
-    "flips": (is_count, "a non-negative integer"),
-    "evaluations": (is_count, "a non-negative integer"),
+    "satisfied_clauses": None,
+    "flips": None,
+    "evaluations": None,
     "assignment": (lambda v: type(v) is list and all(type(x) is bool for x in v),
                    "a list of booleans"),
     "formula_sha256": (lambda v: type(v) is str, "a string"),
@@ -359,9 +359,11 @@ def _results(text: str) -> list:
     try:
         for entry in json.loads(text)["results"]:
             fields = {name: entry[name] for name in _RESULT_FIELDS}
-            for name, (valid, kind) in _RESULT_FIELDS.items():
-                if not valid(fields[name]):
-                    raise TypeError(f"{name!r} must be {kind}")
+            for name, rule in _RESULT_FIELDS.items():
+                if rule is None:
+                    check_count(name, fields[name])
+                elif not rule[0](fields[name]):
+                    raise TypeError(f"{name!r} must be {rule[1]}")
             fields["assignment"] = tuple(fields["assignment"])
             results.append(solver_mod.SolverResult(**fields))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -33,10 +33,15 @@ def _plain_integers(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
-def is_count(value, minimum: int = 0) -> bool:
-    """Whether ``value`` is an exact ``int`` (a bool does not count) of at
-    least ``minimum``: the one test of every count, seed and budget."""
-    return type(value) is int and value >= minimum
+def check_count(name: str, value, minimum: int = 0, maximum: int | None = None):
+    """Raise ValueError naming ``name`` unless ``value`` is an exact ``int``
+    (a bool does not count) in [minimum, maximum]: the one check of every
+    count, seed and budget, with the one message."""
+    if type(value) is not int or value < minimum or maximum is not None and value > maximum:
+        least = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}")
+        most = "" if maximum is None else f" <= {maximum}"
+        raise ValueError(f"{name} must be {least}{most}, got {value!r}")
 
 
 def is_real(value) -> bool:
@@ -64,8 +69,7 @@ class Formula:
 
     def __post_init__(self):
         n, clauses = self.n, self.clauses
-        if not (is_count(n) and n <= MAX_COUNT):
-            raise ValueError(f"n must be an int >= 0 and <= {MAX_COUNT}, got {n!r}")
+        check_count("n", n, 0, MAX_COUNT)
         # lists would leave the formula unhashable and unequal to its parse
         if type(clauses) is not tuple or not set(map(type, clauses)) <= {tuple}:
             raise ValueError("clauses must be a tuple of tuples")
@@ -221,16 +225,10 @@ def generate_random(seed: int, k: int, n: int, m: int) -> Formula:
     the ``choice`` stream across versions.  The pinned digests and the
     reference generator in the tests catch any drift.
     """
-    if not is_count(seed):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (is_count(n, 1) and n <= MAX_COUNT):
-        raise ValueError(f"n must be an int >= 1 and <= {MAX_COUNT}, got {n!r}")
-    if not is_count(k, 1):
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
-    if k > n:
-        raise ValueError(f"cannot draw {k} distinct variables from {n}")
-    if not (is_count(m) and m <= MAX_COUNT):
-        raise ValueError(f"m must be an int >= 0 and <= {MAX_COUNT}, got {m!r}")
+    check_count("seed", seed)
+    check_count("n", n, 1, MAX_COUNT)
+    check_count("k", k, 1, n)  # k distinct variables per clause
+    check_count("m", m, 0, MAX_COUNT)
     rng = np.random.Generator(np.random.PCG64(seed))
     tail = n > 10_000 and k > n // 50
     if tail:

@@ -17,7 +17,7 @@ import numpy as np
 from . import solver
 from .analysis import Phase, classification
 from .builder import build_graph
-from .cnf import MAX_COUNT, Formula, generate_random, is_count, is_real
+from .cnf import MAX_COUNT, Formula, check_count, generate_random, is_real
 from .graph import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
@@ -57,10 +57,7 @@ class SweepConfig:
         _check_grid(self, builds=True)
         if list(self.alphas) != sorted(self.alphas):
             raise ValueError("alphas must be ascending")
-        graphs = self.graphs_per_instance
-        if not (is_count(graphs, 1) and graphs <= MAX_COUNT):
-            raise ValueError(
-                f"graphs_per_instance must be an int >= 1 and <= {MAX_COUNT}, got {graphs!r}")
+        check_count("graphs_per_instance", self.graphs_per_instance, 1, MAX_COUNT)
 
     def builder_config(self, seed: int) -> BuilderConfig:
         return _builder_config(self, self.mode, seed)
@@ -88,23 +85,19 @@ def _check_grid(cfg: SweepConfig | BenchConfig, builds: bool):
     a network needs, and the builder settings are valid."""
     if type(cfg.n_values) is not tuple or type(cfg.alphas) is not tuple:
         raise ValueError("n_values and alphas must be tuples")
-    if not cfg.n_values or not all(is_count(n, 1) and n <= MAX_COUNT for n in cfg.n_values):
-        raise ValueError(f"n_values must be ints >= 1 and <= {MAX_COUNT}")
-    if not cfg.alphas:
-        raise ValueError("alphas must not be empty")
+    if not cfg.n_values or not cfg.alphas:
+        raise ValueError("n_values and alphas must not be empty")
+    for i, n in enumerate(cfg.n_values):
+        check_count(f"n_values entry {i}", n, 1, MAX_COUNT)
     if not all(is_real(a) and a > 0 for a in cfg.alphas):
         raise ValueError("alphas must be positive and finite")
     if max(cfg.alphas) * max(cfg.n_values) > MAX_COUNT:
         raise ValueError(f"alpha * n must not exceed {MAX_COUNT} clauses")
-    if not (is_count(cfg.k, 1) and cfg.k <= min(cfg.n_values)):
-        raise ValueError(f"k must be an int in [1, {min(cfg.n_values)}], the smallest n")
+    check_count("k", cfg.k, 1, min(cfg.n_values))  # k distinct variables at every n
     if builds and any(clause_count(n, a) < 2 for n in cfg.n_values for a in cfg.alphas):
         raise ValueError("every (n, alpha) point needs at least 2 clauses to build a network")
-    if not (is_count(cfg.instances, 1) and cfg.instances <= MAX_COUNT):
-        raise ValueError(
-            f"instances must be an int >= 1 and <= {MAX_COUNT}, got {cfg.instances!r}")
-    if not is_count(cfg.seed_root):
-        raise ValueError("seed_root must be a non-negative integer")
+    check_count("instances", cfg.instances, 1, MAX_COUNT)
+    check_count("seed_root", cfg.seed_root)
     cfg.builder_config(0)
 
 
@@ -175,9 +168,9 @@ def aggregate_samples(n: int, alpha: float, samples: list[dict]) -> SweepRecord:
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` independent tasks: ``jobs`` capped at
     the task count and the core count, and at least 1.  ``jobs`` must be a
-    count (``cnf.is_count``); anything else raises ValueError."""
-    if not is_count(jobs):
-        raise ValueError("jobs must be a non-negative integer")
+    non-negative ``int``; ``cnf.check_count`` refuses anything else with a
+    ``ValueError`` naming ``jobs``."""
+    check_count("jobs", jobs)
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
@@ -251,9 +244,7 @@ class BenchConfig:
         if type(self.alphas) is tuple and not self.alphas:
             object.__setattr__(self, "alphas", default_alpha_grid(self.k))
         _check_grid(self, builds=any(s in solver.ORDERED_SOLVERS for s in self.solvers))
-        if not (is_count(self.budget) and self.budget <= MAX_COUNT):
-            raise ValueError(f"budget must be a non-negative integer <= {MAX_COUNT}, "
-                             f"got {self.budget!r}")
+        check_count("budget", self.budget, 0, MAX_COUNT)
         solver.flip_probabilities(self.k, self.p1, self.p2)
 
     def builder_config(self, seed: int) -> BuilderConfig:
@@ -265,7 +256,8 @@ class BenchConfig:
 
 def default_alpha_grid(k: int) -> tuple[float, ...]:
     """Evenly spaced alphas spanning [threshold - 2, threshold + 1]."""
-    if not (is_count(k) and k in SAT_THRESHOLD):
+    check_count("k", k)
+    if k not in SAT_THRESHOLD:
         raise ValueError(f"no accepted threshold for k={k!r}; pass alphas explicitly")
     threshold = SAT_THRESHOLD[k]
     return tuple(float(a) for a in np.linspace(threshold - 2.0, threshold + 1.0, 8))

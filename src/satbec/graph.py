@@ -15,9 +15,9 @@ graph JSON keys, and ``BuilderConfig`` is the one check of the build settings
 a graph header records.  ``json_text`` is the layout of every JSON artifact,
 ``json.dumps`` with sorted keys and a two-space indent; ``graph_to_json``
 writes the same layout with one template per node and edge row, and refuses
-a table column that ``graph_from_json`` would refuse, so the tables hold only
-exact ints and finite floats.  ``graph_header`` is the one statement of the
-settings a header records, theta and rho null in mode s2g.
+a header or a table column that ``graph_from_json`` would refuse, so the
+tables hold only exact ints and finite floats.  ``graph_header`` is the one
+statement of the settings a header records, theta and rho null in mode s2g.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ import json
 import re
 from dataclasses import dataclass, fields
 from itertools import groupby
-from operator import add, itemgetter, ne
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .cnf import MAX_COUNT, is_count, is_real
+from .cnf import MAX_COUNT, check_count, is_real
 
 MODE_S2G = "s2g"
 MODE_S2GPA = "s2gpa"
@@ -66,12 +66,16 @@ class BuilderConfig:
             raise ValueError("temperature must be positive and finite")
         if not (is_real(self.theta) and 0.0 < self.theta < 1.0):
             raise ValueError("theta must lie strictly between 0 and 1")
-        if not (is_count(self.rho, 1) and self.rho <= MAX_COUNT):
-            raise ValueError(f"rho must be an int >= 1 and <= {MAX_COUNT}, got {self.rho!r}")
-        if not is_count(self.seed):
-            raise ValueError("seed must be a non-negative integer")
+        check_count("rho", self.rho, 1, MAX_COUNT)
+        check_count("seed", self.seed)
         if self.first_clause_rule not in FIRST_CLAUSE_RULES:
             raise ValueError(f"unknown first-clause rule {self.first_clause_rule!r}")
+
+    @property
+    def newcomer_gain(self) -> float:
+        """The connectivity a link event credits its later-inserted end:
+        theta in mode s2gpa, 1 in s2g.  The earlier end always gains 1."""
+        return 1.0 if self.mode == MODE_S2G else self.theta
 
 
 def graph_header(cfg: BuilderConfig) -> dict:
@@ -249,7 +253,9 @@ def graph_to_json(graph: ClauseGraph) -> str:
     dicts.  It is written key by key, each table row by one template, with
     no dict per node or edge.  A table column that the loader's number rule
     refuses, such as an energy that overflowed to inf, raises ValueError
-    naming the column, so no node or edge table holds ``Infinity`` or ``NaN``."""
+    naming the column, so no node or edge table holds ``Infinity`` or ``NaN``.
+    A header that ``_check_header`` refuses raises ValueError too."""
+    _check_header(vars(graph))
     nodes = graph.nodes
     particles = list(map(add, nodes.in_events, nodes.out_events))
     payload = {
@@ -315,15 +321,39 @@ def _check_fitness(raw, normalized, energy, temperature):
         raise ValueError("graph JSON node energy differs from temperature * ln(max / raw_fitness)")
 
 
+def _check_header(header: dict) -> BuilderConfig:
+    """The build settings of ``header``, a graph's fields but its tables;
+    ValueError unless it holds what a build writes: n a count of at most
+    ``MAX_COUNT``, k a count, settings ``BuilderConfig`` accepts, recorded as
+    ``graph_header`` records them, and a sha256 digest.  The writer and the
+    loader check a header by it alone."""
+    settings = {f.name: header[f.name] for f in fields(BuilderConfig)}
+    try:
+        check_count("n", header["n"], 1, MAX_COUNT)
+        check_count("k", header["k"], 1)
+        cfg = BuilderConfig(**{key: value for key, value in settings.items() if value is not None})
+    except ValueError as exc:
+        raise ValueError(f"graph JSON header holds a value no build writes: {exc}") from None
+    if graph_header(cfg) != settings:
+        raise ValueError("graph JSON header holds a null setting, or a theta or rho in mode 's2g'")
+    digest = header["formula_sha256"]
+    if type(digest) is not str or not _SHA256.fullmatch(digest):
+        raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
+    return cfg
+
+
 def graph_from_json(text: str) -> ClauseGraph:
     """Parse graph JSON and check it against itself: numeric fields are
-    finite numbers, the header holds settings ``BuilderConfig`` accepts,
-    recorded as ``graph_header`` records them, and a sha256 digest, node clause
-    indices are distinct and lie in [0, m), raw fitness is at least 1 and
-    gives each node's normalized fitness and energy at the header
-    temperature, each node's particles equal its in plus out events and the
-    summed multiplicity of its edges, and every edge joins two distinct known
-    nodes, once.  Raises ValueError otherwise."""
+    finite numbers, the header passes ``_check_header``, node clause indices
+    are distinct and lie in [0, m), raw fitness is at least 1 and gives each
+    node's normalized fitness and energy at the header temperature, every
+    edge joins two distinct known nodes, once, and the edges give each node's
+    events and connectivity.  Each link event runs from the later-inserted
+    endpoint to the earlier one, so a node's out and in events are the summed
+    multiplicities of its edges to earlier and to later nodes, its particles
+    their sum, and its connectivity theta x out + in in mode s2gpa, out + in
+    in s2g, within a relative 1e-9, as the build sums it event by event.
+    Raises ValueError otherwise."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -336,46 +366,44 @@ def graph_from_json(text: str) -> ClauseGraph:
         declared_order = payload["insertion_order"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON missing or malformed field: {exc}") from None
-    _check_numbers("n", (header["n"],), integer=True, minimum=1)
-    _check_numbers("k", (header["k"],), integer=True, minimum=1)
-    settings = {f.name: header[f.name] for f in fields(BuilderConfig)}
-    try:
-        cfg = BuilderConfig(**{key: value for key, value in settings.items() if value is not None})
-    except ValueError as exc:
-        raise ValueError(f"graph JSON header holds settings no build writes: {exc}") from None
-    if graph_header(cfg) != settings:
-        raise ValueError("graph JSON header holds a null setting, or a theta or rho in mode 's2g'")
-    digest = header["formula_sha256"]
-    if type(digest) is not str or not _SHA256.fullmatch(digest):
-        raise ValueError("graph JSON field 'formula_sha256' is not 64 lowercase hex digits")
+    cfg = _check_header(header)
     columns = _columns(nodes, _NODE_KEYS)
-    particles = columns.pop("particles")
-    if any(map(ne, particles, map(add, columns["in_events"], columns["out_events"]))):
-        raise ValueError("graph JSON node particles differ from in_events + out_events")
     _columns(edges, _EDGE_KEYS)
     m = len(nodes)
     if declared_m != m or declared_order != list(columns["clause"]):
         raise ValueError("graph JSON is inconsistent with its node list")
-    _check_numbers("m", (declared_m,), integer=True)
+    check_count("m", declared_m)
     _check_numbers("insertion_order", declared_order, integer=True)
     _check_fitness(columns["raw_fitness"], columns["normalized_fitness"], columns["energy"],
                    header["temperature"])
-    # each node's link events, summed from its edges' multiplicities
-    events = dict.fromkeys(columns["clause"], 0)
-    if len(events) != m or (events and (min(events) < 0 or max(events) >= m)):
+    position = {clause: i for i, clause in enumerate(columns["clause"])}
+    if len(position) != m or (position and (min(position) < 0 or max(position) >= m)):
         raise ValueError(f"graph JSON node clause indices are not distinct values in [0, {m})")
-    pairs = set()
+    # each node's link events, by insertion position, summed from its edges
+    ins, outs = [0] * m, [0] * m
+    pairs = set()  # each edge under the int key i * m + j of its positions i < j
     for a, b, _, mult in edges:
-        if a == b or a not in events or b not in events:
+        i, j = position.get(a), position.get(b)
+        if i is None or j is None or i == j:
             raise ValueError(f"graph JSON edge ({a}, {b}) does not join two known nodes")
-        pair = (a, b) if a < b else (b, a)
-        if pair in pairs:
+        if i > j:
+            i, j = j, i
+        if i * m + j in pairs:
             raise ValueError(f"graph JSON lists edge ({a}, {b}) twice")
-        pairs.add(pair)
-        events[a] += mult
-        events[b] += mult
-    if events != dict(zip(columns["clause"], particles)):
-        raise ValueError("graph JSON node particles differ from the link events of its edges")
+        pairs.add(i * m + j)
+        ins[i] += mult
+        outs[j] += mult
+    for key, derived in (("in_events", ins), ("out_events", outs),
+                         ("particles", list(map(add, ins, outs)))):
+        if tuple(derived) != columns[key]:
+            raise ValueError(f"graph JSON node {key} differ from the link events of its edges")
+    del columns["particles"]  # in + out, as just checked
+    try:
+        want = np.array(outs, float) * cfg.newcomer_gain + np.array(ins, float)
+    except OverflowError:
+        raise ValueError("graph JSON field 'multiplicity' holds a value no build writes") from None
+    if not (abs(np.array(columns["connectivity"], float) - want) <= 1e-9 * want).all():
+        raise ValueError("graph JSON node connectivity differs from the link events of its edges")
     edges.sort()  # the pairs are distinct, so only they are compared
     return ClauseGraph(**header, nodes=NodeColumns(**columns),
                        edges=EdgeColumns(*_transpose(edges, len(_EDGE_KEYS))))

@@ -15,7 +15,7 @@ path always yields the same stream.  Experiment harnesses use the path layout
 
 with the tags below, which keeps per-instance and per-repetition streams
 independent of grid iteration order.  ``derive_seed`` refuses a root or path
-entry that is not a non-negative ``int`` (``cnf.is_count``) with a
+entry that is not a non-negative ``int`` with ``cnf.check_count``'s
 ``ValueError``.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import is_count
+from .cnf import check_count
 
 # path tags so different purposes never share a stream
 TAG_GENERATE = 0
@@ -35,9 +35,8 @@ TAG_ORDER = 3
 def derive_seed(root: int, *path: int) -> int:
     """The integer seed of the stream addressed by (root, path): the first
     64-bit word of that address's ``SeedSequence``."""
-    if not is_count(root):
-        raise ValueError("root seed must be a non-negative int")
-    if not all(map(is_count, path)):
-        raise ValueError("stream path entries must be non-negative ints")
+    check_count("root seed", root)
+    for i, entry in enumerate(path):
+        check_count(f"path entry {i}", entry)
     state = np.random.SeedSequence(entropy=root, spawn_key=path).generate_state(1, np.uint64)
     return int(state[0])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, neg
 
-from .cnf import MAX_COUNT, Formula, evaluate, formula_sha256, is_count, is_real
+from .cnf import MAX_COUNT, Formula, check_count, evaluate, formula_sha256, is_real
 from .graph import ClauseGraph
 
 SOLVERS = ("chainsat", "lc", "nlc")
@@ -52,8 +52,7 @@ def flip_probabilities(
     """``p1`` and ``p2``, each None filled from the per-k table; both must
     be reals in [0, 1].  k = 0 is a formula with no clause: it runs no walk,
     so only explicit values are checked and a None stays None."""
-    if not is_count(k):
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    check_count("k", k)
     if not all(p is None or (is_real(p) and 0.0 <= p <= 1.0) for p in (p1, p2)):
         raise ValueError("p1 and p2 must be real numbers in [0, 1]")
     if k and (p1 is None or p2 is None):
@@ -70,9 +69,16 @@ def flip_probabilities(
 
 @dataclass(frozen=True)
 class ClauseOrder:
-    """Clause indices, heaviest first."""
+    """Clause indices, heaviest first: a tuple of the ints 0 .. m-1, each
+    once."""
 
     rank: tuple[int, ...]
+
+    def __post_init__(self):
+        rank = self.rank
+        if (type(rank) is not tuple or not set(map(type, rank)) <= {int}
+                or sorted(rank) != list(range(len(rank)))):
+            raise ValueError("clause order rank must be a tuple of the ints 0 .. m-1, each once")
 
     def positions(self) -> list[int]:
         pos = [0] * len(self.rank)
@@ -144,14 +150,12 @@ def solve(
     """
     if algo not in SOLVERS:
         raise ValueError(f"unknown solver {algo!r}; choose from {', '.join(SOLVERS)}")
-    if not is_count(seed):
-        raise ValueError("seed must be a non-negative integer")
+    check_count("seed", seed)
     if algo not in ORDERED_SOLVERS:
         order = None
     elif order is None:
         raise ValueError(f"solver {algo} needs a clause order")
-    if not (is_count(budget) and budget <= MAX_COUNT):
-        raise ValueError(f"budget must be a non-negative integer <= {MAX_COUNT}, got {budget!r}")
+    check_count("budget", budget, 0, MAX_COUNT)
     digest = formula_sha256(formula)
     m = formula.m
     p1, p2 = flip_probabilities(formula.k, p1, p2)

@@ -488,7 +488,7 @@ def graph_with_no_link_events(tmp_path, cnf, graph):
     payload = json.loads(read(graph))
     payload["edges"] = []
     for node in payload["nodes"]:
-        node.update(in_events=0, out_events=0, particles=0)
+        node.update(in_events=0, out_events=0, particles=0, connectivity=0.0)
     (tmp_path / "bare.json").write_text(json.dumps(payload), encoding="utf-8")
     return ("classify", "--in", str(tmp_path / "bare.json"), "--out", str(tmp_path / "c.json"))
 

@@ -34,9 +34,9 @@ from satbec.cnf import (
         (3, ((1, 2), (1.0, 3)), "must be ints"),
         (4, ((1, 2, 3), (1, 2)), "non-uniform clause length"),
         (3, ((),), "at least one literal"),
-        (-1, (), "n must be an int >= 0"),
-        (2.5, ((1,),), "n must be an int >= 0"),
-        (2**31, (), "n must be an int >= 0"),  # above cnf.MAX_COUNT
+        (-1, (), "n must be a non-negative integer <= 2147483647, got -1"),
+        (2.5, ((1,),), "n must be a non-negative integer <= 2147483647, got 2.5"),
+        (2**31, (), "n must be a non-negative integer <= 2147483647, got"),  # above cnf.MAX_COUNT
         (3, ([1, 2],), "tuple of tuples"),
         (3, [(1, 2)], "tuple of tuples"),
     ],

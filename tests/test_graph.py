@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import components, degrees, formula_from_signed, hand_graph
 from satbec.builder import BuilderConfig, build_graph
-from satbec.cnf import generate_random, parse_dimacs
+from satbec.cnf import MAX_COUNT, generate_random, parse_dimacs
 from satbec.graph import (
     FIRST_CLAUSE_RULES,
     MODE_S2G,
@@ -27,6 +27,7 @@ from satbec.graph import (
     NodeColumns,
     export_dot,
     graph_from_json,
+    graph_header,
     graph_to_json,
     particle_spectrum,
 )
@@ -204,8 +205,6 @@ def test_json_is_stable_and_readable():
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
 
 
-# header strings with quote, backslash, %, control and non-ASCII characters
-TEXT = st.text(st.sampled_from('ab%"\\/[]{}\x00\x1f\n\té€\u2028😀'), max_size=6)
 # what the loader reads back: exact ints in an int column, exact ints or
 # finite floats in a float column, whose repr is their JSON text
 INT = st.integers(-(2**70), 2**70)
@@ -224,16 +223,29 @@ def rows(keys, min_size):
                     min_size=min_size, max_size=4)
 
 
+# build settings the loader accepts, at any count, seed and positive temperature
+BUILDS = st.builds(
+    BuilderConfig,
+    mode=st.sampled_from(MODES),
+    temperature=st.one_of(st.integers(1, 2**70),
+                          st.floats(0.0, exclude_min=True, allow_infinity=False)),
+    theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    rho=st.integers(1, MAX_COUNT),
+    seed=st.integers(0, 2**70),
+    first_clause_rule=st.sampled_from(FIRST_CLAUSE_RULES),
+)
+
+
 @st.composite
 def any_graphs(draw, min_rows=0):
     """Graphs of ``min_rows``-4 nodes and edges whose columns hold any
-    numbers the loader reads back and whose header holds any strings and
-    numbers json writes."""
+    numbers the loader reads back and whose header is any header the
+    loader accepts."""
     nodes = draw(rows(NodeColumns._fields, min_rows))
     edges = draw(rows(EdgeColumns._fields, min_rows))
-    header = {key: draw(TEXT) for key in ("mode", "first_clause_rule", "formula_sha256")}
-    header |= {key: draw(FLOAT | REFUSED)
-               for key in ("temperature", "theta", "rho", "seed", "n", "k")}
+    header = graph_header(draw(BUILDS)) | {
+        "n": draw(st.integers(1, MAX_COUNT)), "k": draw(st.integers(1, 2**70)),
+        "formula_sha256": draw(st.text("0123456789abcdef", min_size=64, max_size=64))}
     return hand_graph(nodes, edges, **header)
 
 
@@ -241,7 +253,7 @@ def any_graphs(draw, min_rows=0):
 @given(any_graphs())
 @example(hand_graph())  # both tables empty
 @example(unlinked_graph([3, 1, 2]))  # no edges
-@example(hand_graph([(0, 2**1024, 1.0, 0.0, 0.0, 0, 0)], mode='%r "\\ é'))  # above float max
+@example(hand_graph([(0, 2**1024, 1.0, 0.0, 0.0, 0, 0)]))  # above float max
 def test_graph_json_is_json_dumps_of_any_rows(g):
     assert graph_to_json(g) == json.dumps(row_payload(g), sort_keys=True, indent=2) + "\n"
 
@@ -354,6 +366,11 @@ TAMPERS = {
     "energy_edited": (set_field("nodes", 1, "energy", -5.0), "energy differs"),
     "energy_off_by_1e-11": (set_field("nodes", 1, "energy", math.log(2) * (1 + 1e-11)), "energy differs"),
     "temperature_edited": (set_top("temperature", 2.0), "energy differs"),
+    # each link event runs from the later-inserted endpoint to the earlier one
+    "events_swapped": (lambda p: p["nodes"][0].update(in_events=0, out_events=3),
+                       "in_events differ from the link events of its edges"),
+    "connectivity_edited": (set_field("nodes", 1, "connectivity", 1000.0),
+                            "connectivity differs from the link events of its edges"),
 }
 
 
@@ -381,6 +398,7 @@ def test_json_rejects_payload_inconsistent_with_itself(name):
 # (an s2g header may carry no theta or rho at all)
 SETTINGS_TAMPERS = [
     ("temperature", "1.0", MODES),
+    ("temperature", math.inf, MODES),
     ("temperature", True, MODES),
     ("temperature", 10**400, MODES),  # an int above the largest float
     ("seed", 1.5, MODES),
@@ -411,6 +429,7 @@ HEADER_TAMPERS = [
     ("m", 24.0, MODES),
     ("seed", -3, MODES),
     ("mode", "swap", MODES),
+    ("mode", "bogus", MODES),
     ("rho", 0, (MODE_S2GPA,)),
     ("rho", None, (MODE_S2GPA,)),
     ("theta", 1.5, (MODE_S2GPA,)),
@@ -434,6 +453,36 @@ def test_json_rejects_header_no_build_writes(mode, key, value):
         value = MODE_S2GPA if mode == MODE_S2G else MODE_S2G
     payload[key] = value
     with pytest.raises(ValueError):
+        graph_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "mode, key, value",
+    [(mode, key, value) for key, value, modes in HEADER_TAMPERS for mode in modes if key != "m"],
+    ids=tamper_id,
+)
+def test_graph_json_refuses_a_header_the_loader_refuses(mode, key, value):
+    graph = build_graph(generate_random(2, 3, 12, 24), BuilderConfig(mode=mode, seed=5))
+    graph_to_json(graph)  # untouched: written
+    if value == "swap":
+        value = MODE_S2GPA if mode == MODE_S2G else MODE_S2G
+    with pytest.raises(ValueError):
+        graph_to_json(replace(graph, **{key: value}))
+
+
+@pytest.mark.parametrize("key, scale", [("connectivity", 1 + 1e-6), ("in_events", 2)])
+def test_json_rejects_node_links_its_edges_do_not_give(key, scale):
+    # an s2gpa node's connectivity is theta x out + in; the build sums it
+    # event by event, so it may sit an ulp off, but no further
+    g = build_graph(generate_random(2, 3, 30, 120), BuilderConfig(mode=MODE_S2GPA, seed=5))
+    payload = json.loads(graph_to_json(g))
+    node = next(node for node in payload["nodes"] if node["in_events"] and node["out_events"])
+    node["connectivity"] = float(np.nextafter(node["connectivity"], math.inf))
+    graph_from_json(json.dumps(payload))  # an ulp off: accepted
+    node[key] *= scale
+    if key == "in_events":
+        node["particles"] = node["in_events"] + node["out_events"]
+    with pytest.raises(ValueError, match=f"{key} differ"):
         graph_from_json(json.dumps(payload))
 
 

@@ -136,11 +136,27 @@ def functions_where(test) -> set[str]:
 
 
 def test_the_integer_rule_is_written_once():
-    """``cnf.is_count`` is the one test of an exact int count and
-    ``cnf.is_real`` of a finite real; only they compare a value's type with
-    ``int``."""
-    assert sorted(functions_where(compares_type_with_int)) == ["cnf.py:is_count",
+    """``cnf.check_count`` is the one check of an exact int count and
+    ``cnf.is_real`` the one test of a finite real; only they compare a
+    value's type with ``int``."""
+    assert sorted(functions_where(compares_type_with_int)) == ["cnf.py:check_count",
                                                                 "cnf.py:is_real"]
+
+
+def compares_with_the_cap(node) -> bool:
+    """Whether ``node`` compares something with ``MAX_COUNT``, by name or
+    as an attribute."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == "MAX_COUNT"
+        or isinstance(n, ast.Attribute) and n.attr == "MAX_COUNT"
+        for o in (node.left, *node.comparators) for n in ast.walk(o))
+
+
+def test_the_count_cap_is_compared_in_one_place():
+    """Every count's cap goes through ``check_count(..., MAX_COUNT)``; only
+    ``experiments._check_grid`` compares with the cap itself, for the
+    product alpha x n, which is no count."""
+    assert sorted(functions_where(compares_with_the_cap)) == ["experiments.py:_check_grid"]
 
 
 FINITENESS = {("math", "isfinite"), ("math", "isinf"), ("math", "inf"), ("np", "isfinite"),
